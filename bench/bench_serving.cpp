@@ -30,11 +30,9 @@
 #include <vector>
 
 #include "cell/library.hpp"
-#include "core/autoscaler.hpp"
 #include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
-#include "core/thread_pool.hpp"
 #include "core/telemetry/telemetry.hpp"
 #include "features/dataset.hpp"
 #include "rcnet/generate.hpp"
@@ -120,14 +118,6 @@ struct BenchSummary {
   double shadow_overhead_pct_rate25 = 0.0;  ///< 25%
   double shadow_overhead_budget_pct = 5.0;  ///< acceptance bound for rate5
   bool shadow_under_budget = false;
-  // Autoscaling over the bursty level trace vs the best pinned thread count.
-  double autoscale_nets_per_second = 0.0;
-  double autoscale_worker_seconds = 0.0;
-  std::size_t autoscale_resizes = 0;
-  bool autoscale_bitwise_identical = false;  ///< vs the pinned T=1 trace
-  double pinned_best_nets_per_second = 0.0;
-  double pinned_best_worker_seconds = 0.0;
-  std::size_t pinned_best_threads = 1;
   // Content-addressed estimate cache: repeat-traffic sweep at T=1. Each row
   // replays a stream whose repeat fraction is fixed by construction (every
   // distinct net requested r times → (r-1)/r repeats); speedup is the
@@ -192,13 +182,6 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
   num("shadow_overhead_pct_rate25", s.shadow_overhead_pct_rate25, 3);
   num("shadow_overhead_budget_pct", s.shadow_overhead_budget_pct, 1);
   flag("shadow_under_budget", s.shadow_under_budget);
-  num("autoscale_nets_per_second", s.autoscale_nets_per_second, 1);
-  num("autoscale_worker_seconds", s.autoscale_worker_seconds, 4);
-  count("autoscale_resizes", s.autoscale_resizes);
-  flag("autoscale_bitwise_identical", s.autoscale_bitwise_identical);
-  num("pinned_best_nets_per_second", s.pinned_best_nets_per_second, 1);
-  num("pinned_best_worker_seconds", s.pinned_best_worker_seconds, 4);
-  count("pinned_best_threads", s.pinned_best_threads);
   json << "  \"cache\": {\n"
        << "    \"uncached_nets_per_second\": " << std::setprecision(1)
        << s.cache_uncached_nets_per_second << ",\n"
@@ -581,132 +564,6 @@ int main(int argc, char** argv) {
                 summary.shadow_overhead_pct_rate5,
                 summary.shadow_overhead_budget_pct,
                 summary.shadow_under_budget ? "UNDER" : "OVER");
-  }
-
-  // Pool autoscaling: replay a bursty level-size trace (the STA regime —
-  // tiny levels interleaved with wide ones) autoscaled vs pinned at each
-  // fixed thread count. The autoscaler should land within a few percent of
-  // the best pinned throughput while charging fewer worker-seconds
-  // (sum of threads x batch wall), because small levels run on a small pool.
-  std::printf("\n=== Pool autoscaling: bursty level trace ===\n\n");
-  {
-    const std::vector<std::size_t> trace = {4, 256, 8,   224, 2, 192,
-                                            16, 256, 4,  160, 2, 256};
-    std::size_t trace_nets = 0;
-    for (const std::size_t level : trace) trace_nets += level;
-
-    // Replays the trace; returns wall seconds. Batches are prefix spans of
-    // the eval set so every run times identical nets.
-    auto run_trace = [&](core::BatchOptions& options, core::ThreadPool* pool,
-                         core::PoolAutoscaler* scaler, double* worker_seconds,
-                         std::vector<core::PathEstimate>* collect) {
-      std::vector<nn::Workspace> workspaces;
-      options.workspaces = &workspaces;
-      double ws = 0.0;
-      const auto t0 = Clock::now();
-      for (const std::size_t level : trace) {
-        if (scaler) {
-          const core::AutoscaleDecision d =
-              scaler->decide(level, options.threads);
-          if (d.resized()) {
-            options.threads = d.target;
-            pool->resize(d.target);
-            if (workspaces.size() > d.target) workspaces.resize(d.target);
-            options.pool = d.target > 1 ? pool : nullptr;
-          }
-        }
-        const auto b0 = Clock::now();
-        core::InferenceStats stats;
-        const auto out = estimator.estimate_batch(
-            std::span<const core::NetBatchItem>(set.items.data(), level),
-            options, &stats);
-        ws += std::chrono::duration<double>(Clock::now() - b0).count() *
-              static_cast<double>(options.threads);
-        if (scaler) scaler->observe(stats);
-        if (collect)
-          for (const auto& paths : out)
-            collect->insert(collect->end(), paths.begin(), paths.end());
-      }
-      *worker_seconds = ws;
-      return std::chrono::duration<double>(Clock::now() - t0).count();
-    };
-
-    std::vector<core::PathEstimate> reference;  // pinned T=1 estimates
-    bench::TablePrinter table(
-        {"mode", "nets/s", "wall(ms)", "worker-s", "resizes"},
-        {12, 10, 10, 10, 8});
-    table.print_header();
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      core::ThreadPool pool(threads);
-      core::BatchOptions options;
-      options.threads = threads;
-      options.pool = threads > 1 ? &pool : nullptr;
-      double worker_seconds = 0.0;
-      double secs = run_trace(options, &pool, nullptr, &worker_seconds,
-                              threads == 1 ? &reference : nullptr);
-      if (threads == 1) {  // warmed second pass, like the sweep above
-        reference.clear();
-        secs = run_trace(options, &pool, nullptr, &worker_seconds, &reference);
-      }
-      const double rate = static_cast<double>(trace_nets) / secs;
-      if (rate > summary.pinned_best_nets_per_second) {
-        summary.pinned_best_nets_per_second = rate;
-        summary.pinned_best_worker_seconds = worker_seconds;
-        summary.pinned_best_threads = threads;
-      }
-      table.print_row({"pinned T=" + std::to_string(threads),
-                       bench::TablePrinter::fmt(rate, 0),
-                       bench::TablePrinter::fmt(secs * 1e3, 1),
-                       bench::TablePrinter::fmt(worker_seconds, 4), "0"});
-    }
-    {
-      core::AutoscalerConfig acfg;
-      acfg.max_threads = 8;
-      core::PoolAutoscaler scaler(acfg);
-      core::ThreadPool pool(1);
-      core::BatchOptions options;
-      options.threads = 1;
-      options.pool = nullptr;
-      double worker_seconds = 0.0;
-      std::vector<core::PathEstimate> scaled;
-      // One warm pass (arena + EWMA), then the measured pass.
-      double secs =
-          run_trace(options, &pool, &scaler, &worker_seconds, nullptr);
-      secs = run_trace(options, &pool, &scaler, &worker_seconds, &scaled);
-      summary.autoscale_nets_per_second =
-          static_cast<double>(trace_nets) / secs;
-      summary.autoscale_worker_seconds = worker_seconds;
-      summary.autoscale_resizes = scaler.resize_count();
-      summary.autoscale_bitwise_identical = scaled.size() == reference.size();
-      for (std::size_t i = 0;
-           summary.autoscale_bitwise_identical && i < scaled.size(); ++i)
-        // Field-wise (struct padding is indeterminate); doubles compared as
-        // bit patterns so -0.0 vs 0.0 or NaN would still count as a diff.
-        summary.autoscale_bitwise_identical =
-            scaled[i].sink == reference[i].sink &&
-            scaled[i].provenance == reference[i].provenance &&
-            std::memcmp(&scaled[i].delay, &reference[i].delay,
-                        sizeof(double)) == 0 &&
-            std::memcmp(&scaled[i].slew, &reference[i].slew,
-                        sizeof(double)) == 0;
-      table.print_row({"autoscaled",
-                       bench::TablePrinter::fmt(
-                           summary.autoscale_nets_per_second, 0),
-                       bench::TablePrinter::fmt(secs * 1e3, 1),
-                       bench::TablePrinter::fmt(worker_seconds, 4),
-                       std::to_string(summary.autoscale_resizes)});
-      std::printf(
-          "\nautoscaled vs pinned-best (T=%zu): %.1f%% throughput, %.2fx "
-          "worker-seconds, outputs bitwise %s\n",
-          summary.pinned_best_threads,
-          100.0 * summary.autoscale_nets_per_second /
-              summary.pinned_best_nets_per_second,
-          summary.pinned_best_worker_seconds > 0.0
-              ? summary.autoscale_worker_seconds /
-                    summary.pinned_best_worker_seconds
-              : 0.0,
-          summary.autoscale_bitwise_identical ? "identical" : "DIFFERENT");
-    }
   }
 
   // Network front-end: the same estimator behind serve::NetServer, driven by

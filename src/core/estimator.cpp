@@ -713,9 +713,11 @@ EstimatorWireSource::EstimatorWireSource(const WireTimingEstimator& estimator,
                                          const netlist::Design& design,
                                          const cell::CellLibrary& library,
                                          std::size_t threads)
-    : estimator_(estimator), design_(&design), library_(library) {
+    : estimator_(estimator),
+      design_(&design),
+      library_(library),
+      pool_(threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr) {
   rebind(design);
-  set_threads(threads);
 }
 
 void EstimatorWireSource::rebind(const netlist::Design& design) {
@@ -726,29 +728,10 @@ void EstimatorWireSource::rebind(const netlist::Design& design) {
     net_by_name_.emplace(design.nets[i].rc.name, i);
 }
 
-void EstimatorWireSource::set_threads(std::size_t threads) {
-  threads = std::max<std::size_t>(1, threads);
-  if (threads == threads_) return;
-  threads_ = threads;
-  if (pool_) pool_->resize(threads_);  // else created lazily at the next batch
-  // Trim per-worker workspaces above the new count so a shrink releases
-  // their arenas instead of pinning the peak-size memory forever; growth
-  // happens lazily inside estimate_batch.
-  if (workspaces_.size() > threads_) workspaces_.resize(threads_);
-}
-
 EstimatorWireSource::~EstimatorWireSource() = default;
 
 void EstimatorWireSource::enable_cache(const EstimateCacheConfig& config) {
   cache_ = std::make_unique<EstimateCache>(config);
-}
-
-void EstimatorWireSource::enable_autoscale(const AutoscalerConfig& config) {
-  autoscaler_ = std::make_unique<PoolAutoscaler>(config);
-  // Start inside the controller's bounds; the first decide() would force the
-  // move anyway, this just avoids one oversized/undersized batch.
-  set_threads(std::clamp(threads_, autoscaler_->config().min_threads,
-                         autoscaler_->config().max_threads));
 }
 
 features::NetContext EstimatorWireSource::context_for(
@@ -803,24 +786,12 @@ std::vector<sim::SinkTiming> to_sink_timings(
 
 std::vector<sim::SinkTiming> EstimatorWireSource::time_net(
     const rcnet::RcNet& net, double input_slew, double driver_resistance) {
-  const features::NetContext ctx =
-      context_for(net, input_slew, driver_resistance);
-  std::size_t clamped = 0;
-  auto out = to_sink_timings(estimator_.estimate(net, ctx), &clamped);
-  if (clamped > 0) {
-    stats_.slew_clamped += clamped;
-    ServingMetrics::get().slew_clamped.inc(clamped);
-  }
-  return out;
+  const netlist::WireTimingRequest request{&net, input_slew, driver_resistance};
+  return std::move(time_nets({&request, 1}).front());
 }
 
 std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
     std::span<const netlist::WireTimingRequest> requests) {
-  if (autoscaler_) {
-    const AutoscaleDecision d = autoscaler_->decide(requests.size(), threads_);
-    if (d.resized()) set_threads(d.target);  // pool + workspaces in lockstep
-  }
-
   std::vector<features::NetContext> contexts;
   contexts.reserve(requests.size());
   std::vector<NetBatchItem> items;
@@ -831,10 +802,9 @@ std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
     items.push_back({r.net, &contexts.back()});
   }
 
-  if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
   BatchOptions options = serving_options_;  // degradation/deadline/slow-log
-  options.threads = threads_;
-  options.pool = threads_ > 1 ? pool_.get() : nullptr;
+  options.threads = 1;
+  options.pool = pool_.get();  // null: inline on this thread
   options.workspaces = &workspaces_;
   options.cache = cache_.get();  // content-addressed memo (enable_cache)
   std::vector<NetOutcome> outcomes;
@@ -843,7 +813,6 @@ std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
   InferenceStats batch_stats;
   const std::vector<std::vector<PathEstimate>> estimates =
       estimator_.estimate_batch(items, options, &batch_stats);
-  if (autoscaler_) autoscaler_->observe(batch_stats);
 
   std::vector<std::vector<sim::SinkTiming>> out;
   out.reserve(estimates.size());

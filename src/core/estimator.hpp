@@ -38,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/autoscaler.hpp"
 #include "core/status.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/quality.hpp"
@@ -316,14 +315,11 @@ class WireTimingEstimator {
 
 /// Adapts a trained estimator (+ the cell library for load contexts) to the
 /// STA engine's WireTimingSource interface. With threads > 1 the batched
-/// time_nets entry point fans a level's nets out over a lazily created
-/// ThreadPool; per-worker workspaces persist across batches, so arenas stay
-/// warm for the whole STA run. stats() accumulates over all batches served.
-///
-/// With enable_autoscale, a PoolAutoscaler picks the worker count before
-/// every batch from the offered level size and the observed latency
-/// histogram; the pool and the per-worker workspace vector resize in
-/// lockstep, and arrivals stay bitwise-identical across any resize schedule.
+/// time_nets entry point fans a level's nets out over a ThreadPool sized once
+/// at construction; per-worker workspaces persist across batches, so arenas
+/// stay warm for the whole STA run. time_net is a one-request time_nets, so
+/// single-net ECO retimes get the same degradation ladder, cache and stats.
+/// stats() accumulates over all calls served.
 class EstimatorWireSource final : public netlist::WireTimingSource {
  public:
   EstimatorWireSource(const WireTimingEstimator& estimator,
@@ -340,24 +336,6 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
   /// \p design must outlive this source (or the next rebind).
   void rebind(const netlist::Design& design);
 
-  /// Worker count used by time_nets; takes effect from the next batch.
-  /// Shrinking also trims the per-worker workspaces above the new count, so
-  /// their arenas are released instead of pinning peak memory forever.
-  void set_threads(std::size_t threads);
-
-  /// Turns on metrics-driven pool autoscaling: before each batched call the
-  /// controller decides a worker count in [config.min_threads,
-  /// config.max_threads] and this source applies it (set_threads semantics);
-  /// after the call it feeds the batch's InferenceStats back to the
-  /// controller. An explicit set_threads still works and becomes the
-  /// controller's new starting point.
-  void enable_autoscale(const AutoscalerConfig& config);
-
-  /// The controller, or nullptr when autoscaling is off.
-  [[nodiscard]] const PoolAutoscaler* autoscaler() const noexcept {
-    return autoscaler_.get();
-  }
-
   /// Attaches an owned content-addressed estimate cache used by every
   /// subsequent time_nets batch. ECO flows get invalidation for free: an
   /// edited net's parasitics hash to a new key, so only genuinely unchanged
@@ -368,15 +346,6 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
   [[nodiscard]] const EstimateCache* cache() const noexcept {
     return cache_.get();
   }
-
-  /// Current per-worker workspace count (grows with batches, trimmed on
-  /// shrink — observability for the lockstep-resize invariant).
-  [[nodiscard]] std::size_t workspace_count() const noexcept {
-    return workspaces_.size();
-  }
-
-  /// Worker count the next batch will use.
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// Degradation/deadline/slow-log knobs applied to every batched call.
   /// The threads/pool/workspaces/outcomes/cache fields of \p options are
@@ -410,10 +379,8 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
   const cell::CellLibrary& library_;
   std::unordered_map<std::string, std::size_t> net_by_name_;
 
-  std::size_t threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;        ///< created on first batched call
+  std::unique_ptr<ThreadPool> pool_;        ///< null when single-threaded
   std::vector<nn::Workspace> workspaces_;   ///< per-worker, reused per batch
-  std::unique_ptr<PoolAutoscaler> autoscaler_;  ///< set by enable_autoscale
   std::unique_ptr<EstimateCache> cache_;    ///< set by enable_cache
   BatchOptions serving_options_;            ///< degradation/deadline template
   InferenceStats stats_;

@@ -1,15 +1,12 @@
 #include "core/thread_pool.hpp"
 
-#include <algorithm>
-
 namespace gnntrans::core {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads <= 1) return;
-  limit_ = threads;
   workers_.reserve(threads);
   for (std::size_t w = 0; w < threads; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w, 0); });
+    workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -19,36 +16,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::resize(std::size_t threads) {
-  const std::size_t target = threads <= 1 ? 0 : threads;
-  std::vector<std::thread> retired;
-  {
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [&] { return !busy_; });  // drain any in-flight job
-    if (target == workers_.size()) return;
-    limit_ = target;
-    if (target < workers_.size()) {
-      for (std::size_t w = target; w < workers_.size(); ++w)
-        retired.push_back(std::move(workers_[w]));
-      workers_.resize(target);
-    } else {
-      workers_.reserve(target);
-      // Capture the current generation: the pool is idle here, so a fresh
-      // worker must treat this generation as already seen and only wake for
-      // the next job.
-      for (std::size_t w = workers_.size(); w < target; ++w)
-        workers_.emplace_back(
-            [this, w, gen = generation_] { worker_loop(w, gen); });
-    }
-  }
-  work_cv_.notify_all();  // wake retired workers so they can observe limit_
-  for (std::thread& t : retired) t.join();
-}
-
-std::size_t ThreadPool::hardware_threads() noexcept {
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void ThreadPool::parallel_for(std::size_t n, const Task& task) {
@@ -79,12 +46,12 @@ void ThreadPool::parallel_for(std::size_t n, const Task& task) {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::worker_loop(std::size_t worker, std::uint64_t seen) {
+void ThreadPool::worker_loop(std::size_t worker) {
+  std::uint64_t seen = 0;
   std::unique_lock lock(mutex_);
   for (;;) {
-    work_cv_.wait(
-        lock, [&] { return stop_ || worker >= limit_ || generation_ != seen; });
-    if (stop_ || worker >= limit_) return;
+    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    if (stop_) return;
     seen = generation_;
     const Task* task = task_;
     const std::size_t count = task_count_;

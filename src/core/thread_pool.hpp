@@ -1,18 +1,13 @@
 /// \file thread_pool.hpp
-/// A reusable, resizable worker pool shared by training and serving.
+/// A reusable, fixed-size worker pool shared by training and serving.
 ///
 /// Extracted from the data-parallel trainer so that batched inference
 /// (WireTimingEstimator::estimate_batch) and training fan-out use one
 /// primitive instead of spawning fresh std::threads per mini-batch. The pool
 /// exposes an indexed parallel_for whose callback receives a stable worker id
 /// in [0, size()), which callers use to address per-worker resources (model
-/// replicas, scratch arenas) without locking.
-///
-/// resize(n) grows or shrinks the pool between jobs: it waits for any
-/// in-flight parallel_for to drain, then spawns or joins exactly the workers
-/// needed to reach n. Worker ids stay dense ([0, size()) before and after),
-/// so per-worker resource vectors can be resized in lockstep — this is what
-/// core::PoolAutoscaler drives between serving batches.
+/// replicas, scratch arenas) without locking. The worker count is fixed at
+/// construction.
 #pragma once
 
 #include <atomic>
@@ -27,9 +22,9 @@
 
 namespace gnntrans::core {
 
-/// Worker pool. Threads are started in the constructor (or by resize) and
-/// parked on a condition variable between jobs, so per-call dispatch cost is
-/// two notifications rather than thread creation.
+/// Worker pool. Threads are started in the constructor and parked on a
+/// condition variable between jobs, so per-call dispatch cost is two
+/// notifications rather than thread creation.
 class ThreadPool {
  public:
   /// Creates a pool of \p threads workers. With threads <= 1 no worker
@@ -44,13 +39,6 @@ class ThreadPool {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// Changes the worker count to \p threads (<= 1 means inline, like the
-  /// constructor). Blocks until any in-flight parallel_for finishes, then
-  /// joins the workers above the new count or spawns the missing ones —
-  /// existing workers keep their ids, so callers can grow or trim per-worker
-  /// resource vectors in lockstep. Do not call from inside a task.
-  void resize(std::size_t threads);
-
   using Task = std::function<void(std::size_t index, std::size_t worker)>;
 
   /// Runs task(i, worker) for every i in [0, n) and blocks until all calls
@@ -60,14 +48,8 @@ class ThreadPool {
   /// threads (calls serialize); do not call from inside a task.
   void parallel_for(std::size_t n, const Task& task);
 
-  /// std::thread::hardware_concurrency with a floor of 1.
-  [[nodiscard]] static std::size_t hardware_threads() noexcept;
-
  private:
-  /// \p seen is the job generation current when the worker was spawned, so a
-  /// worker added by resize never mistakes an already-finished job for new
-  /// work (or skips one dispatched right after it was spawned).
-  void worker_loop(std::size_t worker, std::uint64_t seen);
+  void worker_loop(std::size_t worker);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -78,7 +60,6 @@ class ThreadPool {
   std::atomic<std::size_t> next_{0};  ///< next unclaimed index
   std::size_t active_ = 0;            ///< workers still draining current job
   std::uint64_t generation_ = 0;      ///< bumped per job; workers wait on it
-  std::size_t limit_ = 0;             ///< workers with id >= limit_ exit (resize)
   bool busy_ = false;                 ///< a parallel_for is in flight
   bool stop_ = false;
   std::exception_ptr error_;

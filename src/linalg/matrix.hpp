@@ -3,8 +3,7 @@
 /// timing engines (moment computation, transient simulation).
 ///
 /// Wire RC nets are small (tens to a few hundred nodes), so a cache-friendly
-/// row-major dense representation is the right tool for factorizations; the
-/// sparse CSR path (sparse.hpp) exists for the larger coupled multi-net systems.
+/// row-major dense representation is the right tool for factorizations.
 #pragma once
 
 #include <cassert>

@@ -1,9 +1,8 @@
 /// \file sparse.hpp
 /// Compressed-sparse-row matrix and conjugate-gradient solver.
 ///
-/// Used for larger coupled systems (multi-net SI simulation) where dense
-/// factorization would waste memory, and as an independent cross-check of the
-/// dense solvers in tests.
+/// No timing engine uses it: the RC solves are dense (matrix.hpp). Its CG is
+/// the independent cross-check of the dense Cholesky solver in tests.
 #pragma once
 
 #include <cstddef>

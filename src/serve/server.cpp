@@ -238,8 +238,6 @@ void NetServer::start() {
 
   pool_ = std::make_unique<core::ThreadPool>(config_.threads);
   workspaces_.resize(config_.threads);
-  if (config_.enable_autoscale)
-    autoscaler_ = std::make_unique<core::PoolAutoscaler>(config_.autoscale);
   if (config_.cache_bytes > 0 && !cache_) {
     core::EstimateCacheConfig cache_config;
     cache_config.capacity_bytes = config_.cache_bytes;
@@ -678,8 +676,6 @@ void NetServer::batch_loop() {
 
   for (;;) {
     std::vector<Pending> batch;
-    std::size_t depth_behind = 0;
-    double oldest_behind = 0.0;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       // Size-or-age coalescing (the COMM_MIN/COMM_DELAY pair): flush a full
@@ -717,11 +713,9 @@ void NetServer::batch_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      depth_behind = queue_.size();
-      oldest_behind =
-          queue_.empty() ? 0.0 : seconds_since(queue_.front().enqueued);
-      metrics.queue_depth.set(static_cast<double>(depth_behind));
-      metrics.queue_oldest_age.set(oldest_behind);
+      metrics.queue_depth.set(static_cast<double>(queue_.size()));
+      metrics.queue_oldest_age.set(
+          queue_.empty() ? 0.0 : seconds_since(queue_.front().enqueued));
     }
 
     // Per-request deadline triage: a request whose budget is already spent
@@ -769,19 +763,6 @@ void NetServer::batch_loop() {
     }
     if (kept.empty()) continue;
 
-    // Queue-aware autoscaling: backlog joins the demand signal, and an aging
-    // queue overrides grow hysteresis. Pool and workspaces resize in
-    // lockstep, exactly like EstimatorWireSource.
-    if (autoscaler_) {
-      const core::AutoscaleDecision decision = autoscaler_->decide(
-          kept.size(), pool_->size(),
-          core::QueueSignal{depth_behind, oldest_behind});
-      if (decision.resized()) {
-        pool_->resize(decision.target);
-        workspaces_.resize(pool_->size());
-      }
-    }
-
     std::vector<core::NetBatchItem> items;
     items.reserve(kept.size());
     std::vector<telemetry::TraceContext> traces;
@@ -813,7 +794,6 @@ void NetServer::batch_loop() {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.merge(batch_stats);
     }
-    if (autoscaler_) autoscaler_->observe(batch_stats);
 
     for (std::size_t i = 0; i < kept.size(); ++i) {
       const Pending& pending = kept[i];

@@ -24,9 +24,8 @@
 /// the batcher).
 ///
 /// Backpressure is observable end to end: queue depth and oldest-request age
-/// feed the PoolAutoscaler's QueueSignal (demand grows with backlog, an aging
-/// queue overrides grow hysteresis) and are exported as gnntrans_net_*
-/// gauges; every reject increments a per-reason counter.
+/// are exported as gnntrans_net_* gauges; every reject increments a
+/// per-reason counter.
 ///
 /// Shutdown is a graceful drain: stop() stops accepting, rejects new
 /// admissions (kShuttingDown), lets the batcher flush everything in flight,
@@ -65,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/autoscaler.hpp"
 #include "core/estimator.hpp"
 #include "core/telemetry/tracez.hpp"
 #include "core/thread_pool.hpp"
@@ -107,12 +105,8 @@ struct NetServerConfig {
   /// served from stored model results — bitwise-identical values, tagged
   /// kCached — without touching featurize/forward.
   std::size_t cache_bytes = 0;
-  /// Worker count of the server-owned inference pool (start value when
-  /// autoscaling).
+  /// Worker count of the server-owned inference pool, fixed at start().
   std::size_t threads = 1;
-  /// Metrics-driven pool autoscaling with the queue signal folded in.
-  bool enable_autoscale = false;
-  core::AutoscalerConfig autoscale;
 };
 
 /// Exact request accounting, exposed for tests (the soak test proves every
@@ -238,7 +232,6 @@ class NetServer {
   // Server-owned inference resources (batcher thread only after start).
   std::unique_ptr<core::ThreadPool> pool_;
   std::vector<nn::Workspace> workspaces_;
-  std::unique_ptr<core::PoolAutoscaler> autoscaler_;
   std::unique_ptr<core::EstimateCache> cache_;  ///< set when cache_bytes > 0
 
   mutable std::mutex stats_mutex_;

@@ -8,12 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <span>
 #include <sstream>
 
 #include "cell/library.hpp"
+#include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
 #include "core/telemetry/telemetry.hpp"
@@ -450,6 +452,65 @@ TEST_F(ServingTest, StaBatchedEstimatorIsThreadInvariant) {
   EXPECT_EQ(serial.stats().nets, threaded.stats().nets);
   EXPECT_EQ(serial.stats().nets, design.nets.size());
   EXPECT_EQ(threaded.stats().threads, 3u);
+}
+
+TEST_F(ServingTest, TimeNetIsAOneRequestBatch) {
+  // IncrementalSta retimes through time_net, so it must take the batched
+  // path: the degradation ladder (an injected forward fault degrades instead
+  // of throwing), the attached cache, and stats().
+  netlist::DesignGenConfig cfg;
+  cfg.seed = 11;
+  cfg.levels = 2;
+  cfg.cells_per_level = 3;
+  cfg.startpoints = 2;
+  const netlist::Design design =
+      netlist::generate_design(cfg, *library_, "time_net");
+  ASSERT_FALSE(design.nets.empty());
+  const rcnet::RcNet& net = design.nets[0].rc;
+  const netlist::WireTimingRequest request{&net, 3e-11, 150.0};
+
+  core::EstimatorWireSource source(*estimator_, design, *library_, 2);
+  source.enable_cache(core::EstimateCacheConfig{});
+
+  core::FaultInjector::Config fcfg;
+  fcfg.probability = 1.0;
+  fcfg.seed = 5;
+  fcfg.site_mask = core::site_bit(core::FaultSite::kForward);
+  core::FaultInjector::global().configure(fcfg);
+  std::vector<sim::SinkTiming> single;
+  EXPECT_NO_THROW(single = source.time_net(net, request.input_slew,
+                                           request.driver_resistance));
+  const auto batched = source.time_nets({&request, 1});
+  core::FaultInjector::global().disarm();
+
+  ASSERT_EQ(batched.size(), 1u);
+  ASSERT_EQ(single.size(), net.sinks.size());
+  ASSERT_EQ(single.size(), batched[0].size());
+  for (std::size_t s = 0; s < single.size(); ++s) {
+    EXPECT_EQ(single[s].sink, batched[0][s].sink);
+    EXPECT_EQ(std::memcmp(&single[s].delay, &batched[0][s].delay,
+                          sizeof(double)),
+              0)
+        << "sink " << s;
+    EXPECT_EQ(std::memcmp(&single[s].slew, &batched[0][s].slew, sizeof(double)),
+              0)
+        << "sink " << s;
+    EXPECT_TRUE(single[s].settled);  // analytic fallback, not a failure
+  }
+  EXPECT_EQ(source.stats().nets, 2u);
+  EXPECT_EQ(source.stats().fallback_nets, 2u);
+  // Both calls looked the net up; a degraded result is never memoized.
+  const core::EstimateCacheStats faulted = source.cache()->stats();
+  EXPECT_EQ(faulted.misses, 2u);
+  EXPECT_EQ(faulted.insertions, 0u);
+
+  // Fault-free, the first time_net stores the model result, the second hits.
+  (void)source.time_net(net, request.input_slew, request.driver_resistance);
+  (void)source.time_net(net, request.input_slew, request.driver_resistance);
+  const core::EstimateCacheStats clean = source.cache()->stats();
+  EXPECT_EQ(clean.insertions, 1u);
+  EXPECT_EQ(clean.hits, 1u);
+  EXPECT_EQ(source.stats().cached_nets, 1u);
 }
 
 }  // namespace

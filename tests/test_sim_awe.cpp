@@ -1,13 +1,11 @@
-// Tests for the two-pole AWE metric and RC network reduction: both must
-// track the golden transient simulator closely on nets the cruder metrics
-// (Elmore, D2M) misestimate.
+// Tests for the two-pole AWE metric: it must track the golden transient
+// simulator closely on nets the cruder metrics (Elmore, D2M) misestimate.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
 #include "rcnet/generate.hpp"
-#include "rcnet/reduce.hpp"
 #include "sim/awe.hpp"
 #include "sim/moments.hpp"
 #include "sim/transient.hpp"
@@ -89,106 +87,6 @@ TEST(Awe, SourceNodeHasZeroTiming) {
   const auto awe = sim::awe_two_pole(chain(4, 50.0, 2e-15));
   EXPECT_DOUBLE_EQ(awe[0].delay, 0.0);
   EXPECT_DOUBLE_EQ(awe[0].slew, 0.0);
-}
-
-// ---- Reduction ----
-
-TEST(Reduce, ParallelResistorsMergeToParallelValue) {
-  RcNet net;
-  net.source = 0;
-  net.sinks = {1};
-  net.ground_cap = {1e-15, 1e-15};
-  net.resistors = {{0, 1, 100.0}, {0, 1, 100.0}};
-  std::size_t merged = 0;
-  const RcNet out = rcnet::merge_parallel_resistors(net, &merged);
-  EXPECT_EQ(merged, 1u);
-  ASSERT_EQ(out.resistors.size(), 1u);
-  EXPECT_NEAR(out.resistors[0].ohms, 50.0, 1e-9);
-}
-
-TEST(Reduce, ChainCollapsesToSingleSegment) {
-  const RcNet net = chain(10, 30.0, 2e-15);
-  const rcnet::ReductionResult r = rcnet::reduce_net(net);
-  EXPECT_TRUE(r.net.validate().empty());
-  // Only source and sink survive; total R preserved.
-  EXPECT_EQ(r.net.node_count(), 2u);
-  EXPECT_EQ(r.eliminated_nodes, 8u);
-  EXPECT_NEAR(r.net.total_resistance(), net.total_resistance(), 1e-9);
-}
-
-TEST(Reduce, TotalCapacitanceIsConserved) {
-  std::mt19937_64 rng(3);
-  rcnet::NetGenConfig cfg;
-  for (int i = 0; i < 10; ++i) {
-    const RcNet net = rcnet::generate_net(cfg, rng, "n");
-    const rcnet::ReductionResult r = rcnet::reduce_net(net);
-    EXPECT_NEAR(r.net.total_ground_cap(), net.total_ground_cap(),
-                1e-9 * net.total_ground_cap());
-  }
-}
-
-TEST(Reduce, SourceSinksAndCouplingsSurvive) {
-  std::mt19937_64 rng(5);
-  rcnet::NetGenConfig cfg;
-  cfg.coupling_prob = 1.0;
-  for (int i = 0; i < 10; ++i) {
-    const RcNet net = rcnet::generate_net(cfg, rng, "n");
-    const rcnet::ReductionResult r = rcnet::reduce_net(net);
-    EXPECT_TRUE(r.net.validate().empty());
-    EXPECT_EQ(r.net.sinks.size(), net.sinks.size());
-    EXPECT_EQ(r.net.couplings.size(), net.couplings.size());
-    // node_map is consistent for every survivor the caller cares about.
-    EXPECT_EQ(r.node_map[net.source], r.net.source);
-    for (std::size_t s = 0; s < net.sinks.size(); ++s)
-      EXPECT_EQ(r.node_map[net.sinks[s]], r.net.sinks[s]);
-  }
-}
-
-class ReduceSeeded : public ::testing::TestWithParam<int> {};
-
-TEST_P(ReduceSeeded, ElmoreAtSinksPreservedWithinTolerance) {
-  std::mt19937_64 rng(GetParam());
-  rcnet::NetGenConfig cfg;
-  cfg.coupling_prob = 0.0;
-  const RcNet net = rcnet::generate_net(cfg, rng, "n");
-  const rcnet::ReductionResult r = rcnet::reduce_net(net);
-  ASSERT_GT(net.node_count(), r.net.node_count());
-
-  const sim::Moments before = sim::compute_moments(net);
-  const sim::Moments after = sim::compute_moments(r.net);
-  for (std::size_t s = 0; s < net.sinks.size(); ++s) {
-    const double orig = before.m1[net.sinks[s]];
-    const double red = after.m1[r.net.sinks[s]];
-    // TICER quick elimination perturbs Elmore slightly (cap redistribution);
-    // it must stay within a few percent.
-    EXPECT_NEAR(red, orig, 0.05 * orig + 1e-15) << "sink index " << s;
-  }
-}
-
-TEST_P(ReduceSeeded, GoldenDelayPreservedWithinTolerance) {
-  std::mt19937_64 rng(GetParam() + 80);
-  rcnet::NetGenConfig cfg;
-  cfg.coupling_prob = 0.0;
-  cfg.min_nodes = 24;
-  const RcNet net = rcnet::generate_net(cfg, rng, "n");
-  const rcnet::ReductionResult r = rcnet::reduce_net(net);
-  const auto golden_before = sim::simulate(net, quiet(), 3e-11);
-  const auto golden_after = sim::simulate(r.net, quiet(), 3e-11);
-  for (std::size_t s = 0; s < net.sinks.size(); ++s) {
-    const double before = golden_before.sinks[s].delay;
-    const double after = golden_after.sinks[s].delay;
-    EXPECT_NEAR(after, before, 0.06 * before + 5e-13) << "sink index " << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ReduceSeeded, ::testing::Range(1, 9));
-
-TEST(Reduce, IdempotentOnFullyReducedNet) {
-  const RcNet net = chain(6, 30.0, 2e-15);
-  const rcnet::ReductionResult once = rcnet::reduce_net(net);
-  const rcnet::ReductionResult twice = rcnet::reduce_net(once.net);
-  EXPECT_EQ(twice.eliminated_nodes, 0u);
-  EXPECT_EQ(twice.net.node_count(), once.net.node_count());
 }
 
 }  // namespace

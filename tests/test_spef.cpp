@@ -198,6 +198,11 @@ struct MalformedCase {
   int expect_line;               // line number named in the status
 };
 
+// Print a case by its label. gtest's default prints the raw object bytes,
+// which hold string-literal addresses that change with every process under
+// ASLR, so the listed test names would not be stable from run to run.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.label; }
+
 class SpefMalformed : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(SpefMalformed, ReportsStatusWithLineNumber) {

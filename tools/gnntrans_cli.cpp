@@ -35,8 +35,7 @@
 //       SIGINT/SIGTERM (graceful drain: flush in-flight, answer, close), or
 //       for D seconds, or until N requests were admitted. The serving
 //       robustness flags below apply per batch; --deadline-ms is ignored
-//       (deadlines arrive per-request on the wire). --autoscale on resizes
-//       the pool from offered load *plus* queue backlog.
+//       (deadlines arrive per-request on the wire).
 //   eco       [--seed S] [--edits N] [--startpoints P --levels L --width W]
 //             [--steps T] [--model IN] [--verify on|off] [--paths K]
 //       ECO what-if driver: generate a design, apply N seeded random edits
@@ -58,11 +57,6 @@
 //   --fault-inject P    deterministically inject faults into a fraction P of
 //                       (site, net) decisions — testing/chaos knob, default 0
 //   --fault-seed S      seed for the fault-injection hash (default 1)
-//   --autoscale on      resize the worker pool between batches from the
-//                       serving latency histogram (hysteresis controller;
-//                       results stay bitwise-identical to any pinned count)
-//   --min-threads N     autoscaler floor (default 1)
-//   --max-threads N     autoscaler ceiling (default 0 = hardware threads)
 //   --cache-mb N        byte budget (MiB) of the content-addressed estimate
 //                       cache; identical (parasitics, context) pairs are
 //                       served from stored model results, bitwise-identical
@@ -110,9 +104,14 @@
 //   --stats-interval S  log serving-stat deltas (nets/s, fallback %, p50/p99)
 //                       every S seconds while the command runs (0 = off)
 //
+// Flags are strict "--name value" pairs. An unknown flag, a flag without its
+// value, or a numeric value that does not parse completely is a usage error.
+//
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -123,10 +122,10 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "cell/liberty.hpp"
-#include "core/autoscaler.hpp"
 #include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
@@ -146,13 +145,126 @@ using namespace gnntrans;
 
 namespace {
 
-/// Minimal --flag value parser.
+enum class FlagKind { kText, kInteger, kNumber };
+
+struct FlagSpec {
+  std::string_view name;
+  FlagKind kind;
+};
+
+/// Every flag some subcommand reads, and the value it takes.
+constexpr FlagSpec kFlags[] = {
+    // Inputs, outputs and model shape.
+    {"spef", FlagKind::kText},
+    {"verilog", FlagKind::kText},
+    {"liberty", FlagKind::kText},
+    {"model", FlagKind::kText},
+    {"arch", FlagKind::kText},
+    {"nets", FlagKind::kInteger},
+    {"seed", FlagKind::kInteger},
+    {"non-tree", FlagKind::kNumber},
+    {"cells", FlagKind::kInteger},
+    {"epochs", FlagKind::kInteger},
+    {"hidden", FlagKind::kInteger},
+    {"l1", FlagKind::kInteger},
+    {"l2", FlagKind::kInteger},
+    {"threads", FlagKind::kInteger},
+    {"batch", FlagKind::kInteger},
+    {"paths", FlagKind::kInteger},
+    // serve.
+    {"addr", FlagKind::kText},
+    {"port", FlagKind::kInteger},
+    {"flush-ms", FlagKind::kNumber},
+    {"queue", FlagKind::kInteger},
+    {"max-conns", FlagKind::kInteger},
+    {"duration-s", FlagKind::kNumber},
+    {"max-requests", FlagKind::kInteger},
+    // eco.
+    {"edits", FlagKind::kInteger},
+    {"startpoints", FlagKind::kInteger},
+    {"levels", FlagKind::kInteger},
+    {"width", FlagKind::kInteger},
+    {"steps", FlagKind::kInteger},
+    {"verify", FlagKind::kText},
+    // Serving robustness and the estimate cache.
+    {"fallback", FlagKind::kText},
+    {"deadline-ms", FlagKind::kNumber},
+    {"slow-ms", FlagKind::kNumber},
+    {"fault-inject", FlagKind::kNumber},
+    {"fault-seed", FlagKind::kInteger},
+    {"cache-mb", FlagKind::kInteger},
+    {"cache-off", FlagKind::kText},
+    // Model quality.
+    {"shadow-rate", FlagKind::kNumber},
+    {"shadow-seed", FlagKind::kInteger},
+    {"shadow-budget", FlagKind::kNumber},
+    {"psi-alert", FlagKind::kNumber},
+    {"residual-alert", FlagKind::kNumber},
+    // Telemetry.
+    {"log-level", FlagKind::kText},
+    {"log-json", FlagKind::kText},
+    {"metrics-out", FlagKind::kText},
+    {"trace-out", FlagKind::kText},
+    {"trace-sample", FlagKind::kInteger},
+    {"trace-budget", FlagKind::kNumber},
+    {"trace-rate", FlagKind::kNumber},
+    {"trace-seed", FlagKind::kInteger},
+    {"obs-port", FlagKind::kInteger},
+    {"obs-addr", FlagKind::kText},
+    {"flight-out", FlagKind::kText},
+    {"stats-interval", FlagKind::kNumber},
+};
+
+/// \p text as a whole integer, or nullopt.
+std::optional<long> parse_long(std::string_view text) {
+  long value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
+  return value;
+}
+
+/// \p text as a whole finite number, or nullopt.
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+[[noreturn]] void usage_error(const std::string& message) {
+  GNNTRANS_LOG_ERROR("cli", "%s", message.c_str());
+  std::exit(1);
+}
+
+/// Strict --flag value parser: every flag must be in kFlags, carry a value,
+/// and a numeric value must parse completely. Anything else exits 1.
 class Args {
  public:
   Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) continue;
-      values_[argv[i] + 2] = argv[i + 1];
+    for (int i = 2; i < argc; i += 2) {
+      const std::string_view arg = argv[i];
+      if (!arg.starts_with("--"))
+        usage_error("unexpected argument '" + std::string(arg) +
+                    "' (expected --flag value)");
+      const std::string name(arg.substr(2));
+      const auto spec =
+          std::find_if(std::begin(kFlags), std::end(kFlags),
+                       [&](const FlagSpec& f) { return f.name == name; });
+      if (spec == std::end(kFlags)) usage_error("unknown flag --" + name);
+      if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--"))
+        usage_error("flag --" + name + " is missing its value");
+      const std::string value = argv[i + 1];
+      if ((spec->kind == FlagKind::kInteger && !parse_long(value)) ||
+          (spec->kind == FlagKind::kNumber && !parse_double(value)))
+        usage_error("flag --" + name + " expects " +
+                    (spec->kind == FlagKind::kInteger ? "an integer"
+                                                      : "a number") +
+                    ", got '" + value + "'");
+      values_[name] = value;
     }
   }
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
@@ -168,13 +280,14 @@ class Args {
     }
     return *v;
   }
+  // Numeric values were validated at parse time.
   [[nodiscard]] long get_long(const std::string& key, long fallback) const {
     const auto v = get(key);
-    return v ? std::atol(v->c_str()) : fallback;
+    return v ? *parse_long(*v) : fallback;
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
     const auto v = get(key);
-    return v ? std::atof(v->c_str()) : fallback;
+    return v ? *parse_double(*v) : fallback;
   }
 
  private:
@@ -410,30 +523,6 @@ void apply_serving_flags(const Args& args, core::BatchOptions& options) {
   }
 }
 
-/// Reads --autoscale / --min-threads / --max-threads. Returns nullopt when
-/// autoscaling is off (the default); exits 1 on a malformed --autoscale value.
-std::optional<core::AutoscalerConfig> autoscale_config_from(const Args& args) {
-  const std::string v = args.get("autoscale").value_or("off");
-  const bool on = v == "on" || v == "1" || v == "true";
-  if (!on && v != "off" && v != "0" && v != "false") {
-    GNNTRANS_LOG_ERROR("cli", "unknown --autoscale '%s' (on|off)", v.c_str());
-    std::exit(1);
-  }
-  if (!on) {
-    if (args.get("min-threads") || args.get("max-threads"))
-      GNNTRANS_LOG_WARN(
-          "cli", "--min-threads/--max-threads have no effect without "
-                 "--autoscale on");
-    return std::nullopt;
-  }
-  core::AutoscalerConfig cfg;
-  cfg.min_threads =
-      static_cast<std::size_t>(std::max(1L, args.get_long("min-threads", 1)));
-  cfg.max_threads =
-      static_cast<std::size_t>(std::max(0L, args.get_long("max-threads", 0)));
-  return cfg;
-}
-
 /// Reads --cache-mb / --cache-off. The content-addressed estimate cache is on
 /// by default (64 MiB) for every model-serving subcommand; nullopt means
 /// caching is disabled. Exits 1 on a malformed --cache-off value.
@@ -474,16 +563,10 @@ int cmd_predict(const Args& args) {
   const auto library = cell::CellLibrary::make_default();
   const auto estimator = load_model_file(args.require("model"));
   const auto nets = load_spef(args.require("spef"));
-  auto threads =
+  const auto threads =
       static_cast<std::size_t>(std::max(1L, args.get_long("threads", 1)));
   const auto batch_size =
       static_cast<std::size_t>(std::max(1L, args.get_long("batch", 64)));
-  std::optional<core::PoolAutoscaler> autoscaler;
-  if (const auto acfg = autoscale_config_from(args)) {
-    autoscaler.emplace(*acfg);
-    threads = std::clamp(threads, autoscaler->config().min_threads,
-                         autoscaler->config().max_threads);
-  }
 
   std::vector<const rcnet::RcNet*> valid;
   std::vector<features::NetContext> contexts;
@@ -513,24 +596,11 @@ int cmd_predict(const Args& args) {
               "slew(ps)", "source");
   for (std::size_t begin = 0; begin < valid.size(); begin += batch_size) {
     const std::size_t count = std::min(batch_size, valid.size() - begin);
-    if (autoscaler) {
-      // Pool and per-worker workspaces resize in lockstep; stale workspaces
-      // would pin their peak arena memory forever.
-      const core::AutoscaleDecision d = autoscaler->decide(count, threads);
-      if (d.resized()) {
-        threads = d.target;
-        pool.resize(threads);
-        if (workspaces.size() > threads) workspaces.resize(threads);
-        options.pool = threads > 1 ? &pool : nullptr;
-        options.threads = threads;
-      }
-    }
     std::vector<core::NetBatchItem> items(count);
     for (std::size_t i = 0; i < count; ++i)
       items[i] = {valid[begin + i], &contexts[begin + i]};
     core::InferenceStats stats;
     const auto batches = estimator.estimate_batch(items, options, &stats);
-    if (autoscaler) autoscaler->observe(stats);
     total.merge(stats);
     for (std::size_t i = 0; i < count; ++i)
       for (const core::PathEstimate& pe : batches[i])
@@ -577,8 +647,6 @@ int cmd_sta(const Args& args) {
     core::BatchOptions serving;
     apply_serving_flags(args, serving);
     source.set_serving_options(serving);
-    if (const auto acfg = autoscale_config_from(args))
-      source.enable_autoscale(*acfg);
     if (const auto ccfg = cache_config_from(args)) source.enable_cache(*ccfg);
     sta = netlist::run_sta(parsed.design, library, source);
     source_name = source.name();
@@ -631,14 +699,6 @@ int cmd_serve(const Args& args) {
   cfg.batch.deadline_seconds = 0.0;
   if (const auto ccfg = cache_config_from(args))
     cfg.cache_bytes = ccfg->capacity_bytes;
-  if (const auto acfg = autoscale_config_from(args)) {
-    cfg.enable_autoscale = true;
-    cfg.autoscale = *acfg;
-    cfg.threads = std::clamp(cfg.threads, acfg->min_threads,
-                             acfg->max_threads == 0
-                                 ? core::ThreadPool::hardware_threads()
-                                 : acfg->max_threads);
-  }
 
   serve::NetServer server(estimator, cfg);
   try {
