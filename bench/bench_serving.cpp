@@ -108,15 +108,13 @@ struct BenchSummary {
   double nets_per_second = 0.0;  ///< T=1 steady state (arenas warm)
   double p50_us = 0.0;
   double p99_us = 0.0;
-  double tracing_overhead_pct = 0.0;           ///< full tracing (1-in-1)
-  double tracing_overhead_adaptive_pct = 0.0;  ///< after the controller
-  std::size_t effective_sample_every = 1;
+  double tracing_overhead_pct = 0.0;  ///< full tracing (1-in-1)
   double fallback_overhead_pct = 0.0;  ///< 1% injection vs disarmed
-  // Shadow-scoring overhead vs a disarmed monitor, pinned rates (no backoff).
+  // Shadow-scoring overhead vs a disarmed monitor, at fixed rates.
   double shadow_overhead_pct_rate1 = 0.0;   ///< 1% of nets shadowed
   double shadow_overhead_pct_rate5 = 0.0;   ///< 5% (the default shadow rate)
   double shadow_overhead_pct_rate25 = 0.0;  ///< 25%
-  double shadow_overhead_budget_pct = 5.0;  ///< acceptance bound for rate5
+  double shadow_overhead_bound_pct = 5.0;  ///< acceptance bound for rate5
   bool shadow_under_budget = false;
   // Content-addressed estimate cache: repeat-traffic sweep at T=1. Each row
   // replays a stream whose repeat fraction is fixed by construction (every
@@ -163,9 +161,6 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
   auto num = [&json](const char* key, double v, int prec) {
     json << "  \"" << key << "\": " << std::setprecision(prec) << v << ",\n";
   };
-  auto count = [&json](const char* key, std::uint64_t v) {
-    json << "  \"" << key << "\": " << v << ",\n";
-  };
   auto flag = [&json](const char* key, bool v) {
     json << "  \"" << key << "\": " << (v ? "true" : "false") << ",\n";
   };
@@ -174,13 +169,11 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
   num("p50_us", s.p50_us, 2);
   num("p99_us", s.p99_us, 2);
   num("tracing_overhead_pct", s.tracing_overhead_pct, 3);
-  num("tracing_overhead_adaptive_pct", s.tracing_overhead_adaptive_pct, 3);
-  count("effective_sample_every", s.effective_sample_every);
   num("fallback_overhead_pct", s.fallback_overhead_pct, 3);
   num("shadow_overhead_pct_rate1", s.shadow_overhead_pct_rate1, 3);
   num("shadow_overhead_pct_rate5", s.shadow_overhead_pct_rate5, 3);
   num("shadow_overhead_pct_rate25", s.shadow_overhead_pct_rate25, 3);
-  num("shadow_overhead_budget_pct", s.shadow_overhead_budget_pct, 1);
+  num("shadow_overhead_bound_pct", s.shadow_overhead_bound_pct, 1);
   flag("shadow_under_budget", s.shadow_under_budget);
   json << "  \"cache\": {\n"
        << "    \"uncached_nets_per_second\": " << std::setprecision(1)
@@ -414,11 +407,11 @@ int main(int argc, char** argv) {
     (void)timed_passes(1);  // warm-up
     const double off_secs = timed_passes(kPasses);
 
-    // Full tracing: a 100% overhead budget keeps the controller at 1-in-1,
-    // so this measures the unthrottled cost of every span.
-    recorder.configure({1, 100.0});
+    // Full tracing: the default config records every span (1-in-1).
+    recorder.configure(telemetry::TraceConfig{});
     recorder.enable();
     const double on_secs = timed_passes(kPasses);
+    recorder.disable();
     const double rate_off =
         static_cast<double>(kNets * kPasses) / off_secs;
     const double rate_on = static_cast<double>(kNets * kPasses) / on_secs;
@@ -427,24 +420,6 @@ int main(int argc, char** argv) {
                 "enabled-path overhead: %.2f%% (%zu spans recorded)\n",
                 rate_off, rate_on, summary.tracing_overhead_pct,
                 recorder.event_count());
-
-    // Adaptive sampling: a 2% budget lets the controller raise the effective
-    // 1-in-N from the measured span cost; estimate_batch feeds it per batch.
-    recorder.configure({1, 2.0});
-    (void)timed_passes(1);  // let the controller converge
-    const double adaptive_secs = timed_passes(kPasses);
-    recorder.disable();
-    const double rate_adaptive =
-        static_cast<double>(kNets * kPasses) / adaptive_secs;
-    summary.tracing_overhead_adaptive_pct =
-        100.0 * (adaptive_secs - off_secs) / off_secs;
-    summary.effective_sample_every = recorder.effective_sample_every();
-    std::printf("adaptive (2%% budget): %.0f nets/s   overhead: %.2f%%   "
-                "effective sampling 1/%zu   measured span cost %.0f ns\n",
-                rate_adaptive, summary.tracing_overhead_adaptive_pct,
-                recorder.effective_sample_every(),
-                recorder.measured_span_cost_ns());
-    recorder.configure({1, 2.0});
     recorder.clear();
   }
 
@@ -498,8 +473,8 @@ int main(int argc, char** argv) {
   }
 
   // Shadow-scoring overhead: a shadowed net pays a second featurization plus
-  // the analytic Elmore/D2M re-time. Rates are pinned (budget 0, controller
-  // off) so each row measures the true cost of that sampling fraction; the
+  // the analytic Elmore/D2M re-time. Each row shadows exactly its configured
+  // fraction, so it measures the true cost of that sampling rate; the
   // acceptance bound is the rate-5% row against a 5% wall-time budget.
   std::printf("\n=== Shadow-scoring overhead: estimate_batch, T=1 ===\n\n");
   {
@@ -529,7 +504,6 @@ int main(int argc, char** argv) {
         telemetry::QualityConfig qcfg;
         qcfg.shadow_rate = rates[i];
         qcfg.shadow_seed = 1;
-        qcfg.overhead_budget_pct = 0.0;  // pinned: measure the raw cost
         quality.configure(qcfg);
         core::InferenceStats stats;
         const auto t0 = Clock::now();
@@ -558,11 +532,11 @@ int main(int argc, char** argv) {
     }
     quality.configure(off_cfg);
     summary.shadow_under_budget = summary.shadow_overhead_pct_rate5 <=
-                                  summary.shadow_overhead_budget_pct;
+                                  summary.shadow_overhead_bound_pct;
     std::printf("\ndefault-rate (5%%) shadow overhead %.2f%% vs %.1f%% budget: "
                 "%s\n",
                 summary.shadow_overhead_pct_rate5,
-                summary.shadow_overhead_budget_pct,
+                summary.shadow_overhead_bound_pct,
                 summary.shadow_under_budget ? "UNDER" : "OVER");
   }
 

@@ -522,7 +522,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     // Shadow scoring: deterministic pure-hash sample of model-served nets,
     // re-timed against the analytic baseline. Runs after latency[i] is taken
     // so serving latency metrics exclude the shadow's own cost; self-times
-    // into shadow_secs for the batch-level overhead controller.
+    // into shadow_secs for the batch-level shadow-cost EWMA.
     telemetry::QualityMonitor& quality = telemetry::QualityMonitor::global();
     if (outcome.provenance == EstimateProvenance::kModel && quality.active() &&
         quality.should_shadow(net.name)) {
@@ -558,11 +558,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
       fr.arena_peak_bytes = static_cast<std::uint32_t>(std::min<std::size_t>(
           workspaces[worker].arena_stats().peak_bytes, UINT32_MAX));
       fr.slow = outcome.slow ? 1 : 0;
-      fr.degraded =
-          outcome.provenance == EstimateProvenance::kBaselineFallback ||
-                  outcome.provenance == EstimateProvenance::kFailed
-              ? 1
-              : 0;
+      fr.degraded = is_degraded(outcome.provenance) ? 1 : 0;
       flight.record(fr);
     }
   };
@@ -585,8 +581,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
       case EstimateProvenance::kFailed: ++failed_nets; break;
       case EstimateProvenance::kCached: ++cached_nets; break;
     }
-    if (o.provenance == EstimateProvenance::kBaselineFallback ||
-        o.provenance == EstimateProvenance::kFailed)
+    if (is_degraded(o.provenance))
       ++degraded_by_reason[static_cast<std::size_t>(o.error)];
     if (o.slow) ++slow_nets;
   }
@@ -614,16 +609,8 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     if (degraded_by_reason[c] > 0)
       metrics.degraded_reason[c].inc(degraded_by_reason[c]);
 
-  // Overhead controller: the serving path opens ~2 spans per net (featurize
-  // + forward) plus the batch span; feed that offered load and this batch's
-  // wall time to the adaptive sampler so tracing stays within budget.
-  if (!items.empty() && wall > 0.0)
-    telemetry::TraceRecorder::global().adapt(
-        2.0 * static_cast<double>(items.size()) + 1.0, wall);
-
-  // Shadow budget controller, same cadence: the summed self-timed shadow cost
-  // of this batch moves the effective sampling rate *between* batches only,
-  // so within-batch sampling decisions stay pure functions of (seed, name).
+  // The summed self-timed shadow cost of this batch feeds the shadow
+  // overhead EWMA; it is measured only, never acted on.
   {
     telemetry::QualityMonitor& quality = telemetry::QualityMonitor::global();
     if (quality.active() && !items.empty() && wall > 0.0) {
@@ -691,13 +678,14 @@ void WireTimingEstimator::save_file(const std::string& path) const {
 WireTimingEstimator WireTimingEstimator::load(std::istream& in) {
   const std::uint32_t version = tensor::read_header(in, "GNNTRANS_ESTIMATOR");
   if (version != 1 && version != 2) {
-    throw UnsupportedCheckpointError(
+    throw CheckpointError(
         Status(ErrorCode::kUnsupportedFormat,
                "estimator checkpoint version " + std::to_string(version) +
                    " (this build reads v1 and v2)"));
   }
   WireTimingEstimator est;
-  est.standardizer_.load(in);
+  if (Status status = est.standardizer_.load(in); !status.ok())
+    throw CheckpointError(std::move(status));
   est.model_ = nn::load_model(in);
   if (version >= 2) est.baseline_.load(in);  // v1: no drift profile
   return est;

@@ -74,6 +74,14 @@ enum class EstimateProvenance : std::uint8_t {
   return "unknown";
 }
 
+/// True when the net was not served by the model's own values: the analytic
+/// fallback or a failure. A cache hit carries a prior model pass's bytes, so
+/// it is not degraded.
+[[nodiscard]] constexpr bool is_degraded(EstimateProvenance p) noexcept {
+  return p == EstimateProvenance::kBaselineFallback ||
+         p == EstimateProvenance::kFailed;
+}
+
 /// Per-path estimate in seconds.
 struct PathEstimate {
   rcnet::NodeId sink = 0;
@@ -198,13 +206,14 @@ struct BatchOptions {
   const std::vector<telemetry::TraceContext>* traces = nullptr;
 };
 
-/// Thrown by WireTimingEstimator::load on a checkpoint whose format version
-/// this build does not understand (e.g. a file written by a newer build).
-/// Carries a typed core::Status (ErrorCode::kUnsupportedFormat) so callers
-/// can branch on the failure class instead of matching exception strings.
-class UnsupportedCheckpointError : public std::runtime_error {
+/// Thrown by WireTimingEstimator::load on a checkpoint it rejects: a format
+/// version this build does not understand (kUnsupportedFormat, e.g. a file
+/// written by a newer build) or a malformed standardizer block
+/// (kParseError). Carries the typed core::Status so callers can branch on
+/// the failure class instead of matching exception strings.
+class CheckpointError : public std::runtime_error {
  public:
-  explicit UnsupportedCheckpointError(Status status)
+  explicit CheckpointError(Status status)
       : std::runtime_error(status.to_string()), status_(std::move(status)) {}
   [[nodiscard]] const Status& status() const noexcept { return status_; }
 

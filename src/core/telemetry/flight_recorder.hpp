@@ -44,7 +44,7 @@ struct FlightRecord {
   std::uint32_t arena_peak_bytes = 0;
   std::uint32_t thread_id = 0;
   std::uint8_t slow = 0;      ///< exceeded the slow-net latency budget
-  std::uint8_t degraded = 0;  ///< provenance below kModel (fallback/failed)
+  std::uint8_t degraded = 0;  ///< core::is_degraded(provenance): fallback/failed
   std::uint8_t pinned = 0;    ///< record copy lives in the pinned ring
   std::uint8_t pad[5] = {};
 

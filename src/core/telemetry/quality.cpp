@@ -44,11 +44,6 @@ std::uint64_t rate_to_threshold(double rate) noexcept {
   return static_cast<std::uint64_t>(rate * 18446744073709551615.0);
 }
 
-double threshold_to_rate(std::uint64_t threshold) noexcept {
-  if (threshold == ~0ull) return 1.0;
-  return static_cast<double>(threshold) / 18446744073709551615.0;
-}
-
 // Relative residual as a percent of the analytic reference. The floor keeps
 // near-zero references (degenerate stub nets) from manufacturing huge
 // percentages out of sub-femtosecond absolute noise.
@@ -67,7 +62,6 @@ std::vector<double> residual_pct_bounds() {
 struct QualityMetrics {
   Counter shadowed_nets;
   Counter shadowed_sinks;
-  Gauge effective_rate;
   Gauge overhead_pct;
   Gauge worst_psi;
   Gauge delay_p99_pct;
@@ -85,9 +79,6 @@ struct QualityMetrics {
         MetricsRegistry::global().counter(
             "gnntrans_quality_shadowed_sinks_total",
             "Sink residuals recorded by the shadow scorer"),
-        MetricsRegistry::global().gauge(
-            "gnntrans_quality_effective_shadow_rate",
-            "Shadow sampling rate after overhead backoff"),
         MetricsRegistry::global().gauge(
             "gnntrans_quality_shadow_overhead_pct",
             "EWMA of shadow cost as percent of serving wall time"),
@@ -338,11 +329,9 @@ void QualityMonitor::configure(const QualityConfig& config) {
   shadowed_nets_.store(0, std::memory_order_relaxed);
   shadowed_sinks_.store(0, std::memory_order_relaxed);
   overhead_ewma_pct_.store(0.0, std::memory_order_relaxed);
-  cost_batches_.store(0, std::memory_order_relaxed);
   shadow_seed_.store(config.shadow_seed, std::memory_order_relaxed);
-  // Through the setter so the effective-rate gauge reflects the pinned rate
-  // even when the overhead controller never runs (budget 0).
-  set_effective_rate(config.shadow_rate);
+  shadow_threshold_.store(rate_to_threshold(config.shadow_rate),
+                          std::memory_order_relaxed);
   active_.store(config.shadow_rate > 0.0, std::memory_order_release);
 }
 
@@ -358,15 +347,6 @@ bool QualityMonitor::should_shadow(std::string_view net_name) const noexcept {
   if (threshold == 0) return false;
   const std::uint64_t seed = shadow_seed_.load(std::memory_order_relaxed);
   return mix(seed ^ fnv1a(net_name)) <= threshold;
-}
-
-double QualityMonitor::effective_rate() const noexcept {
-  return threshold_to_rate(shadow_threshold_.load(std::memory_order_relaxed));
-}
-
-void QualityMonitor::set_effective_rate(double rate) noexcept {
-  shadow_threshold_.store(rate_to_threshold(rate), std::memory_order_relaxed);
-  QualityMetrics::get().effective_rate.set(rate);
 }
 
 void QualityMonitor::install_baseline(FeatureBaseline baseline) {
@@ -444,49 +424,18 @@ void QualityMonitor::observe_shadow_cost(double shadow_seconds,
                                          double batch_seconds) noexcept {
   if (!active_.load(std::memory_order_acquire)) return;
   if (!(batch_seconds > 0.0)) return;
-  // Warm-up guard (the trace sampler's PR-9 bug class): the first batches
-  // after configure() time one-off setup — residual-sketch and live-feature
-  // buffer first touch, cold allocator paths inside the shadow's feature
-  // re-extraction — so their measured cost is wildly unrepresentative of
-  // steady state. Seeding the EWMA with it throttled a fresh server's shadow
-  // rate to ~configured/64 before real evidence existed. Discard these
-  // observations entirely; the controller engages on warmed traffic.
-  if (cost_batches_.fetch_add(1, std::memory_order_relaxed) <
-      kShadowCostWarmupBatches)
-    return;
   const double pct =
       100.0 * std::max(shadow_seconds, 0.0) / batch_seconds;
-  // Same EWMA shape as the trace sampler's budget controller.
   const double prev = overhead_ewma_pct_.load(std::memory_order_relaxed);
   const double ewma = prev == 0.0 ? pct : 0.7 * prev + 0.3 * pct;
   overhead_ewma_pct_.store(ewma, std::memory_order_relaxed);
   QualityMetrics::get().overhead_pct.set(ewma);
-
-  double budget = 0.0;
-  double configured = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget = config_.overhead_budget_pct;
-    configured = config_.shadow_rate;
-  }
-  if (budget <= 0.0) return;  // controller disabled: rate stays pinned
-  const double current = effective_rate();
-  if (ewma > budget) {
-    // Over budget: scale the rate down proportionally (at least halve).
-    const double scaled = current * std::min(0.5, budget / ewma);
-    set_effective_rate(std::max(scaled, configured / 64.0));
-  } else if (ewma < 0.5 * budget && current < configured) {
-    // Comfortably under budget: recover toward the configured rate.
-    set_effective_rate(std::min(configured, std::max(current * 2.0,
-                                                     configured / 64.0)));
-  }
 }
 
 QualityState QualityMonitor::compute_state() {
   QualityState state;
   state.shadowed_nets = shadowed_nets_.load(std::memory_order_relaxed);
   state.shadowed_sinks = shadowed_sinks_.load(std::memory_order_relaxed);
-  state.effective_rate = effective_rate();
   state.shadow_overhead_pct =
       overhead_ewma_pct_.load(std::memory_order_relaxed);
 
@@ -578,8 +527,6 @@ std::string QualityMonitor::state_json() {
   append_json_number(out, static_cast<double>(state.shadowed_nets));
   out += ",\"shadowed_sinks\":";
   append_json_number(out, static_cast<double>(state.shadowed_sinks));
-  out += ",\"effective_rate\":";
-  append_json_number(out, state.effective_rate);
   out += ",\"shadow_overhead_pct\":";
   append_json_number(out, state.shadow_overhead_pct);
   out += ",\"residuals\":{\"delay_p50_pct\":";

@@ -16,9 +16,9 @@
 ///    with the analytic Elmore/D2M baseline, and per-sink model-vs-analytic
 ///    residuals — delay and slew, split by tree/non-tree topology — feed
 ///    MetricsRegistry histograms plus streaming log-bucket quantile sketches.
-///    The shadow pass self-times, and an overhead controller (same shape as
-///    the adaptive trace sampler) lowers the *effective* rate between batches
-///    whenever the measured cost exceeds its budget.
+///    The shadow pass self-times into an EWMA of its share of serving wall
+///    time (gnntrans_quality_shadow_overhead_pct); the rate itself is always
+///    the configured one.
 ///
 /// 2. **Feature drift.** Training computes one LogSketch per input feature
 ///    (the baseline profile, serialized into the model checkpoint); serving
@@ -130,11 +130,6 @@ struct QualityConfig {
   /// Fraction of served nets shadow-scored (0 disables shadowing).
   double shadow_rate = 0.05;
   std::uint64_t shadow_seed = 1;
-  /// Shadow-cost budget as a percent of serving wall time; when the measured
-  /// (EWMA) cost exceeds it, the effective rate backs off between batches and
-  /// recovers once the cost fits again. 0 disables the controller, pinning
-  /// the effective rate to shadow_rate (fully deterministic sampling).
-  double overhead_budget_pct = 0.0;
   /// A feature whose baseline-vs-live PSI exceeds this flips readiness.
   double psi_alert = 0.25;
   /// Shadow delay-residual p99 (relative, percent) bound for readiness.
@@ -155,7 +150,6 @@ struct FeatureDrift {
 struct QualityState {
   std::uint64_t shadowed_nets = 0;
   std::uint64_t shadowed_sinks = 0;
-  double effective_rate = 0.0;
   double shadow_overhead_pct = 0.0;  ///< EWMA of shadow cost / serving wall
   // Relative residual quantiles, percent of the analytic reference.
   double delay_p50_pct = 0.0;
@@ -182,7 +176,7 @@ class QualityMonitor {
   [[nodiscard]] static QualityMonitor& global();
 
   /// Arms the monitor (shadow_rate > 0) and resets live sketches, residuals,
-  /// counters, and the overhead controller. Keeps any installed baseline.
+  /// counters, and the shadow-cost EWMA. Keeps any installed baseline.
   void configure(const QualityConfig& config);
   [[nodiscard]] QualityConfig config() const;
 
@@ -191,15 +185,11 @@ class QualityMonitor {
     return active_.load(std::memory_order_acquire);
   }
 
-  /// Deterministic sampling decision for \p net_name at the current
-  /// *effective* rate: a pure hash of (seed, name) against a threshold, so
+  /// Deterministic sampling decision for \p net_name at the configured
+  /// shadow_rate: a pure hash of (seed, name) against a threshold, so
   /// the same (seed, rate) selects the same nets for any thread count, call
   /// order, or batch split. False when inactive.
   [[nodiscard]] bool should_shadow(std::string_view net_name) const noexcept;
-
-  /// Effective sampling rate currently applied (== configured rate until the
-  /// overhead controller backs off).
-  [[nodiscard]] double effective_rate() const noexcept;
 
   /// Installs the training-time feature profile (replacing any previous one)
   /// and clears live feature sketches so PSI compares like with like.
@@ -220,23 +210,11 @@ class QualityMonitor {
   /// Tallies one shadowed net (nets, not sinks — the sampler's unit).
   void count_shadowed_net() noexcept;
 
-  /// Overhead controller, once per batch from the serving path: \p
-  /// shadow_seconds self-timed shadow cost inside a batch that took \p
-  /// batch_seconds. Updates the cost EWMA and moves the effective rate —
-  /// between batches only, so within-batch sampling stays deterministic.
-  ///
-  /// The first kShadowCostWarmupBatches observations after configure() are
-  /// discarded: a fresh process's early shadow passes pay one-time setup
-  /// (residual-sketch first touch, feature-extraction allocations, cold
-  /// instruction caches), and seeding the EWMA with that inflated cost used
-  /// to throttle the shadow rate to ~configured/64 before any steady-state
-  /// evidence existed — the same probe-at-first-call bug the trace sampler's
-  /// budget controller had.
+  /// Once per batch from the serving path: \p shadow_seconds self-timed
+  /// shadow cost inside a batch that took \p batch_seconds. Updates the cost
+  /// EWMA behind gnntrans_quality_shadow_overhead_pct. Measurement only: the
+  /// sampling rate stays the configured one.
   void observe_shadow_cost(double shadow_seconds, double batch_seconds) noexcept;
-
-  /// Cost observations ignored after configure() before the EWMA/controller
-  /// engage (see observe_shadow_cost).
-  static constexpr std::uint64_t kShadowCostWarmupBatches = 8;
 
   /// Merges sketches, computes per-feature PSI + residual quantiles, updates
   /// the gnntrans_quality_* gauges, pins new drift crossings into the flight
@@ -256,8 +234,6 @@ class QualityMonitor {
   }
 
  private:
-  void set_effective_rate(double rate) noexcept;
-
   mutable std::mutex mutex_;  ///< guards config_, baseline_, sketches, flags
   QualityConfig config_;
   FeatureBaseline baseline_;
@@ -268,12 +244,11 @@ class QualityMonitor {
   std::vector<std::uint8_t> psi_alerted_;  ///< per-feature "already pinned"
 
   std::atomic<bool> active_{false};
-  std::atomic<std::uint64_t> shadow_threshold_{0};  ///< effective rate as u64
+  std::atomic<std::uint64_t> shadow_threshold_{0};  ///< shadow_rate as u64
   std::atomic<std::uint64_t> shadow_seed_{1};
   std::atomic<std::uint64_t> shadowed_nets_{0};
   std::atomic<std::uint64_t> shadowed_sinks_{0};
   std::atomic<double> overhead_ewma_pct_{0.0};
-  std::atomic<std::uint64_t> cost_batches_{0};  ///< observe_shadow_cost calls
 };
 
 }  // namespace gnntrans::telemetry

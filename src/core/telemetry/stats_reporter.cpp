@@ -132,7 +132,7 @@ void StatsReporter::tick() {
         100.0 * static_cast<double>(d_failed) / denominator,
         static_cast<unsigned long long>(d_slow),
         d_latency.quantile(0.50) * 1e6, d_latency.quantile(0.99) * 1e6,
-        recorder.enabled() ? "on" : "off", recorder.effective_sample_every(),
+        recorder.enabled() ? "on" : "off", recorder.config().sample_every,
         quality_cols.c_str());
   }
   reports_.fetch_add(1, std::memory_order_relaxed);

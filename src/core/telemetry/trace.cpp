@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -35,23 +34,16 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Hard ceiling for the adaptive 1-in-N: beyond this, sampling is
+/// Hard ceiling for the configured 1-in-N: beyond this, sampling is
 /// effectively off and pushing N higher only loses resolution.
 constexpr std::size_t kMaxSampleEvery = std::size_t{1} << 20;
 
-struct SamplerGauges {
-  Gauge rate = MetricsRegistry::global().gauge(
-      "gnntrans_trace_effective_sample_rate",
-      "Fraction of spans currently recorded (1/N after overhead adaptation)");
-  Gauge cost = MetricsRegistry::global().gauge(
+const Gauge& span_cost_gauge() {
+  static const Gauge gauge = MetricsRegistry::global().gauge(
       "gnntrans_trace_span_cost_ns",
       "EWMA self-measured cost of recording one trace span, in ns");
-
-  static const SamplerGauges& get() {
-    static const SamplerGauges gauges;
-    return gauges;
-  }
-};
+  return gauge;
+}
 
 }  // namespace
 
@@ -138,14 +130,7 @@ TraceContext TraceRecorder::head_sample(std::uint64_t request_id) noexcept {
   const std::uint64_t mixed = mix64(request_id ^ seed);
   TraceContext ctx;
   ctx.trace_id = mixed ? mixed : 1;
-  // The overhead controller throttles head sampling by the same factor it
-  // raised the span interval: if adapt() doubled effective_every, half the
-  // previously-sampled requests stop tracing.
-  const double base = static_cast<double>(base_every_.load(std::memory_order_relaxed));
-  const double effective =
-      static_cast<double>(effective_every_.load(std::memory_order_relaxed));
-  double rate = head_rate_.load(std::memory_order_relaxed) * (base / effective);
-  rate = std::clamp(rate, 0.0, 1.0);
+  const double rate = head_rate_.load(std::memory_order_relaxed);
   if (rate >= 1.0) {
     ctx.sampled = true;
   } else if (rate > 0.0) {
@@ -166,12 +151,11 @@ void TraceRecorder::record_event(std::string_view name,
                                  TracePhase phase,
                                  std::uint64_t flow_id) noexcept {
   if (!enabled()) return;
-  // Self-time every 64th record so adapt() knows the real per-span cost on
+  // Self-time every 64th record so the cost of observing stays measured on
   // this machine under this contention; EWMA smooths scheduler noise. The
   // pre-increment makes call #64 the first probe, and the ring is acquired
   // before the clock starts: a thread's first record pays a one-off ring
-  // allocation (~2 MB first touch) that must not seed the EWMA — a poisoned
-  // first sample would make adapt() throttle head sampling to nothing.
+  // allocation (~2 MB first touch) that must not seed the EWMA.
   thread_local std::uint32_t t_probe = 0;
   const bool timed = (++t_probe & 63u) == 0;
   Ring& ring = ring_for_this_thread();
@@ -202,31 +186,30 @@ void TraceRecorder::record_event(std::string_view name,
     double prev = span_cost_ns_.load(std::memory_order_relaxed);
     const double next = prev <= 0.0 ? cost : prev + (cost - prev) * 0.125;
     // Lost races just drop one probe; the EWMA doesn't care.
-    span_cost_ns_.compare_exchange_weak(prev, next, std::memory_order_relaxed);
+    if (span_cost_ns_.compare_exchange_weak(prev, next,
+                                            std::memory_order_relaxed))
+      span_cost_gauge().set(next);
   }
 }
 
 void TraceRecorder::configure(TraceConfig config) noexcept {
-  const std::size_t every =
-      std::clamp<std::size_t>(config.sample_every, 1, kMaxSampleEvery);
-  base_every_.store(every, std::memory_order_relaxed);
-  effective_every_.store(every, std::memory_order_relaxed);
-  budget_pct_.store(config.overhead_budget_pct, std::memory_order_relaxed);
+  sample_every_.store(
+      std::clamp<std::size_t>(config.sample_every, 1, kMaxSampleEvery),
+      std::memory_order_relaxed);
   head_rate_.store(std::clamp(config.head_sample_rate, 0.0, 1.0),
                    std::memory_order_relaxed);
   head_seed_.store(config.head_seed, std::memory_order_relaxed);
 }
 
 TraceConfig TraceRecorder::config() const noexcept {
-  return {base_every_.load(std::memory_order_relaxed),
-          budget_pct_.load(std::memory_order_relaxed),
+  return {sample_every_.load(std::memory_order_relaxed),
           head_rate_.load(std::memory_order_relaxed),
           head_seed_.load(std::memory_order_relaxed)};
 }
 
 bool TraceRecorder::should_sample() noexcept {
   if (!enabled()) return false;
-  const std::size_t every = effective_every_.load(std::memory_order_relaxed);
+  const std::size_t every = sample_every_.load(std::memory_order_relaxed);
   if (every <= 1) return true;
   thread_local std::size_t t_countdown = 0;
   if (t_countdown == 0) {
@@ -235,33 +218,6 @@ bool TraceRecorder::should_sample() noexcept {
   }
   --t_countdown;
   return false;
-}
-
-void TraceRecorder::adapt(double spans_per_unit, double unit_seconds) noexcept {
-  if (!(spans_per_unit > 0.0) || !(unit_seconds > 0.0)) return;
-  const double cost_ns = span_cost_ns_.load(std::memory_order_relaxed);
-  if (cost_ns <= 0.0) return;  // nothing measured yet — keep the floor
-  const double budget = budget_pct_.load(std::memory_order_relaxed);
-  const std::size_t base = base_every_.load(std::memory_order_relaxed);
-
-  std::size_t needed = 1;
-  if (budget > 0.0) {
-    // Overhead at N=1, as a percentage of the unit's wall time.
-    const double full_pct =
-        100.0 * spans_per_unit * cost_ns / (unit_seconds * 1e9);
-    const double n = std::ceil(full_pct / budget);
-    needed = n >= static_cast<double>(kMaxSampleEvery)
-                 ? kMaxSampleEvery
-                 : static_cast<std::size_t>(std::max(n, 1.0));
-  } else {
-    needed = kMaxSampleEvery;  // zero budget: record as little as allowed
-  }
-  const std::size_t effective = std::max(needed, base);
-  effective_every_.store(effective, std::memory_order_relaxed);
-
-  const SamplerGauges& gauges = SamplerGauges::get();
-  gauges.rate.set(1.0 / static_cast<double>(effective));
-  gauges.cost.set(cost_ns);
 }
 
 std::size_t TraceRecorder::event_count() const {

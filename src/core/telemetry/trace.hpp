@@ -70,19 +70,15 @@ struct TraceEvent {
   TracePhase phase = TracePhase::kComplete;
 };
 
-/// Sampling policy. sample_every is the floor (1 = record every span);
-/// overhead_budget_pct caps how much of the instrumented workload's wall time
-/// span recording may consume — adapt() raises the effective 1-in-N above
-/// sample_every until the measured cost fits the budget.
+/// Sampling policy. sample_every is the span sampler's 1-in-N (1 = record
+/// every span).
 ///
 /// head_sample_rate / head_seed govern request head sampling: a request is
 /// traced end-to-end iff a pure hash of (head_seed, request_id) lands under
-/// the rate (FaultInjector-style), scaled down by the same factor the
-/// overhead controller has raised the span interval. Deterministic: the same
-/// request_id is always sampled the same way under a fixed controller state.
+/// the rate (FaultInjector-style). Deterministic: the same request_id is
+/// always sampled the same way under a fixed config.
 struct TraceConfig {
   std::size_t sample_every = 1;
-  double overhead_budget_pct = 2.0;
   double head_sample_rate = 1.0 / 64.0;
   std::uint64_t head_seed = 0x9E3779B97F4A7C15ull;
 };
@@ -126,9 +122,8 @@ class TraceRecorder {
   /// Deterministic request head sampling. Returns a TraceContext whose
   /// trace_id is a pure hash of (head_seed, request_id) — stable across
   /// retries — and whose sampled flag is true iff a second pure hash lands
-  /// under the effective head rate (config head_sample_rate divided by
-  /// however far the overhead controller has raised the span interval above
-  /// its floor). Returns an invalid context when the recorder is disabled.
+  /// under config().head_sample_rate. Returns an invalid context when the
+  /// recorder is disabled.
   [[nodiscard]] TraceContext head_sample(std::uint64_t request_id) noexcept;
 
   /// Fresh process-unique span id (never 0) for wiring parent links.
@@ -136,38 +131,21 @@ class TraceRecorder {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Sets the sampling floor and overhead budget. Resets the effective rate
-  /// back to config.sample_every; adapt() moves it from there.
+  /// Sets the span sampler's 1-in-N and the head-sampling rate and seed.
   void configure(TraceConfig config) noexcept;
   [[nodiscard]] TraceConfig config() const noexcept;
 
   /// One relaxed load + a thread-local countdown: true on every Nth call per
-  /// thread, where N is the current effective sample-every. Always false when
-  /// the recorder is disabled. TraceSpan consults this at construction.
+  /// thread, where N is config().sample_every. Always false when the
+  /// recorder is disabled. TraceSpan consults this at construction.
   [[nodiscard]] bool should_sample() noexcept;
 
-  /// Effective 1-in-N currently applied by should_sample(). Starts at
-  /// config().sample_every; adapt() raises it when the measured span-record
-  /// cost would blow the overhead budget (and lowers it back when it fits).
-  [[nodiscard]] std::size_t effective_sample_every() const noexcept {
-    return effective_every_.load(std::memory_order_relaxed);
-  }
-
   /// EWMA cost of one record() call in ns, self-measured on every 64th
-  /// record. 0 until something has been measured.
+  /// record and published as the gnntrans_trace_span_cost_ns gauge. 0 until
+  /// something has been measured.
   [[nodiscard]] double measured_span_cost_ns() const noexcept {
     return span_cost_ns_.load(std::memory_order_relaxed);
   }
-
-  /// Overhead controller: given the workload's offered span load — how many
-  /// spans one "unit" of work would record unsampled, and that unit's wall
-  /// time in seconds — recompute the effective 1-in-N so
-  ///   spans_per_unit * span_cost / N  <=  budget% of unit_seconds,
-  /// never dropping below config().sample_every. Publishes the result as the
-  /// gnntrans_trace_effective_sample_rate / _span_cost_ns gauges. Cheap and
-  /// thread-safe; callers invoke it once per batch, not per span. No-op until
-  /// a span cost has been measured.
-  void adapt(double spans_per_unit, double unit_seconds) noexcept;
 
   /// Events currently retained across all rings (post-wrap this is capacity).
   [[nodiscard]] std::size_t event_count() const;
@@ -189,9 +167,7 @@ class TraceRecorder {
   Ring& ring_for_this_thread();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::size_t> base_every_{1};      ///< configured floor
-  std::atomic<std::size_t> effective_every_{1};  ///< what should_sample uses
-  std::atomic<double> budget_pct_{2.0};
+  std::atomic<std::size_t> sample_every_{1};
   std::atomic<double> span_cost_ns_{0.0};  ///< EWMA of record() self-timing
   std::atomic<double> head_rate_{1.0 / 64.0};
   std::atomic<std::uint64_t> head_seed_{0x9E3779B97F4A7C15ull};

@@ -205,17 +205,52 @@ void Standardizer::save(std::ostream& out) const {
   tensor::write_doubles(out, {slew_mean_, slew_std_, delay_mean_, delay_std_});
 }
 
-void Standardizer::load(std::istream& in) {
-  x_mean_ = tensor::read_doubles(in);
-  x_std_ = tensor::read_doubles(in);
-  h_mean_ = tensor::read_doubles(in);
-  h_std_ = tensor::read_doubles(in);
+core::Status Standardizer::load(std::istream& in) {
+  std::vector<double> x_mean = tensor::read_doubles(in);
+  std::vector<double> x_std = tensor::read_doubles(in);
+  std::vector<double> h_mean = tensor::read_doubles(in);
+  std::vector<double> h_std = tensor::read_doubles(in);
   const std::vector<double> labels = tensor::read_doubles(in);
-  if (labels.size() != 4) throw std::runtime_error("Standardizer: bad label block");
+
+  const auto reject = [](const std::string& message) {
+    return core::Status(core::ErrorCode::kParseError, "standardizer: " + message);
+  };
+  const auto check_size = [&](const char* field, const std::vector<double>& v,
+                               std::size_t want) {
+    return v.size() == want
+               ? core::Status{}
+               : reject(std::string(field) + " has " + std::to_string(v.size()) +
+                        " entries, expected " + std::to_string(want));
+  };
+  const auto check_std = [&](const char* field, double value) {
+    return std::isfinite(value) && value > 0.0
+               ? core::Status{}
+               : reject(std::string(field) + " entry " + std::to_string(value) +
+                        " is not finite and positive");
+  };
+  for (core::Status s :
+       {check_size("x_mean", x_mean, kNodeFeatureCount),
+        check_size("x_std", x_std, kNodeFeatureCount),
+        check_size("h_mean", h_mean, kPathFeatureCount),
+        check_size("h_std", h_std, kPathFeatureCount),
+        check_size("labels", labels, 4)})
+    if (!s.ok()) return s;
+  for (const double v : x_std)
+    if (core::Status s = check_std("x_std", v); !s.ok()) return s;
+  for (const double v : h_std)
+    if (core::Status s = check_std("h_std", v); !s.ok()) return s;
+  if (core::Status s = check_std("slew_std", labels[1]); !s.ok()) return s;
+  if (core::Status s = check_std("delay_std", labels[3]); !s.ok()) return s;
+
+  x_mean_ = std::move(x_mean);
+  x_std_ = std::move(x_std);
+  h_mean_ = std::move(h_mean);
+  h_std_ = std::move(h_std);
   slew_mean_ = labels[0];
   slew_std_ = labels[1];
   delay_mean_ = labels[2];
   delay_std_ = labels[3];
+  return {};
 }
 
 std::vector<WireRecord> generate_wire_records(const WireDatasetConfig& config,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cell/library.hpp"
+#include "core/status.hpp"
 #include "features/features.hpp"
 #include "netlist/design.hpp"
 #include "nn/graph_sample.hpp"
@@ -53,7 +54,11 @@ class Standardizer {
   [[nodiscard]] double unstandardize_delay(double z) const noexcept;
 
   void save(std::ostream& out) const;
-  void load(std::istream& in);
+  /// Reads what save() wrote. A block whose vectors do not match the feature
+  /// counts, or whose stds are not finite and positive, is rejected with
+  /// kParseError naming the field, and leaves this standardizer unchanged.
+  /// Throws std::runtime_error on a truncated stream.
+  [[nodiscard]] core::Status load(std::istream& in);
 
   [[nodiscard]] bool fitted() const noexcept { return !x_mean_.empty(); }
 

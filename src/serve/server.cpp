@@ -853,8 +853,7 @@ void NetServer::batch_loop() {
         trace->fallback_seconds = outcomes[i].fallback_seconds;
         trace->serialize_seconds = serialize;
         trace->slow = outcomes[i].slow;
-        trace->degraded =
-            outcomes[i].provenance != core::EstimateProvenance::kModel;
+        trace->degraded = core::is_degraded(outcomes[i].provenance);
       }
       if (enqueue_response(pending.conn, std::move(frame), std::move(trace),
                            pending.enqueued)) {

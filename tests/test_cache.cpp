@@ -584,6 +584,70 @@ TEST_F(CacheServingTest, WireSourceEcoEditRetimesOnlyChangedContent) {
   EXPECT_EQ(eco.misses - warm.misses, 1u);
 }
 
+// A batch of cache hits records no featurize/forward spans. Tracing must
+// still run at exactly its configured rates afterwards: the span sampler at
+// 1-in-sample_every, head sampling at head_sample_rate. Tiny nets keep each
+// hit to a few microseconds, the traffic on which a span-cost controller
+// would throttle tracing.
+TEST_F(CacheServingTest, TracingRunsAtItsConfiguredRateOnCacheHits) {
+  std::mt19937_64 rng(321);
+  rcnet::NetGenConfig ncfg;
+  ncfg.min_nodes = 3;
+  ncfg.max_nodes = 4;
+  ncfg.max_sinks = 1;
+  ncfg.non_tree_fraction = 0.0;
+  std::vector<rcnet::RcNet> nets;
+  while (nets.size() < 64) {
+    rcnet::RcNet net =
+        rcnet::generate_net(ncfg, rng, "tiny" + std::to_string(nets.size()));
+    if (net.validate().empty()) nets.push_back(std::move(net));
+  }
+  std::vector<features::NetContext> contexts;
+  for (const rcnet::RcNet& net : nets)
+    contexts.push_back(features::random_context(*library_, net, rng));
+  std::vector<core::NetBatchItem> batch(nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i)
+    batch[i] = {&nets[i], &contexts[i]};
+
+  EstimateCache cache;
+  core::BatchOptions opts;
+  opts.threads = 1;
+  opts.cache = &cache;
+  (void)estimator_->estimate_batch(batch, opts);  // warm every entry
+
+  telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
+  recorder.configure({.sample_every = 2, .head_sample_rate = 0.25});
+  recorder.enable();
+  // Let the self-timing probe (every 64th record) measure a span cost.
+  std::thread([&] {
+    for (int i = 0; i < 64; ++i) recorder.record("probe", "test", 0, 100);
+  }).join();
+  constexpr std::uint64_t kIds = 1024;
+  std::vector<char> configured(kIds);
+  for (std::uint64_t id = 0; id < kIds; ++id)
+    configured[id] = recorder.head_sample(id).sampled ? 1 : 0;
+
+  core::InferenceStats stats;
+  (void)estimator_->estimate_batch(batch, opts, &stats);
+  EXPECT_EQ(stats.cached_nets, nets.size());
+
+  // Fresh thread: its countdown starts at 0, so exactly every 2nd call
+  // (starting with the first) samples.
+  std::size_t sampled = 0;
+  std::thread([&] {
+    for (int i = 0; i < 400; ++i)
+      if (recorder.should_sample()) ++sampled;
+  }).join();
+  EXPECT_EQ(sampled, 200u);
+  for (std::uint64_t id = 0; id < kIds; ++id)
+    EXPECT_EQ(recorder.head_sample(id).sampled ? 1 : 0, configured[id])
+        << "request " << id;
+
+  recorder.disable();
+  recorder.configure(telemetry::TraceConfig{});
+  recorder.clear();
+}
+
 TEST_F(CacheServingTest, CacheMetricsAreExported) {
   EstimateCache cache;
   core::BatchOptions opts;

@@ -9,6 +9,7 @@
 #include "features/features.hpp"
 #include "netlist/generate.hpp"
 #include "rcnet/generate.hpp"
+#include "tensor/serialize.hpp"
 
 namespace {
 
@@ -192,7 +193,7 @@ TEST(Dataset, StandardizerSaveLoadRoundTrip) {
   std::stringstream buf;
   a.save(buf);
   Standardizer b;
-  b.load(buf);
+  ASSERT_TRUE(b.load(buf).ok());
   EXPECT_DOUBLE_EQ(a.standardize_slew(5e-11), b.standardize_slew(5e-11));
   EXPECT_DOUBLE_EQ(a.standardize_delay(5e-12), b.standardize_delay(5e-12));
   // Feature standardization matches too.
@@ -200,6 +201,52 @@ TEST(Dataset, StandardizerSaveLoadRoundTrip) {
   const nn::GraphSample sb = b.make_sample(records.front());
   for (std::size_t i = 0; i < sa.x.size(); ++i)
     EXPECT_FLOAT_EQ(sa.x.values()[i], sb.x.values()[i]);
+}
+
+// Writes a standardizer block the way Standardizer::save lays it out.
+std::string standardizer_bytes(const std::vector<double>& x_mean,
+                               const std::vector<double>& x_std,
+                               const std::vector<double>& h_std) {
+  std::stringstream out;
+  tensor::write_doubles(out, x_mean);
+  tensor::write_doubles(out, x_std);
+  tensor::write_doubles(out, std::vector<double>(kPathFeatureCount, 0.0));
+  tensor::write_doubles(out, h_std);
+  tensor::write_doubles(out, {0.0, 1.0, 0.0, 1.0});
+  return out.str();
+}
+
+TEST(Dataset, StandardizerLoadRejectsMalformedBlocks) {
+  const std::vector<double> x_mean(kNodeFeatureCount, 0.0);
+  const std::vector<double> x_std(kNodeFeatureCount, 1.0);
+  const std::vector<double> h_std(kPathFeatureCount, 1.0);
+  {
+    std::istringstream in(standardizer_bytes(x_mean, x_std, h_std));
+    Standardizer ok;
+    EXPECT_TRUE(ok.load(in).ok());
+    EXPECT_TRUE(ok.fitted());
+  }
+  // x_mean truncated to one entry: make_sample would index past its end.
+  {
+    std::istringstream in(standardizer_bytes({0.0}, x_std, h_std));
+    Standardizer truncated;
+    const core::Status status = truncated.load(in);
+    EXPECT_EQ(status.code(), core::ErrorCode::kParseError);
+    EXPECT_NE(status.message().find("x_mean"), std::string::npos)
+        << status.to_string();
+    EXPECT_FALSE(truncated.fitted());  // nothing was kept
+  }
+  // A zero std would divide every standardized value by zero.
+  {
+    std::vector<double> zero_std = h_std;
+    zero_std.back() = 0.0;
+    std::istringstream in(standardizer_bytes(x_mean, x_std, zero_std));
+    Standardizer degenerate;
+    const core::Status status = degenerate.load(in);
+    EXPECT_EQ(status.code(), core::ErrorCode::kParseError);
+    EXPECT_NE(status.message().find("h_std"), std::string::npos)
+        << status.to_string();
+  }
 }
 
 TEST(Dataset, RecordsFromDesignCoverEveryNet) {

@@ -1,9 +1,8 @@
 // Tests for the live observability layer: the HTTP scrape server (endpoint
 // routing, readiness, error statuses, concurrent scrape during serving), the
 // per-net flight recorder (seqlock round trip, wrap + pinning, signal-safe
-// fd dump), adaptive span sampling (effective-rate control, overhead
-// convergence), Prometheus export hardening against hostile metric names,
-// and the periodic stats reporter.
+// fd dump), span sampling and its self-measured cost, Prometheus export
+// hardening against hostile metric names, and the periodic stats reporter.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -403,11 +402,11 @@ TEST(FlightRecorder, JsonFilterByNetAndNewestN) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive span sampling
+// Span sampling
 
-TEST(AdaptiveSampling, ShouldSampleHonorsEffectiveEvery) {
+TEST(SpanSampling, ShouldSampleHonorsSampleEvery) {
   TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({4, 100.0});
+  recorder.configure({.sample_every = 4});
   recorder.enable();
 
   // Fresh thread: the per-thread countdown starts at 0, so exactly every
@@ -422,64 +421,32 @@ TEST(AdaptiveSampling, ShouldSampleHonorsEffectiveEvery) {
 
   recorder.disable();
   EXPECT_FALSE(recorder.should_sample());
-  recorder.configure({1, 2.0});
+  recorder.configure(TraceConfig{});
 }
 
-TEST(AdaptiveSampling, AdaptRaisesAndLowersEffectiveRate) {
+TEST(SpanSampling, ConfigRoundTrip) {
   TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({1, 2.0});
-  recorder.enable();
-
-  // Feed the recorder real spans from a fresh thread until the self-timing
-  // probe (every 64th record, starting with the first) has measured a cost.
-  std::thread t([&] {
-    for (int i = 0; i < 1024 && recorder.measured_span_cost_ns() <= 0.0; ++i)
-      recorder.record("probe", "test", 0, 100);
-  });
-  t.join();
-  ASSERT_GT(recorder.measured_span_cost_ns(), 0.0);
-
-  // Crushing span load on a tiny time budget: the controller must back off.
-  recorder.adapt(/*spans_per_unit=*/1e6, /*unit_seconds=*/1e-3);
-  const std::size_t high = recorder.effective_sample_every();
-  EXPECT_GT(high, 1u);
-
-  // The published gauge matches 1/N.
-  const Gauge rate = MetricsRegistry::global().gauge(
-      "gnntrans_trace_effective_sample_rate");
-  EXPECT_DOUBLE_EQ(rate.value(), 1.0 / static_cast<double>(high));
-
-  // Trivial load on a huge budget: back to the configured floor.
-  recorder.adapt(/*spans_per_unit=*/1.0, /*unit_seconds=*/1e6);
-  EXPECT_EQ(recorder.effective_sample_every(), 1u);
-
-  recorder.disable();
-  recorder.clear();
-}
-
-TEST(AdaptiveSampling, ZeroBudgetMeansMinimalRecording) {
-  TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({1, 0.0});
-  recorder.enable();
-  std::thread t([&] {
-    for (int i = 0; i < 64 && recorder.measured_span_cost_ns() <= 0.0; ++i)
-      recorder.record("probe", "test", 0, 100);
-  });
-  t.join();
-  recorder.adapt(100.0, 1.0);
-  EXPECT_GT(recorder.effective_sample_every(), 1000u);
-  recorder.disable();
-  recorder.configure({1, 2.0});
-  recorder.clear();
-}
-
-TEST(AdaptiveSampling, ConfigRoundTrip) {
-  TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({8, 5.0});
+  recorder.configure({.sample_every = 8});
   EXPECT_EQ(recorder.config().sample_every, 8u);
-  EXPECT_DOUBLE_EQ(recorder.config().overhead_budget_pct, 5.0);
-  EXPECT_EQ(recorder.effective_sample_every(), 8u);  // reset to the floor
-  recorder.configure({1, 2.0});
+  recorder.configure(TraceConfig{});
+}
+
+TEST(SpanSampling, SelfTimingPublishesSpanCostGauge) {
+  TraceRecorder& recorder = TraceRecorder::global();
+  recorder.configure(TraceConfig{});
+  recorder.enable();
+  // Every 64th record on a thread is self-timed; a fresh thread's 64th
+  // record is its first probe.
+  std::thread t([&] {
+    for (int i = 0; i < 64; ++i) recorder.record("probe", "test", 0, 100);
+  });
+  t.join();
+  recorder.disable();
+  ASSERT_GT(recorder.measured_span_cost_ns(), 0.0);
+  const Gauge cost =
+      MetricsRegistry::global().gauge("gnntrans_trace_span_cost_ns");
+  EXPECT_GT(cost.value(), 0.0);
+  recorder.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <functional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
 #include "core/status.hpp"
+#include "core/telemetry/flight_recorder.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/net_io.hpp"
 #include "core/telemetry/trace.hpp"
@@ -68,9 +70,6 @@ struct TraceGuard {
   explicit TraceGuard(double head_rate) {
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
     telemetry::TraceConfig cfg;
-    // Effectively-unbounded overhead budget: these tests exercise the stage
-    // clocks, not the controller, so adapt() must never scale the head rate.
-    cfg.overhead_budget_pct = 1e9;
     cfg.head_sample_rate = head_rate;
     recorder.clear();
     recorder.configure(cfg);
@@ -700,6 +699,55 @@ TEST(NetServe, FailureStatusCarriesTraceId) {
                 static_cast<unsigned long long>(result.trace_id));
   EXPECT_NE(result.status.to_string().find(expect), std::string::npos)
       << result.status.to_string();
+}
+
+// A cache hit serves a prior model pass's bytes: its trace must read
+// provenance "cached" with degraded false, and it must not be pinned into the
+// flight recorder, whose pinned ring is kept for real fallbacks and failures.
+TEST(NetServe, CacheHitTraceIsNotDegraded) {
+  const EvalData& eval = shared_eval();
+  TraceGuard tracing(/*head_rate=*/1.0);
+  telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
+  flight.clear();
+
+  serve::NetServerConfig scfg;
+  scfg.flush_age_seconds = 1e-3;
+  scfg.cache_bytes = 1ull << 20;
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+
+  serve::NetClientConfig ccfg;
+  ccfg.port = server.port();
+  ccfg.client_id = 31;
+  serve::NetClient client(ccfg);
+  const serve::NetClient::Result first =
+      client.estimate(eval.nets[0], eval.contexts[0]);
+  const serve::NetClient::Result second =
+      client.estimate(eval.nets[0], eval.contexts[0]);
+  server.stop();  // joins the delivery threads: every trace is recorded
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
+  ASSERT_TRUE(second.status.ok()) << second.status.to_string();
+  EXPECT_EQ(first.provenance, core::EstimateProvenance::kModel);
+  ASSERT_EQ(second.provenance, core::EstimateProvenance::kCached);
+
+  telemetry::RequestTrace trace;
+  ASSERT_TRUE(
+      telemetry::RequestTraceStore::global().find(second.trace_id, &trace));
+  EXPECT_STREQ(trace.provenance, "cached");
+  EXPECT_FALSE(trace.degraded);
+  EXPECT_FALSE(trace.slow);
+
+  // No "request" record for this net made it into the pinned ring.
+  std::ostringstream out;
+  telemetry::FlightRecorder::JsonFilter filter;
+  filter.net = eval.nets[0].name;
+  flight.write_json(out, filter);
+  const std::string json = out.str();
+  const std::size_t pinned_at = json.find("\"pinned\":[");
+  ASSERT_NE(pinned_at, std::string::npos) << json;
+  EXPECT_EQ(json.find("\"outcome\":\"request\"", pinned_at), std::string::npos)
+      << json;
+  flight.clear();
 }
 
 TEST(NetServe, ClientRetryCountersTrackInjectedFaults) {

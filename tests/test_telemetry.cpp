@@ -665,7 +665,6 @@ TEST(Trace, HeadSamplingIsDeterministicPureHash) {
   TraceRecorder& recorder = TraceRecorder::global();
   TraceConfig cfg;
   cfg.head_sample_rate = 1.0;
-  cfg.overhead_budget_pct = 100.0;
   recorder.configure(cfg);
   recorder.enable();
 
@@ -704,7 +703,6 @@ TEST(Trace, ParentedSpanBypassesSpanSamplerForSampledRequests) {
   recorder.clear();
   TraceConfig cfg;
   cfg.sample_every = 1u << 20;  // plain spans effectively never sample
-  cfg.overhead_budget_pct = 100.0;
   recorder.configure(cfg);
   recorder.enable();
 

@@ -71,9 +71,6 @@
 //                       per-feature PSI export as gnntrans_quality_* metrics,
 //                       the /quality endpoint, and the stats-interval lines.
 //   --shadow-seed S     seed for the shadow sampling hash (default 1)
-//   --shadow-budget P   shadow-cost budget as a percent of serving wall time;
-//                       the effective rate backs off between batches to stay
-//                       under (0 = no backoff, fully deterministic; default 0)
 //   --psi-alert X       a feature PSI above X flips /readyz to 503
 //                       (default 0.25)
 //   --residual-alert P  shadow delay-residual p99 above P percent flips
@@ -86,10 +83,7 @@
 //                       selects JSON, anything else Prometheus text
 //   --trace-out FILE    record TraceSpans and write Chrome trace JSON on
 //                       success (open in chrome://tracing or Perfetto)
-//   --trace-sample N    span sampling floor: record 1 in N spans (default 1);
-//                       the overhead controller may raise the effective N
-//   --trace-budget P    tracing overhead budget as a percent of serving wall
-//                       time (default 2); the sampler backs off to stay under
+//   --trace-sample N    span sampling: record 1 in N spans (default 1)
 //   --trace-rate R      request head-sampling rate in [0,1] (default 1/64):
 //                       fraction of serve requests that get a full stage-
 //                       clock trace, /tracez retention, and flow events
@@ -197,7 +191,6 @@ constexpr FlagSpec kFlags[] = {
     // Model quality.
     {"shadow-rate", FlagKind::kNumber},
     {"shadow-seed", FlagKind::kInteger},
-    {"shadow-budget", FlagKind::kNumber},
     {"psi-alert", FlagKind::kNumber},
     {"residual-alert", FlagKind::kNumber},
     // Telemetry.
@@ -206,7 +199,6 @@ constexpr FlagSpec kFlags[] = {
     {"metrics-out", FlagKind::kText},
     {"trace-out", FlagKind::kText},
     {"trace-sample", FlagKind::kInteger},
-    {"trace-budget", FlagKind::kNumber},
     {"trace-rate", FlagKind::kNumber},
     {"trace-seed", FlagKind::kInteger},
     {"obs-port", FlagKind::kInteger},
@@ -412,8 +404,8 @@ int cmd_libgen(const Args& args) {
 
 /// Loads a model checkpoint, installs its quality baseline into the global
 /// monitor (so --shadow-rate can compute feature PSI), and flips readiness.
-/// Reports an unsupported checkpoint version through its typed error code
-/// instead of a generic parse failure.
+/// Reports a rejected checkpoint (unsupported version, malformed
+/// standardizer) through its typed error code instead of a generic failure.
 core::WireTimingEstimator load_model_file(const std::string& path) {
   try {
     core::WireTimingEstimator estimator =
@@ -421,7 +413,7 @@ core::WireTimingEstimator load_model_file(const std::string& path) {
     estimator.install_quality_baseline();
     telemetry::set_model_ready(true);
     return estimator;
-  } catch (const core::UnsupportedCheckpointError& e) {
+  } catch (const core::CheckpointError& e) {
     GNNTRANS_LOG_ERROR("cli", "%s: [%s] %s", path.c_str(),
                        core::to_string(e.status().code()),
                        e.status().message().c_str());
@@ -504,20 +496,19 @@ void apply_serving_flags(const Args& args, core::BatchOptions& options) {
     telemetry::QualityConfig qcfg;
     qcfg.shadow_rate = shadow_rate;
     qcfg.shadow_seed = static_cast<std::uint64_t>(args.get_long("shadow-seed", 1));
-    qcfg.overhead_budget_pct = args.get_double("shadow-budget", 0.0);
     qcfg.psi_alert = args.get_double("psi-alert", qcfg.psi_alert);
     qcfg.residual_alert_pct =
         args.get_double("residual-alert", qcfg.residual_alert_pct);
     telemetry::QualityMonitor::global().configure(qcfg);
     GNNTRANS_LOG_INFO("cli",
-                      "shadow scoring armed: rate=%.4f seed=%llu budget=%.1f%% "
+                      "shadow scoring armed: rate=%.4f seed=%llu "
                       "psi-alert=%.2f residual-alert=%.0f%%",
                       shadow_rate,
                       static_cast<unsigned long long>(qcfg.shadow_seed),
-                      qcfg.overhead_budget_pct, qcfg.psi_alert,
+                      qcfg.psi_alert,
                       qcfg.residual_alert_pct);
-  } else if (args.get("shadow-seed") || args.get("shadow-budget") ||
-             args.get("psi-alert") || args.get("residual-alert")) {
+  } else if (args.get("shadow-seed") || args.get("psi-alert") ||
+             args.get("residual-alert")) {
     GNNTRANS_LOG_WARN("cli", "quality flags have no effect without "
                              "--shadow-rate > 0");
   }
@@ -934,7 +925,7 @@ void usage() {
 }
 
 /// Applies --log-level / --log-json / --trace-out / --trace-sample /
-/// --trace-budget / --trace-rate / --trace-seed / --flight-out before
+/// --trace-rate / --trace-seed / --flight-out before
 /// command dispatch. Exits 1 on an unknown level name, 2 on an unwritable
 /// log file.
 void setup_telemetry(const Args& args) {
@@ -959,7 +950,6 @@ void setup_telemetry(const Args& args) {
   telemetry::TraceConfig trace_cfg;
   trace_cfg.sample_every =
       static_cast<std::size_t>(std::max(1L, args.get_long("trace-sample", 1)));
-  trace_cfg.overhead_budget_pct = args.get_double("trace-budget", 2.0);
   // Head sampling for request tracing: --trace-rate is the fraction of
   // requests that get a full stage-clock trace (clamped to [0,1]); the seed
   // varies which requests are picked without changing the rate.
