@@ -1,11 +1,12 @@
 // Serving benchmark for the batched inference engine: throughput vs thread
-// count, scratch-arena effectiveness, and per-net latency percentiles.
+// count, activation-slab reuse, and per-net latency percentiles.
 //
 // Protocol: train a tiny GNNTrans estimator (quality is irrelevant here — the
 // forward-pass cost is what serving pays), generate an eval population of RC
 // nets with random contexts, then time estimate_batch at T in {1, 2, 4, 8}
-// workers over the same batch. A separate pass times the legacy per-net
-// estimate() path (no arena) so the buffer-reuse win is visible in isolation.
+// workers over the same batch. A separate pass splits the forward pass of
+// the paper-scaled model at n = 16 / 40 / 160 nodes: the autograd path
+// against the compiled inference plan (nn/plan.hpp) that serving runs.
 //
 // Scaling is hardware-bound: speedup at T workers approaches min(T, cores).
 // On a single-core container every T reports ~1x — run on a multicore host
@@ -46,14 +47,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-core::WireTimingEstimator train_tiny(const cell::CellLibrary& library) {
+std::vector<features::WireRecord> training_records(
+    const cell::CellLibrary& library) {
   features::WireDatasetConfig dcfg;
   dcfg.net_count = 24;
   dcfg.seed = 2026;
   dcfg.sim_config.steps = 200;
-  const std::vector<features::WireRecord> records =
-      features::generate_wire_records(dcfg, library);
+  return features::generate_wire_records(dcfg, library);
+}
 
+core::WireTimingEstimator train_tiny(
+    const std::vector<features::WireRecord>& records) {
   core::WireTimingEstimator::Options opt;
   opt.model.hidden_dim = 8;
   opt.model.gnn_layers = 2;
@@ -63,6 +67,83 @@ core::WireTimingEstimator train_tiny(const cell::CellLibrary& library) {
   opt.model.seed = 7;
   opt.train.epochs = 4;
   return core::WireTimingEstimator::train(records, opt);
+}
+
+/// Forward-pass wall time of one net, autograd path vs compiled plan.
+struct ForwardSplitRow {
+  std::size_t nodes = 0;
+  std::size_t paths = 0;
+  double autograd_us = 0.0;
+  double plan_us = 0.0;
+};
+
+/// Best-of-5 mean microseconds per call of \p fn, each round long enough
+/// (>= 20 ms) to swamp the clock.
+template <typename Fn>
+double best_us_per_call(Fn&& fn) {
+  std::size_t calls = 1;
+  for (;;) {  // calibrate
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < calls; ++i) fn();
+    if (std::chrono::duration<double>(Clock::now() - t0).count() >= 0.02) break;
+    calls *= 2;
+  }
+  double best = 1e300;
+  for (int round = 0; round < 5; ++round) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < calls; ++i) fn();
+    best = std::min(best,
+                    std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  return best / static_cast<double>(calls) * 1e6;
+}
+
+/// Splits the forward pass of the paper-scaled GNNTrans (hidden 16, 4 Sage
+/// + 2 attention layers, 4 heads, MLP 32; trained briefly on \p records) at
+/// n = 16 / 40 / 160 nodes. The autograd side runs a plan-less copy of the
+/// same weights under NoGradGuard, which is how the model was served before
+/// the plan; the plan side reuses one warm Workspace, as a serving worker.
+std::vector<ForwardSplitRow> forward_split(
+    const cell::CellLibrary& library,
+    const std::vector<features::WireRecord>& records) {
+  core::WireTimingEstimator::Options opt;
+  opt.model.hidden_dim = 16;
+  opt.model.gnn_layers = 4;
+  opt.model.transformer_layers = 2;
+  opt.model.heads = 4;
+  opt.model.mlp_hidden = 32;
+  opt.train.epochs = 4;
+  const core::WireTimingEstimator estimator =
+      core::WireTimingEstimator::train(records, opt);
+  std::stringstream copy;
+  nn::save_model(copy, estimator.model());
+  const std::unique_ptr<nn::WireModel> autograd = nn::load_model(copy);
+
+  std::vector<ForwardSplitRow> rows;
+  std::mt19937_64 rng(31);
+  for (const std::uint32_t nodes : {16u, 40u, 160u}) {
+    rcnet::NetGenConfig cfg;
+    cfg.min_nodes = cfg.max_nodes = nodes;
+    features::WireRecord rec;
+    rec.net = rcnet::generate_net(cfg, rng, "split" + std::to_string(nodes));
+    rec.context = features::random_context(library, rec.net, rng);
+    rec.raw = features::extract_features(rec.net, rec.context);
+    rec.slew_labels.assign(rec.raw.analysis.paths.size(), 0.0);
+    rec.delay_labels.assign(rec.raw.analysis.paths.size(), 0.0);
+    const nn::GraphSample sample = estimator.standardizer().make_sample(rec);
+
+    const tensor::NoGradGuard no_grad;
+    nn::Workspace ws;
+    ForwardSplitRow row;
+    row.nodes = sample.node_count;
+    row.paths = sample.path_count;
+    row.autograd_us =
+        best_us_per_call([&] { (void)autograd->forward(sample); });
+    row.plan_us = best_us_per_call(
+        [&] { (void)estimator.model().forward(sample, &ws); });
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 struct EvalSet {
@@ -105,7 +186,9 @@ struct NetRateRow {
 /// The numbers BENCH_serving.json records so the perf trajectory is
 /// comparable across commits.
 struct BenchSummary {
-  double nets_per_second = 0.0;  ///< T=1 steady state (arenas warm)
+  /// Forward pass at n = 16 / 40 / 160: autograd vs compiled plan.
+  std::vector<ForwardSplitRow> forward_split;
+  double nets_per_second = 0.0;  ///< T=1 steady state (slabs warm)
   double p50_us = 0.0;
   double p99_us = 0.0;
   double tracing_overhead_pct = 0.0;  ///< full tracing (1-in-1)
@@ -164,7 +247,17 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
   auto flag = [&json](const char* key, bool v) {
     json << "  \"" << key << "\": " << (v ? "true" : "false") << ",\n";
   };
-  json << "{\n";
+  json << "{\n  \"forward_split\": [\n";
+  for (std::size_t i = 0; i < s.forward_split.size(); ++i) {
+    const ForwardSplitRow& r = s.forward_split[i];
+    json << "    {\"nodes\": " << r.nodes << ", \"paths\": " << r.paths
+         << ", \"autograd_us\": " << std::setprecision(1) << r.autograd_us
+         << ", \"plan_us\": " << r.plan_us
+         << ", \"speedup\": " << std::setprecision(2)
+         << r.autograd_us / r.plan_us << "}"
+         << (i + 1 < s.forward_split.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n";
   num("nets_per_second", s.nets_per_second, 1);
   num("p50_us", s.p50_us, 2);
   num("p99_us", s.p99_us, 2);
@@ -254,32 +347,37 @@ int main(int argc, char** argv) {
   const auto library = cell::CellLibrary::make_default();
 
   std::printf("training tiny estimator...\n");
-  const core::WireTimingEstimator estimator = train_tiny(library);
+  const std::vector<features::WireRecord> records = training_records(library);
+  const core::WireTimingEstimator estimator = train_tiny(records);
 
   const std::size_t kNets = 256;
   const EvalSet set = build_eval_set(library, kNets);
   std::printf("eval set: %zu nets; hardware threads: %u\n\n", set.nets.size(),
               std::thread::hardware_concurrency());
 
-  // Legacy path first: per-net estimate(), fresh heap tensors every net.
+  BenchSummary summary;
+  std::printf("=== Forward pass: autograd vs compiled plan (paper-scaled "
+              "model, T=1) ===\n\n");
   {
-    const auto t0 = Clock::now();
-    std::size_t paths = 0;
-    for (std::size_t i = 0; i < set.items.size(); ++i)
-      paths += estimator.estimate(set.nets[i], set.contexts[i]).size();
-    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-    std::printf("no-arena baseline (estimate() loop): %zu nets (%zu paths) in "
-                "%.3f s — %.0f nets/s\n\n",
-                set.items.size(), paths, secs,
-                static_cast<double>(set.items.size()) / secs);
+    summary.forward_split = forward_split(library, records);
+    bench::TablePrinter split({"nodes", "paths", "autograd(us)", "plan(us)",
+                               "speedup"},
+                              {6, 6, 13, 9, 8});
+    split.print_header();
+    for (const ForwardSplitRow& r : summary.forward_split)
+      split.print_row({std::to_string(r.nodes), std::to_string(r.paths),
+                       bench::TablePrinter::fmt(r.autograd_us, 1),
+                       bench::TablePrinter::fmt(r.plan_us, 1),
+                       bench::TablePrinter::fmt(r.autograd_us / r.plan_us, 2) +
+                           "x"});
+    std::printf("\n");
   }
 
   bench::TablePrinter table({"threads", "nets/s", "speedup", "p50(us)",
-                             "p99(us)", "arena reuse", "peak KiB"},
+                             "p99(us)", "slab reuse", "peak KiB"},
                             {8, 10, 8, 9, 9, 12, 9});
   table.print_header();
 
-  BenchSummary summary;
   double base_rate = 0.0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::BatchOptions options;
@@ -287,8 +385,8 @@ int main(int argc, char** argv) {
     std::vector<nn::Workspace> workspaces;
     options.workspaces = &workspaces;
 
-    // Warm-up pass populates the arenas; the measured pass reuses them,
-    // which is the steady-state serving regime.
+    // Warm-up pass grows the slabs; the measured pass reuses them, which is
+    // the steady-state serving regime.
     core::InferenceStats stats;
     (void)estimator.estimate_batch(set.items, options, &stats);
     (void)estimator.estimate_batch(set.items, options, &stats);
@@ -331,7 +429,7 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSubset = 128;
     const std::span<const core::NetBatchItem> subset(set.items.data(), kSubset);
 
-    // Uncached steady state (arenas warm): the denominator of every speedup.
+    // Uncached steady state (slabs warm): the denominator of every speedup.
     core::InferenceStats warm;
     (void)estimator.estimate_batch(subset, options, &warm);
     const auto u0 = Clock::now();
@@ -496,7 +594,7 @@ int main(int argc, char** argv) {
     off_cfg.shadow_rate = 0.0;
     quality.configure(off_cfg);
     {
-      core::InferenceStats stats;  // warm-up (arenas)
+      core::InferenceStats stats;  // warm-up (slabs)
       (void)estimator.estimate_batch(set.items, options, &stats);
     }
     for (int r = 0; r < kRepeats; ++r) {

@@ -44,7 +44,7 @@ struct ServingMetrics {
           "estimate_batch wall time");
   telemetry::Gauge arena_peak = telemetry::MetricsRegistry::global().gauge(
       "gnntrans_serving_arena_peak_bytes",
-      "Max per-worker scratch-arena high-water mark");
+      "Max per-worker activation-slab size");
   telemetry::Gauge pool_threads = telemetry::MetricsRegistry::global().gauge(
       "gnntrans_serving_pool_threads", "Workers used by the last batch");
   telemetry::Counter fallback_nets = telemetry::MetricsRegistry::global().counter(
@@ -205,8 +205,8 @@ std::string InferenceStats::summary() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%zu nets (%zu paths) in %.3f s — %.0f nets/s on %zu "
-                "thread%s; per-net p50 %.1f us, p99 %.1f us; arena peak %s, "
-                "%.1f%% buffer reuse",
+                "thread%s; per-net p50 %.1f us, p99 %.1f us; slab peak %s, "
+                "%.1f%% slab reuse",
                 nets, paths, wall_seconds, nets_per_second, threads,
                 threads == 1 ? "" : "s", p50_net_seconds * 1e6,
                 p99_net_seconds * 1e6, human_bytes(arena_peak_bytes).c_str(),
@@ -256,6 +256,7 @@ WireTimingEstimator WireTimingEstimator::train(
   const std::vector<nn::GraphSample> samples =
       features::make_samples(records, est.standardizer_);
   est.train_report_ = train_model(*est.model_, samples, options.train);
+  est.model_->compile_inference();
 
   // Quality baseline: the training distribution of every raw input feature,
   // sketched per column. Serving compares its live sketches against these to
@@ -393,10 +394,10 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
       options.workspaces ? *options.workspaces : local_workspaces;
   if (workspaces.size() < threads) workspaces.resize(threads);
 
-  // Snapshot arena counters so stats report this call's deltas even when the
+  // Snapshot slab counters so stats report this call's deltas even when the
   // caller reuses workspaces across batches.
-  std::vector<tensor::ScratchArena::Stats> before(threads);
-  for (std::size_t w = 0; w < threads; ++w) before[w] = workspaces[w].arena_stats();
+  std::vector<nn::Workspace::Stats> before(threads);
+  for (std::size_t w = 0; w < threads; ++w) before[w] = workspaces[w].stats();
 
   std::vector<NetOutcome> outcomes(items.size());
 
@@ -556,7 +557,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
       fr.fallback_us = static_cast<float>(stages.fallback * 1e6);
       fr.total_us = static_cast<float>(latency[i] * 1e6);
       fr.arena_peak_bytes = static_cast<std::uint32_t>(std::min<std::size_t>(
-          workspaces[worker].arena_stats().peak_bytes, UINT32_MAX));
+          workspaces[worker].stats().peak_bytes, UINT32_MAX));
       fr.slow = outcome.slow ? 1 : 0;
       fr.degraded = is_degraded(outcome.provenance) ? 1 : 0;
       flight.record(fr);
@@ -591,7 +592,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
   for (const auto& r : results) total_paths += r.size();
   std::size_t peak_bytes = 0;
   for (std::size_t w = 0; w < threads; ++w)
-    peak_bytes = std::max(peak_bytes, workspaces[w].arena_stats().peak_bytes);
+    peak_bytes = std::max(peak_bytes, workspaces[w].stats().peak_bytes);
 
   // Publish to the process-global registry regardless of whether the caller
   // asked for per-call stats — dashboards see every batch.
@@ -635,9 +636,9 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     stats->p99_net_seconds = stats->latency.quantile(0.99);
     stats->arena_peak_bytes = peak_bytes;
     for (std::size_t w = 0; w < threads; ++w) {
-      const tensor::ScratchArena::Stats after = workspaces[w].arena_stats();
+      const nn::Workspace::Stats& after = workspaces[w].stats();
       stats->arena_reused_buffers += after.reused - before[w].reused;
-      stats->arena_fresh_allocs += after.allocated - before[w].allocated;
+      stats->arena_fresh_allocs += after.grown - before[w].grown;
     }
     stats->model_nets = model_nets;
     stats->fallback_nets = fallback_nets;
@@ -687,6 +688,11 @@ WireTimingEstimator WireTimingEstimator::load(std::istream& in) {
   if (Status status = est.standardizer_.load(in); !status.ok())
     throw CheckpointError(std::move(status));
   est.model_ = nn::load_model(in);
+  try {
+    est.model_->compile_inference();
+  } catch (const std::invalid_argument& e) {
+    throw CheckpointError(Status(ErrorCode::kParseError, e.what()));
+  }
   if (version >= 2) est.baseline_.load(in);  // v1: no drift profile
   return est;
 }

@@ -8,11 +8,12 @@
 ///   auto timing = estimator.estimate(net, context);       // per-path ps
 ///   estimator.save("model.bin");  // later: WireTimingEstimator::load(...)
 ///
-/// Serving: estimate_batch() times many nets per call on a reusable
-/// ThreadPool, with one scratch-arena Workspace per worker so the forward
-/// pass recycles activation buffers instead of reallocating per net. Results
-/// are bitwise-identical for any thread count. InferenceStats reports
-/// throughput, per-net latency percentiles, and arena high-water marks.
+/// Serving: the estimator compiles its model's tape-free inference plan
+/// (nn/plan.hpp) once, after train() and after load(). estimate_batch() times
+/// many nets per call on a reusable ThreadPool, with one Workspace per worker
+/// whose activation slab the plan reuses from net to net. Results are
+/// bitwise-identical for any thread count. InferenceStats reports
+/// throughput, per-net latency percentiles, and slab high-water marks.
 ///
 /// Fault isolation: each net of a batch succeeds, degrades, or fails on its
 /// own — a malformed net, a NaN escaping the forward pass, or an exception on
@@ -122,9 +123,11 @@ struct InferenceStats {
   double p50_net_seconds = 0.0;  ///< latency.quantile(0.50)
   double p99_net_seconds = 0.0;  ///< latency.quantile(0.99)
   telemetry::HistogramData latency;      ///< per-net wall latency, seconds
-  std::size_t arena_peak_bytes = 0;      ///< max per-worker high-water mark
-  std::size_t arena_reused_buffers = 0;  ///< acquisitions served by the arenas
-  std::size_t arena_fresh_allocs = 0;    ///< acquisitions that hit the heap
+  // Per-worker activation slabs (nn::Workspace) of the inference plan; one
+  // acquisition per plan forward pass, none on the autograd path.
+  std::size_t arena_peak_bytes = 0;      ///< max per-worker slab size
+  std::size_t arena_reused_buffers = 0;  ///< passes that reused the slab
+  std::size_t arena_fresh_allocs = 0;    ///< passes that grew the slab
 
   // Degradation ladder counters (nets, not paths). Closed-form identity:
   //   model_nets + fallback_nets + failed_nets + cached_nets == nets.
@@ -176,7 +179,7 @@ struct BatchOptions {
   /// Optional externally owned pool, reused across calls to avoid re-spawning
   /// threads per batch.
   ThreadPool* pool = nullptr;
-  /// Optional per-worker scratch workspaces, reused across calls so arenas
+  /// Optional per-worker workspaces, reused across calls so activation slabs
   /// stay warm between batches (grown to the worker count as needed).
   std::vector<nn::Workspace>* workspaces = nullptr;
 
@@ -208,8 +211,9 @@ struct BatchOptions {
 
 /// Thrown by WireTimingEstimator::load on a checkpoint it rejects: a format
 /// version this build does not understand (kUnsupportedFormat, e.g. a file
-/// written by a newer build) or a malformed standardizer block
-/// (kParseError). Carries the typed core::Status so callers can branch on
+/// written by a newer build), a malformed standardizer block, or a GNNTrans
+/// weight whose shape does not match the checkpoint's model config
+/// (kParseError, naming the tensor). Carries the typed core::Status so callers can branch on
 /// the failure class instead of matching exception strings.
 class CheckpointError : public std::runtime_error {
  public:
@@ -263,8 +267,9 @@ class WireTimingEstimator {
   /// per-feature quality baseline (telemetry::FeatureBaseline) built at
   /// train() time. load() also accepts v1 files (pre-quality; baseline stays
   /// empty and drift monitoring is simply unavailable) and throws a typed
-  /// UnsupportedCheckpointError (ErrorCode::kUnsupportedFormat) on any other
-  /// version instead of misparsing the stream.
+  /// CheckpointError (ErrorCode::kUnsupportedFormat) on any other version
+  /// instead of misparsing the stream. load() compiles the model's inference
+  /// plan, which checks every GNNTrans weight's shape first.
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
   [[nodiscard]] static WireTimingEstimator load(std::istream& in);
@@ -325,7 +330,7 @@ class WireTimingEstimator {
 /// Adapts a trained estimator (+ the cell library for load contexts) to the
 /// STA engine's WireTimingSource interface. With threads > 1 the batched
 /// time_nets entry point fans a level's nets out over a ThreadPool sized once
-/// at construction; per-worker workspaces persist across batches, so arenas
+/// at construction; per-worker workspaces persist across batches, so slabs
 /// stay warm for the whole STA run. time_net is a one-request time_nets, so
 /// single-net ECO retimes get the same degradation ladder, cache and stats.
 /// stats() accumulates over all calls served.

@@ -36,6 +36,7 @@ TrainReport train_model_parallel(nn::WireModel& model,
                                  const ParallelTrainConfig& config) {
   const auto start = std::chrono::steady_clock::now();
   TrainReport report;
+  model.discard_inference();  // the plan's weight copies go stale below
   if (samples.empty()) return report;
   const std::size_t workers = std::max<std::size_t>(1, config.workers);
 

@@ -3,7 +3,7 @@
 ///
 /// Every net served by estimate_batch (and every training epoch) appends one
 /// fixed-size FlightRecord — net name, stage breakdown, provenance, outcome,
-/// arena peak — to a per-thread ring. Slow and degraded nets are additionally
+/// slab peak — to a per-thread ring. Slow and degraded nets are additionally
 /// *pinned* into a separate per-thread ring that wraps far more slowly, so
 /// the interesting records survive long after the main ring has cycled
 /// through healthy traffic.

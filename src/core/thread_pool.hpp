@@ -6,7 +6,7 @@
 /// primitive instead of spawning fresh std::threads per mini-batch. The pool
 /// exposes an indexed parallel_for whose callback receives a stable worker id
 /// in [0, size()), which callers use to address per-worker resources (model
-/// replicas, scratch arenas) without locking. The worker count is fixed at
+/// replicas, activation slabs) without locking. The worker count is fixed at
 /// construction.
 #pragma once
 

@@ -41,6 +41,8 @@ TrainReport train_model(nn::WireModel& model,
   const telemetry::TraceSpan train_span("train_model", "train");
   const auto start = std::chrono::steady_clock::now();
   TrainReport report;
+  // A compiled plan holds copies of the weights this loop is about to change.
+  model.discard_inference();
   if (samples.empty()) return report;
 
   std::vector<tensor::Tensor> params = model.parameters();

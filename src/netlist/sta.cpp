@@ -118,7 +118,7 @@ StaResult run_sta(const Design& design, const cell::CellLibrary& library,
   // Process one topological level at a time. Every fanin of a level-L
   // instance sits at a level < L (levels are longest-path depths), so all
   // wire requests of a level are independent and can be served as one batch —
-  // this is where batched sources (estimator threading + arena reuse)
+  // this is where batched sources (estimator threading + slab reuse)
   // amortize across nets. Results are identical to the per-net loop.
   std::size_t block_start = 0;
   std::vector<WireTimingRequest> requests;

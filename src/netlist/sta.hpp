@@ -38,7 +38,7 @@ class WireTimingSource {
 
   /// Times a batch of independent nets; result[i] answers requests[i]. The
   /// STA engine hands over one batch per topological level, so batched
-  /// sources (threading, scratch-arena reuse) amortize across nets. The
+  /// sources (threading, activation-slab reuse) amortize across nets. The
   /// default implementation loops time_net — identical results, no batching.
   [[nodiscard]] virtual std::vector<std::vector<sim::SinkTiming>> time_nets(
       std::span<const WireTimingRequest> requests) {

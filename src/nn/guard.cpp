@@ -28,11 +28,15 @@ bool finite_guard_enabled() noexcept {
 }
 
 void guard_finite(const tensor::Tensor& t, const char* stage) {
-  if (!finite_guard_enabled() || !t.defined()) return;
-  const auto values = t.values();
+  if (t.defined()) guard_finite(t.values(), t.cols(), stage);
+}
+
+void guard_finite(std::span<const float> values, std::size_t cols,
+                  const char* stage) {
+  if (!finite_guard_enabled()) return;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (!std::isfinite(values[i])) [[unlikely]]
-      throw NonFiniteActivationError(stage, i / t.cols(), i % t.cols());
+      throw NonFiniteActivationError(stage, i / cols, i % cols);
   }
 }
 

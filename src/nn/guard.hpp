@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -55,5 +56,10 @@ class FiniteGuardScope {
 /// Throws NonFiniteActivationError if the guard is enabled and \p t contains
 /// a NaN/Inf. No-op on undefined tensors and when the guard is off.
 void guard_finite(const tensor::Tensor& t, const char* stage);
+
+/// The same scan over a raw row-major buffer of \p cols columns (the
+/// inference plan's slab activations).
+void guard_finite(std::span<const float> values, std::size_t cols,
+                  const char* stage);
 
 }  // namespace gnntrans::nn

@@ -30,11 +30,13 @@ std::size_t WireModel::parameter_count() const {
 WirePrediction WireModel::forward(const GraphSample& sample,
                                   Workspace* workspace) const {
   WirePrediction pred;
-  if (!workspace) {
+  if (!plan_ || tensor::grad_enabled()) {
     pred = run_forward(sample);
+  } else if (workspace) {
+    pred = plan_->run(sample, *workspace);
   } else {
-    tensor::ScratchArena::Scope scope(workspace->arena);
-    pred = run_forward(sample);
+    Workspace local;
+    pred = plan_->run(sample, local);
   }
   // Final boundary guard for every architecture: predictions are [P,1], so
   // this scan is negligible next to the forward pass it protects.

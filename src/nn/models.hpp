@@ -16,6 +16,7 @@
 
 #include "nn/graph_sample.hpp"
 #include "nn/layers.hpp"
+#include "nn/plan.hpp"
 #include "nn/workspace.hpp"
 
 namespace gnntrans::nn {
@@ -57,13 +58,25 @@ class WireModel {
  public:
   virtual ~WireModel() = default;
 
-  /// Predicts standardized slew/delay for every path of \p sample. When
-  /// \p workspace is non-null, intermediate activations are drawn from its
-  /// scratch arena and recycled across calls instead of hitting the heap —
-  /// numerics are identical either way. The workspace must not be shared by
-  /// concurrent callers; use one per thread.
+  /// Predicts standardized slew/delay for every path of \p sample. With a
+  /// compiled inference plan and autograd disabled (tensor::NoGradGuard) the
+  /// plan runs on \p workspace's slab (a temporary one when null); otherwise
+  /// the autograd path runs and \p workspace is unused. The workspace must
+  /// not be shared by concurrent callers; use one per thread.
   [[nodiscard]] WirePrediction forward(const GraphSample& sample,
                                        Workspace* workspace = nullptr) const;
+
+  /// Compiles the tape-free inference plan (nn/plan.hpp) from the current
+  /// weights. A model the plan does not cover keeps the autograd path.
+  /// Throws std::invalid_argument naming the first weight whose shape does
+  /// not match config(). The plan copies the weights: recompile after
+  /// changing them.
+  void compile_inference() { plan_ = GnnTransPlan::compile(*this); }
+  /// Drops the compiled plan; training calls this before its first step.
+  void discard_inference() noexcept { plan_.reset(); }
+  [[nodiscard]] bool has_inference_plan() const noexcept {
+    return plan_ != nullptr;
+  }
 
   /// All trainable parameters (stable order).
   [[nodiscard]] virtual std::vector<tensor::Tensor> parameters() const = 0;
@@ -82,12 +95,14 @@ class WireModel {
  protected:
   explicit WireModel(ModelConfig config) : config_(config) {}
 
-  /// Architecture-specific forward pass; the allocation policy (scratch arena
-  /// vs heap) is handled by the public forward() wrapper.
+  /// Architecture-specific autograd forward pass.
   [[nodiscard]] virtual WirePrediction run_forward(
       const GraphSample& sample) const = 0;
 
   ModelConfig config_;
+
+ private:
+  std::unique_ptr<GnnTransPlan> plan_;  ///< null: autograd serves
 };
 
 /// Instantiates a model with freshly initialized parameters.

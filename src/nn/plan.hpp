@@ -1,0 +1,83 @@
+/// \file plan.hpp
+/// Compiled, tape-free inference plan for the served GNNTrans model.
+///
+/// The autograd forward pass (models.cpp) builds a tape node per op: a
+/// shared_ptr, a std::function and a fresh value buffer each, plus a copy of
+/// every GraphMatrix it multiplies by. Serving never differentiates, so the
+/// plan replaces all of that with flat weight copies taken once at model load
+/// and hand-written kernels that run on one per-worker slab (nn::Workspace):
+///   - Sage layers (Eq. 1) and the MLP heads (Eq. 5-6) are register-blocked
+///     dense products with the bias, residual or ReLU fused into the store;
+///   - each attention layer (Eq. 2-3) computes every head's Q, K and V in one
+///     product against a fused [d, 3d] weight, transposes K and V per head so
+///     the score and value loops run over contiguous memory, and evaluates
+///     the row softmax four lanes at a time: 4-wide max, a range-reduced
+///     polynomial exp, 4-wide sum, and one reciprocal multiply folded into
+///     the head output. Rows are padded to a multiple of 4 with -inf.
+///
+/// Numerics: the dense products sum in the same order as tensor::matmul, so
+/// they are bitwise equal to autograd; the softmax differs from the libm
+/// reference by a few float ulps. Summation grouping depends only on the
+/// net's node count, never on slab alignment or history, so results are
+/// identical for every thread count and workspace.
+///
+/// The plan covers GNNTrans with global attention and at least one Sage
+/// layer. Neighbour-masked attention and the four zoo kinds stay on the
+/// autograd path: compile() returns null for them.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "nn/graph_sample.hpp"
+#include "nn/workspace.hpp"
+
+namespace gnntrans::nn {
+
+class WireModel;
+
+class GnnTransPlan {
+ public:
+  /// A dense layer: row-major [in, out] weight and an optional [out] bias.
+  struct Dense {
+    std::size_t in = 0;
+    std::size_t out = 0;
+    std::vector<float> weight;
+    std::vector<float> bias;  ///< empty: no bias
+  };
+
+  /// Copies \p model's weights into a plan, or returns null when the plan
+  /// does not cover the model (see the file comment). Every weight of a
+  /// GNNTrans model is first checked against its ModelConfig; a mismatch
+  /// throws std::invalid_argument naming the tensor, e.g. "gnn[0].w_neigh".
+  [[nodiscard]] static std::unique_ptr<GnnTransPlan> compile(
+      const WireModel& model);
+
+  /// Standardized per-path slew and delay of \p sample ([P,1] each), with the
+  /// model's trace spans and finite guards. Throws std::invalid_argument on
+  /// a sample whose shapes do not match the model.
+  [[nodiscard]] WirePrediction run(const GraphSample& sample,
+                                   Workspace& workspace) const;
+
+ private:
+  GnnTransPlan() = default;
+
+  std::size_t node_dim_ = 0;    ///< dx
+  std::size_t path_dim_ = 0;    ///< dh (0 without path features)
+  std::size_t hidden_ = 0;      ///< d
+  std::size_t heads_ = 0;
+  std::size_t head_dim_ = 0;    ///< dk = d / heads
+  float inv_sqrt_dk_ = 1.0f;
+  bool use_edge_weights_ = true;
+  bool cascade_ = true;
+
+  std::vector<Dense> sage_self_;   ///< W1 per Sage layer
+  std::vector<Dense> sage_neigh_;  ///< W2 per Sage layer
+  std::vector<Dense> qkv_;         ///< [d, 3d] per attention layer: Q | K | V
+  std::vector<Dense> w3_;          ///< [d, d] per attention layer
+  std::vector<Dense> slew_head_;
+  std::vector<Dense> delay_head_;
+};
+
+}  // namespace gnntrans::nn

@@ -1,24 +1,48 @@
 /// \file workspace.hpp
-/// Reusable inference scratch for WireModel forward passes.
+/// Per-worker activation slab for the compiled GNNTrans inference plan.
 ///
-/// A Workspace owns the scratch arena that recycles activation buffers across
-/// nets: pass one to WireModel::forward (or hold one per serving thread — see
-/// core::WireTimingEstimator::estimate_batch) and the forward pass stops
-/// paying a heap allocation per intermediate tensor. A Workspace must not be
-/// used by two threads at the same time; create one per worker instead.
+/// The plan (nn/plan.hpp) lays every activation of one forward pass out in a
+/// single flat float buffer whose size depends only on the net's node and
+/// path counts. A Workspace owns that buffer and keeps it across calls: it
+/// grows when a net needs more room than any earlier one and is reused as is
+/// otherwise, so a warm worker allocates nothing per net. Pass one to
+/// WireModel::forward (or hold one per serving thread — see
+/// core::WireTimingEstimator::estimate_batch). A Workspace must not be used
+/// by two threads at the same time; create one per worker instead.
 #pragma once
 
-#include "tensor/arena.hpp"
+#include <cstddef>
+#include <vector>
 
 namespace gnntrans::nn {
 
-struct Workspace {
-  tensor::ScratchArena arena;
+class Workspace {
+ public:
+  /// Slab counters: one acquisition per plan forward pass.
+  struct Stats {
+    std::size_t reused = 0;      ///< passes served by the existing slab
+    std::size_t grown = 0;       ///< passes that had to grow the slab
+    std::size_t peak_bytes = 0;  ///< slab size, the high-water mark
+  };
 
-  /// Buffer-reuse / memory counters for this workspace's arena.
-  [[nodiscard]] tensor::ScratchArena::Stats arena_stats() const {
-    return arena.stats();
+  /// Returns the slab, grown to at least \p floats entries. The contents are
+  /// unspecified: callers initialise everything they read.
+  [[nodiscard]] float* acquire(std::size_t floats) {
+    if (floats > slab_.size()) {
+      slab_ = std::vector<float>(floats);
+      stats_.peak_bytes = floats * sizeof(float);
+      ++stats_.grown;
+    } else {
+      ++stats_.reused;
+    }
+    return slab_.data();
   }
+
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+ private:
+  std::vector<float> slab_;
+  Stats stats_;
 };
 
 }  // namespace gnntrans::nn

@@ -171,11 +171,12 @@ void peek_ids(std::string_view payload, std::uint64_t* id,
 /// abortive-close flag (fault injection, protocol abuse): the thread exits
 /// without flushing the outbox, so the peer observes a dropped connection.
 struct NetServer::Connection {
-  /// One outbound frame plus its stage-clock context. `ready` stamps outbox
-  /// entry (start of the write stage); `admitted` is the request's admission
-  /// time (set for served responses, not rejects); `trace` carries the
-  /// partially-filled stage breakdown of a head-sampled request for the
-  /// connection thread to finalize at write completion.
+  /// One outbound frame plus its stage-clock context. `ready` starts the
+  /// write stage (the serialize stage's closing clock read for served
+  /// responses, outbox entry for rejects); `admitted` is the request's
+  /// admission time (set for served responses, not rejects); `trace`
+  /// carries the partially-filled stage breakdown of a head-sampled request
+  /// for the connection thread to finalize at write completion.
   struct Outgoing {
     std::string frame;
     std::unique_ptr<telemetry::RequestTrace> trace;
@@ -403,12 +404,14 @@ void NetServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   // retained /tracez record, and — when slow or degraded — a pinned flight
   // entry whose error field carries the trace id.
   const auto finish_delivery = [&metrics](Connection::Outgoing& msg) {
-    const double write_s = seconds_since(msg.ready);
+    const Clock::time_point sent = Clock::now();  // closes write and wall
+    const double write_s =
+        std::chrono::duration<double>(sent - msg.ready).count();
     if (msg.admitted != Clock::time_point{}) metrics.stage_write.observe(write_s);
     if (!msg.trace) return;
     telemetry::RequestTrace& rt = *msg.trace;
     rt.write_seconds = write_s;
-    rt.wall_seconds = seconds_since(msg.admitted);
+    rt.wall_seconds = std::chrono::duration<double>(sent - msg.admitted).count();
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
     if (recorder.enabled()) {
       const std::int64_t now_ns = recorder.now_ns();
@@ -655,12 +658,13 @@ void NetServer::send_reject(const std::shared_ptr<Connection>& conn,
 bool NetServer::enqueue_response(
     const std::shared_ptr<Connection>& conn, std::string frame,
     std::unique_ptr<telemetry::RequestTrace> trace,
-    std::chrono::steady_clock::time_point admitted) {
+    std::chrono::steady_clock::time_point admitted,
+    std::chrono::steady_clock::time_point ready) {
   Connection::Outgoing msg;
   msg.frame = std::move(frame);
   msg.trace = std::move(trace);
   msg.admitted = admitted;
-  msg.ready = Clock::now();
+  msg.ready = ready == Clock::time_point{} ? Clock::now() : ready;
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     if (conn->closing) return false;
@@ -813,10 +817,11 @@ void NetServer::batch_loop() {
       }
       // Stage clock: batch wall minus this net's own model time is the wait
       // on peer nets; the split telescopes (queue + batch_wait + model +
-      // serialize + write ≈ wall) because adjacent stage boundaries share
-      // clock reads.
+      // serialize + write = wall) because adjacent stage boundaries share
+      // clock reads: batch_start, batch_done, encoded, and the send.
+      const Clock::time_point batch_done = Clock::now();
       const double batch_elapsed =
-          std::chrono::duration<double>(Clock::now() - batch_start).count();
+          std::chrono::duration<double>(batch_done - batch_start).count();
       const double batch_wait =
           std::max(0.0, batch_elapsed - outcomes[i].net_seconds);
       ResponseFrame response;
@@ -826,9 +831,10 @@ void NetServer::batch_loop() {
       response.provenance = outcomes[i].provenance;
       response.message = outcomes[i].message;
       response.paths = results[i];
-      const Clock::time_point encode_start = Clock::now();
       std::string frame = encode_response(response);
-      const double serialize = seconds_since(encode_start);
+      const Clock::time_point encoded = Clock::now();
+      const double serialize =
+          std::chrono::duration<double>(encoded - batch_done).count();
       metrics.stage_batch_wait.observe(batch_wait);
       metrics.stage_model.observe(outcomes[i].net_seconds);
       metrics.stage_serialize.observe(serialize);
@@ -856,7 +862,7 @@ void NetServer::batch_loop() {
         trace->degraded = core::is_degraded(outcomes[i].provenance);
       }
       if (enqueue_response(pending.conn, std::move(frame), std::move(trace),
-                           pending.enqueued)) {
+                           pending.enqueued, encoded)) {
         ledger_.served.fetch_add(1, std::memory_order_relaxed);
         metrics.served.inc();
         metrics.request_seconds.observe(seconds_since(pending.enqueued));

@@ -17,7 +17,7 @@
 /// requests whose own deadline already passed (typed kDeadlineExceeded),
 /// propagates the tightest remaining deadline into
 /// BatchOptions::deadline_seconds, and serves the batch through one
-/// estimate_batch call — so the estimator's thread pool, workspace arenas,
+/// estimate_batch call — so the estimator's thread pool, workspace slabs,
 /// and degradation ladder are shared by every client. Responses are encoded
 /// and handed back to the owning connection's outbox; the connection thread
 /// writes them with a bounded send (slow clients time out, they do not wedge
@@ -197,12 +197,15 @@ class NetServer {
   /// Queues an encoded frame on \p conn's outbox and wakes its thread.
   /// Returns false when the connection is already closing. \p trace, when
   /// set, is the partially-filled stage breakdown of a head-sampled request;
-  /// the connection thread finalizes it (write stage + wall from
-  /// \p admitted) after the socket write succeeds.
+  /// the connection thread finalizes it (write stage from \p ready, wall
+  /// from \p admitted) after the socket write succeeds. \p ready is the
+  /// clock read that ended the serialize stage (now when unset), so the
+  /// stages share their boundaries.
   bool enqueue_response(
       const std::shared_ptr<Connection>& conn, std::string frame,
       std::unique_ptr<telemetry::RequestTrace> trace = nullptr,
-      std::chrono::steady_clock::time_point admitted = {});
+      std::chrono::steady_clock::time_point admitted = {},
+      std::chrono::steady_clock::time_point ready = {});
 
   void reap_finished_connections();
 

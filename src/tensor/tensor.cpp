@@ -4,32 +4,16 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "tensor/arena.hpp"
-
 namespace gnntrans::tensor {
 
 namespace {
 
 thread_local bool g_grad_enabled = true;
 
-/// Allocates an impl with a zeroed rows x cols value buffer. When a scratch
-/// arena is active on this thread the buffer is drawn from it, and the impl's
-/// deleter returns the buffer to that arena when the tensor dies (possibly on
-/// another thread, possibly after the arena handle itself is gone — the shared
-/// state keeps the pool alive).
+/// Allocates an impl with a zeroed rows x cols value buffer.
 std::shared_ptr<TensorImpl> new_impl(std::size_t rows, std::size_t cols) {
-  std::shared_ptr<TensorImpl> impl;
-  if (const auto& arena = detail::active_arena()) {
-    impl = std::shared_ptr<TensorImpl>(
-        new TensorImpl, [state = arena](TensorImpl* p) {
-          detail::release_values(state, std::move(p->value));
-          delete p;
-        });
-    impl->value = detail::acquire_values(arena, rows * cols);
-  } else {
-    impl = std::make_shared<TensorImpl>();
-    impl->value.assign(rows * cols, 0.0f);
-  }
+  auto impl = std::make_shared<TensorImpl>();
+  impl->value.assign(rows * cols, 0.0f);
   impl->rows = rows;
   impl->cols = cols;
   return impl;
@@ -51,8 +35,6 @@ Tensor Tensor::from_data(std::vector<float> data, std::size_t rows,
                          std::size_t cols, bool requires_grad) {
   if (data.size() != rows * cols)
     throw std::invalid_argument("Tensor::from_data: size mismatch");
-  // Adopts external storage, so this deliberately bypasses any active scratch
-  // arena: the buffer did not come from a pool and must not be parked in one.
   Tensor t;
   t.impl_ = std::make_shared<TensorImpl>();
   t.impl_->rows = rows;

@@ -7,6 +7,7 @@
 
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
+#include "core/parallel.hpp"
 #include "core/trainer.hpp"
 #include "features/dataset.hpp"
 #include "netlist/generate.hpp"
@@ -149,6 +150,33 @@ TEST(Trainer, EmptySampleListIsNoop) {
   auto model = nn::make_model(nn::ModelKind::kGnnTrans, mc);
   const TrainReport report = train_model(*model, {}, TrainConfig{});
   EXPECT_TRUE(report.epoch_loss.empty());
+}
+
+TEST(Trainer, DiscardsCompiledInferencePlan) {
+  const auto recs = records(4, 46);
+  features::Standardizer std_;
+  std_.fit(recs);
+  const auto samples = features::make_samples(recs, std_);
+  nn::ModelConfig mc = tiny_model();
+  mc.node_feature_dim = features::kNodeFeatureCount;
+  mc.path_feature_dim = features::kPathFeatureCount;
+  auto model = nn::make_model(nn::ModelKind::kGnnTrans, mc);
+  TrainConfig tc;
+  tc.epochs = 1;
+
+  // The plan copies the weights, so a plan compiled before training would
+  // serve the old ones: both trainers must drop it.
+  model->compile_inference();
+  ASSERT_TRUE(model->has_inference_plan());
+  train_model(*model, samples, tc);
+  EXPECT_FALSE(model->has_inference_plan());
+
+  model->compile_inference();
+  ParallelTrainConfig pc;
+  pc.base = tc;
+  pc.workers = 2;
+  train_model_parallel(*model, samples, pc);
+  EXPECT_FALSE(model->has_inference_plan());
 }
 
 // ---- WireTimingEstimator ----

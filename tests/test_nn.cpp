@@ -1,12 +1,18 @@
 // Tests for the model zoo: shapes, determinism, ablation wiring, save/load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 
+#include "cell/library.hpp"
+#include "features/dataset.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
+#include "nn/plan.hpp"
+#include "rcnet/generate.hpp"
 
 namespace {
 
@@ -234,6 +240,209 @@ TEST(Layers, LayerCountsScaleParameterCount) {
   const auto a = make_model(ModelKind::kGnnTrans, shallow);
   const auto b = make_model(ModelKind::kGnnTrans, deep);
   EXPECT_GT(b->parameter_count(), a->parameter_count());
+}
+
+// ---- Compiled inference plan vs the autograd forward pass ----
+
+/// Unlabelled samples of rcgen nets drawn from \p cfg, standardized with
+/// \p standardizer (fitted here when not yet fitted). Labels stay zero: the
+/// comparison needs only the forward pass, not golden timing.
+std::vector<GraphSample> rcgen_samples(const rcnet::NetGenConfig& cfg,
+                                       std::size_t count, std::uint64_t seed,
+                                       features::Standardizer& standardizer) {
+  static const cell::CellLibrary library = cell::CellLibrary::make_default();
+  std::mt19937_64 rng(seed);
+  std::vector<features::WireRecord> records;
+  while (records.size() < count) {
+    features::WireRecord rec;
+    rec.net = rcnet::generate_net(cfg, rng, "plan" + std::to_string(records.size()));
+    if (!rec.net.validate().empty()) continue;
+    rec.context = features::random_context(library, rec.net, rng);
+    rec.raw = features::extract_features(rec.net, rec.context);
+    rec.non_tree = !rec.net.is_tree();
+    rec.slew_labels.assign(rec.raw.analysis.paths.size(), 0.0);
+    rec.delay_labels.assign(rec.raw.analysis.paths.size(), 0.0);
+    records.push_back(std::move(rec));
+  }
+  if (!standardizer.fitted()) standardizer.fit(records);
+  return features::make_samples(records, standardizer);
+}
+
+/// The paper-scaled served config: 4 Sage + 2 attention layers, 4 heads.
+ModelConfig served_config() {
+  ModelConfig c;
+  c.node_feature_dim = features::kNodeFeatureCount;
+  c.path_feature_dim = features::kPathFeatureCount;
+  c.hidden_dim = 16;
+  c.gnn_layers = 4;
+  c.transformer_layers = 2;
+  c.heads = 4;
+  c.mlp_hidden = 32;
+  c.seed = 5;
+  return c;
+}
+
+/// The population the differential test covers, one rcgen config per case.
+std::vector<GraphSample> differential_population() {
+  features::Standardizer standardizer;
+  std::vector<GraphSample> out =
+      rcgen_samples(rcnet::NetGenConfig{}, 24, 11, standardizer);
+  const auto add = [&](rcnet::NetGenConfig cfg, std::size_t count,
+                       std::uint64_t seed) {
+    for (GraphSample& s : rcgen_samples(cfg, count, seed, standardizer))
+      out.push_back(std::move(s));
+  };
+  rcnet::NetGenConfig cfg;
+  cfg.min_nodes = cfg.max_nodes = 2;  // smallest net: one sink, N = 2
+  add(cfg, 3, 12);
+  cfg.min_nodes = cfg.max_nodes = 3;
+  add(cfg, 3, 13);
+  cfg.min_nodes = 5;  // N = 5, 6, 7, 9, 10, 11: not multiples of 4
+  cfg.max_nodes = 11;
+  add(cfg, 8, 14);
+  cfg = rcnet::NetGenConfig{};
+  cfg.max_sinks = 1;  // P = 1
+  add(cfg, 6, 15);
+  cfg = rcnet::NetGenConfig{};
+  cfg.non_tree_fraction = 1.0;
+  add(cfg, 6, 16);
+  cfg = rcnet::NetGenConfig{};
+  cfg.min_nodes = 160;
+  cfg.max_nodes = 320;
+  add(cfg, 3, 17);
+  return out;
+}
+
+WirePrediction plan_forward(const WireModel& model, const GraphSample& s,
+                            Workspace& ws) {
+  const tensor::NoGradGuard no_grad;
+  return model.forward(s, &ws);
+}
+
+TEST(GnnTransPlan, MatchesAutogradForward) {
+  // Tolerance: |plan - autograd| <= 1e-4 * (1 + |autograd|) in standardized
+  // units; the worst case over this population measured 4e-6. The dense
+  // products are bitwise those of autograd; only the softmax's polynomial
+  // exp and folded reciprocal differ from libm expf and per-element
+  // division, by a few float ulps per attention weight.
+  constexpr double kTol = 1e-4;
+  const std::vector<GraphSample> samples = differential_population();
+  bool saw_p1 = false, saw_non_tree = false, saw_large = false, saw_two = false;
+  for (const GraphSample& s : samples) {
+    saw_two |= s.node_count == 2;
+    saw_p1 |= s.path_count == 1;
+    saw_non_tree |= s.non_tree;
+    saw_large |= s.node_count >= 160;
+  }
+  ASSERT_TRUE(saw_two && saw_p1 && saw_non_tree && saw_large);
+
+  ModelConfig base = served_config();
+  std::vector<ModelConfig> configs(4, base);
+  configs[1].use_edge_weights = false;
+  configs[2].use_path_features = false;
+  configs[3].cascade_delay_head = false;
+  for (const ModelConfig& config : configs) {
+    const auto model = make_model(ModelKind::kGnnTrans, config);
+    std::vector<WirePrediction> reference;
+    {
+      const tensor::NoGradGuard no_grad;  // no plan yet: autograd serves
+      for (const GraphSample& s : samples) reference.push_back(model->forward(s));
+    }
+    model->compile_inference();
+    ASSERT_TRUE(model->has_inference_plan());
+    Workspace ws;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const WirePrediction got = plan_forward(*model, samples[i], ws);
+      ASSERT_EQ(got.slew.rows(), samples[i].path_count);
+      ASSERT_EQ(got.delay.rows(), samples[i].path_count);
+      for (std::size_t q = 0; q < samples[i].path_count; ++q) {
+        for (const auto& [a, b] :
+             {std::pair{got.slew(q, 0), reference[i].slew(q, 0)},
+              std::pair{got.delay(q, 0), reference[i].delay(q, 0)}}) {
+          const double err =
+              std::abs(double{a} - double{b}) / (1.0 + std::abs(double{b}));
+          EXPECT_LE(err, kTol) << "net " << samples[i].net_name << " ("
+                               << samples[i].node_count << " nodes) path " << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(GnnTransPlan, SlabHistoryDoesNotChangeBits) {
+  features::Standardizer standardizer;
+  rcnet::NetGenConfig cfg;
+  cfg.min_nodes = 160;
+  cfg.max_nodes = 200;
+  const std::vector<GraphSample> large = rcgen_samples(cfg, 1, 21, standardizer);
+  cfg.min_nodes = 5;
+  cfg.max_nodes = 30;
+  const std::vector<GraphSample> small = rcgen_samples(cfg, 4, 22, standardizer);
+
+  const auto model = make_model(ModelKind::kGnnTrans, served_config());
+  model->compile_inference();
+  Workspace used;
+  (void)plan_forward(*model, large.front(), used);  // grows the slab
+  const std::size_t grown = used.stats().peak_bytes;
+  for (const GraphSample& s : small) {
+    Workspace fresh;
+    const WirePrediction a = plan_forward(*model, s, used);
+    const WirePrediction b = plan_forward(*model, s, fresh);
+    EXPECT_LT(fresh.stats().peak_bytes, grown);
+    for (std::size_t q = 0; q < s.path_count; ++q) {
+      EXPECT_EQ(a.slew(q, 0), b.slew(q, 0)) << s.net_name;
+      EXPECT_EQ(a.delay(q, 0), b.delay(q, 0)) << s.net_name;
+    }
+  }
+  EXPECT_EQ(used.stats().grown, 1u);
+  EXPECT_EQ(used.stats().reused, small.size());
+  EXPECT_EQ(used.stats().peak_bytes, grown);
+}
+
+TEST(GnnTransPlan, CompileReturnsNullWhereAutogradServes) {
+  ModelConfig masked = small_config();
+  masked.global_attention = false;
+  EXPECT_EQ(GnnTransPlan::compile(*make_model(ModelKind::kGnnTrans, masked)),
+            nullptr);
+  for (const ModelKind kind : kAllKinds) {
+    if (kind == ModelKind::kGnnTrans) continue;
+    const auto model = make_model(kind, small_config());
+    EXPECT_EQ(GnnTransPlan::compile(*model), nullptr) << to_string(kind);
+    model->compile_inference();
+    EXPECT_FALSE(model->has_inference_plan()) << to_string(kind);
+  }
+  EXPECT_NE(GnnTransPlan::compile(*make_model(ModelKind::kGnnTrans, small_config())),
+            nullptr);
+}
+
+TEST(GnnTransPlan, CompileNamesMisshapenWeight) {
+  const auto model = make_model(ModelKind::kGnnTrans, small_config());
+  std::stringstream buf;
+  save_model(buf, *model);
+  std::string bytes = buf.str();
+  // Model header after the magic: version, kind, seven dims, seed and flags
+  // (u32 each); then gnn[0].w_self and gnn[0].w_neigh as [u64 rows][u64
+  // cols][floats]. Swapping w_neigh's rows and cols keeps the byte count.
+  const std::size_t header = bytes.find("GNNTRANS_MODEL") + 14 + 11 * 4;
+  const std::size_t w_self_floats = 12 * 8;
+  const std::size_t w_neigh = header + 16 + w_self_floats * sizeof(float);
+  std::uint64_t rows = 0, cols = 0;
+  std::memcpy(&rows, bytes.data() + w_neigh, 8);
+  std::memcpy(&cols, bytes.data() + w_neigh + 8, 8);
+  ASSERT_EQ(rows, 12u);
+  ASSERT_EQ(cols, 8u);
+  std::memcpy(bytes.data() + w_neigh, &cols, 8);
+  std::memcpy(bytes.data() + w_neigh + 8, &rows, 8);
+
+  std::stringstream bad(bytes);
+  const auto loaded = load_model(bad);  // the stream itself parses
+  try {
+    loaded->compile_inference();
+    FAIL() << "expected a shape error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gnn[0].w_neigh"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -155,6 +157,37 @@ TEST(EstimatorRobustness, TruncatedCheckpointRejected) {
   payload.resize(payload.size() / 3);
   std::stringstream cut(payload);
   EXPECT_THROW(core::WireTimingEstimator::load(cut), std::runtime_error);
+}
+
+TEST(EstimatorRobustness, MisshapenWeightRejectedAtLoad) {
+  const auto est = tiny_estimator();
+  std::stringstream buf;
+  est.save(buf);
+  std::string bytes = buf.str();
+  // The model block: magic, then version, kind, seven dims, seed and flags
+  // (u32 each); then gnn[0].w_self and gnn[0].w_neigh, each stored as
+  // [u64 rows][u64 cols][floats]. Swapping w_neigh's rows and cols keeps
+  // every byte count, so only a shape check can notice.
+  const std::size_t magic = bytes.find("GNNTRANS_MODEL");
+  ASSERT_NE(magic, std::string::npos);
+  const std::size_t w_self = magic + 14 + 11 * 4;
+  std::uint64_t dims[2];
+  std::memcpy(dims, bytes.data() + w_self, sizeof(dims));
+  const std::size_t w_neigh = w_self + 16 + dims[0] * dims[1] * sizeof(float);
+  std::memcpy(dims, bytes.data() + w_neigh, sizeof(dims));
+  ASSERT_NE(dims[0], dims[1]);
+  std::swap(dims[0], dims[1]);
+  std::memcpy(bytes.data() + w_neigh, dims, sizeof(dims));
+
+  std::stringstream bad(bytes);
+  try {
+    (void)core::WireTimingEstimator::load(bad);
+    FAIL() << "a misshapen weight must be rejected at load";
+  } catch (const core::CheckpointError& e) {
+    EXPECT_EQ(e.status().code(), core::ErrorCode::kParseError);
+    EXPECT_NE(std::string(e.what()).find("gnn[0].w_neigh"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- GBDT structural invariants ----

@@ -568,7 +568,7 @@ int cmd_predict(const Args& args) {
   }
 
   // Serve through the batched path: one pool + per-worker workspaces reused
-  // across batches, so arenas stay warm for the whole file.
+  // across batches, so slabs stay warm for the whole file.
   core::ThreadPool pool(threads);
   std::vector<nn::Workspace> workspaces;
   core::BatchOptions options;
