@@ -49,8 +49,8 @@ ShortestPathTree shortest_path_tree(const RcNet& net) {
   return t;
 }
 
-std::vector<WirePath> enumerate_paths(const RcNet& net) {
-  const ShortestPathTree tree = shortest_path_tree(net);
+std::vector<WirePath> enumerate_paths(const RcNet& net,
+                                      const ShortestPathTree& tree) {
   constexpr NodeId kNone = ShortestPathTree::kNoParent;
 
   std::vector<WirePath> paths;

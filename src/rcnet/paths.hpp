@@ -46,9 +46,10 @@ struct ShortestPathTree {
 [[nodiscard]] ShortestPathTree shortest_path_tree(const RcNet& net);
 
 /// Enumerates the timing path for every sink of \p net (one WirePath per sink,
-/// in sink order). Uses Dijkstra with resistance edge weights, which on a tree
-/// degenerates to the unique tree path.
-[[nodiscard]] std::vector<WirePath> enumerate_paths(const RcNet& net);
+/// in sink order) by walking \p tree, the net's shortest_path_tree(), from
+/// each sink back to the source. On a tree net that is the unique tree path.
+[[nodiscard]] std::vector<WirePath> enumerate_paths(const RcNet& net,
+                                                    const ShortestPathTree& tree);
 
 /// Counts *simple* source-to-sink paths in the resistive graph, summed over
 /// sinks and saturated at \p cap. This is the quantity plotted in Fig. 2(b):

@@ -4,87 +4,42 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
+#include "linalg/tree_ldlt.hpp"
 
 namespace gnntrans::sim {
 
 using rcnet::NodeId;
 using rcnet::RcNet;
 
-namespace {
-
-/// Maps every non-source node to a compact row index; source maps to npos.
-std::vector<std::size_t> reduced_index(const RcNet& net) {
-  std::vector<std::size_t> index(net.node_count(), std::size_t(-1));
-  std::size_t next = 0;
-  for (NodeId v = 0; v < net.node_count(); ++v)
-    if (v != net.source) index[v] = next++;
-  return index;
-}
-
-/// Builds the reduced conductance matrix (source node grounded out).
-linalg::Matrix reduced_conductance(const RcNet& net,
-                                   const std::vector<std::size_t>& index) {
-  const std::size_t m = net.node_count() - 1;
-  linalg::Matrix g(m, m);
-  for (const rcnet::Resistor& r : net.resistors) {
-    const double cond = 1.0 / r.ohms;
-    const std::size_t ia = index[r.a];
-    const std::size_t ib = index[r.b];
-    if (ia != std::size_t(-1)) g(ia, ia) += cond;
-    if (ib != std::size_t(-1)) g(ib, ib) += cond;
-    if (ia != std::size_t(-1) && ib != std::size_t(-1)) {
-      g(ia, ib) -= cond;
-      g(ib, ia) -= cond;
-    }
-  }
-  return g;
-}
-
-/// Node capacitance including grounded coupling caps, in reduced ordering.
-std::vector<double> reduced_caps(const RcNet& net,
-                                 const std::vector<std::size_t>& index) {
-  std::vector<double> c(net.node_count() - 1, 0.0);
-  for (NodeId v = 0; v < net.node_count(); ++v)
-    if (index[v] != std::size_t(-1)) c[index[v]] = net.ground_cap[v];
-  for (const rcnet::CouplingCap& cc : net.couplings)
-    if (index[cc.victim_node] != std::size_t(-1)) c[index[cc.victim_node]] += cc.farads;
-  return c;
-}
-
-}  // namespace
-
 Moments compute_moments(const RcNet& net) {
   const std::size_t n = net.node_count();
   assert(n >= 2);
-  const std::vector<std::size_t> index = reduced_index(net);
-  const linalg::Matrix g = reduced_conductance(net, index);
-  const auto chol = linalg::CholeskyFactor::factor(g);
-  if (!chol)
+  std::vector<linalg::Branch> branches;
+  branches.reserve(net.resistors.size());
+  for (const rcnet::Resistor& r : net.resistors)
+    branches.push_back({r.a, r.b, 1.0 / r.ohms});
+  // Conductance matrix with the source grounded: no shunt to ground anywhere.
+  const std::vector<double> no_shunt(n, 0.0);
+  auto ldlt = linalg::TreeLdlt::factor(no_shunt, branches, net.source,
+                                       /*ground_root=*/true);
+  if (!ldlt)
     throw std::runtime_error("compute_moments: conductance matrix not SPD (net '" +
                              net.name + "' likely disconnected)");
 
-  const std::vector<double> caps = reduced_caps(net, index);
+  // Node capacitance including grounded coupling caps.
+  std::vector<double> caps = net.ground_cap;
+  for (const rcnet::CouplingCap& cc : net.couplings) caps[cc.victim_node] += cc.farads;
 
-  // m_{k+1} = G^{-1} (C .* m_k), with m_0 = all-ones.
-  std::vector<double> rhs = caps;  // C .* 1
-  const std::vector<double> m1r = chol->solve(rhs);
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = caps[i] * m1r[i];
-  const std::vector<double> m2r = chol->solve(rhs);
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = caps[i] * m2r[i];
-  const std::vector<double> m3r = chol->solve(rhs);
-
+  // m_{k+1} = G^{-1} (C .* m_k), with m_0 = all-ones; the source entry is 0.
   Moments out;
-  out.m1.assign(n, 0.0);
-  out.m2.assign(n, 0.0);
-  out.m3.assign(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (index[v] == std::size_t(-1)) continue;
-    out.m1[v] = m1r[index[v]];
-    out.m2[v] = m2r[index[v]];
-    out.m3[v] = m3r[index[v]];
-  }
+  out.m1 = caps;  // C .* 1
+  ldlt->solve(out.m1);
+  out.m2.resize(n);
+  for (NodeId v = 0; v < n; ++v) out.m2[v] = caps[v] * out.m1[v];
+  ldlt->solve(out.m2);
+  out.m3.resize(n);
+  for (NodeId v = 0; v < n; ++v) out.m3[v] = caps[v] * out.m2[v];
+  ldlt->solve(out.m3);
   return out;
 }
 

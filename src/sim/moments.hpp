@@ -22,9 +22,11 @@ struct Moments {
   std::vector<double> m3;  ///< third moment (seconds^3)
 };
 
-/// Computes m1..m3 of \p net via dense Cholesky on the reduced conductance
-/// matrix. Coupling caps are grounded (Miller-0 assumption), which matches the
-/// quiet-aggressor view an analytical metric has.
+/// Computes m1..m3 of \p net with one sparse LDLᵀ factor (linalg/tree_ldlt.hpp)
+/// of the conductance matrix, source grounded, and three solves. Coupling caps
+/// are grounded (Miller-0 assumption), which matches the quiet-aggressor view
+/// an analytical metric has. Throws std::runtime_error if the net is
+/// disconnected.
 ///
 /// Precondition: net.validate() is empty.
 [[nodiscard]] Moments compute_moments(const rcnet::RcNet& net);

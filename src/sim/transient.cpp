@@ -6,8 +6,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
+#include "linalg/tree_ldlt.hpp"
 #include "sim/moments.hpp"
 
 namespace gnntrans::sim {
@@ -93,23 +92,7 @@ std::pair<TransientResult, Waveform> simulate_with_probe(
       driver_resistance > 0.0 ? driver_resistance : config.driver_resistance;
   const double t_ramp = input_slew / 0.6;
 
-  // Node capacitance: ground caps plus coupling caps (coupling enters both the
-  // diagonal and, when SI is on, the injection vector).
-  std::vector<double> cap(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) cap[v] = net.ground_cap[v];
-  for (const rcnet::CouplingCap& cc : net.couplings) cap[cc.victim_node] += cc.farads;
-
-  // Conductance matrix with the driver resistance stamped at the source.
-  linalg::Matrix g(n, n);
-  for (const rcnet::Resistor& r : net.resistors) {
-    const double cond = 1.0 / r.ohms;
-    g(r.a, r.a) += cond;
-    g(r.b, r.b) += cond;
-    g(r.a, r.b) -= cond;
-    g(r.b, r.a) -= cond;
-  }
   const double g_drv = 1.0 / r_drv;
-  g(net.source, net.source) += g_drv;
 
   // Simulation window estimate: driver ramp + RC settling of the whole net.
   const Moments moments = compute_moments(net);
@@ -129,20 +112,22 @@ std::pair<TransientResult, Waveform> simulate_with_probe(
   const double h = window / static_cast<double>(config.steps);
 
   // Trapezoidal companion matrices: A v_{k+1} = B v_k + (b_k + b_{k+1}) / 2
-  // with A = C/h + G/2 (SPD) and B = C/h - G/2.
-  linalg::Matrix a_mat = g;
-  linalg::Matrix b_mat = g;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      a_mat(i, j) *= 0.5;
-      b_mat(i, j) *= -0.5;
-    }
-  for (std::size_t i = 0; i < n; ++i) {
-    a_mat(i, i) += cap[i] / h;
-    b_mat(i, i) += cap[i] / h;
-  }
-  const auto chol = linalg::CholeskyFactor::factor(a_mat);
-  if (!chol)
+  // with A = C/h + G/2 (SPD) and B = C/h - G/2, where G carries the driver
+  // conductance at the source. A is factored with the source as the last node.
+  // Node capacitance is ground plus coupling caps (coupling enters both the
+  // diagonal and, when SI is on, the injection vector).
+  std::vector<double> c_over_h = net.ground_cap;
+  for (const rcnet::CouplingCap& cc : net.couplings) c_over_h[cc.victim_node] += cc.farads;
+  for (double& c : c_over_h) c /= h;
+  std::vector<double> shunt = c_over_h;
+  shunt[net.source] += 0.5 * g_drv;
+  std::vector<linalg::Branch> half_g;
+  half_g.reserve(net.resistors.size());
+  for (const rcnet::Resistor& r : net.resistors)
+    half_g.push_back({r.a, r.b, 0.5 * (1.0 / r.ohms)});
+  auto ldlt = linalg::TreeLdlt::factor(shunt, half_g, net.source,
+                                       /*ground_root=*/false);
+  if (!ldlt)
     throw std::runtime_error("simulate: companion matrix not SPD (net '" +
                              net.name + "')");
 
@@ -190,11 +175,18 @@ std::pair<TransientResult, Waveform> simulate_with_probe(
     for (std::size_t step = 0; step < config.steps; ++step) {
       const double t_next = t + h;
       injection(t_next, b_now);
-      // rhs = B v + (b_prev + b_now)/2
-      rhs = b_mat.matvec(v);
-      for (std::size_t i = 0; i < n; ++i) rhs[i] += 0.5 * (b_prev[i] + b_now[i]);
-      v_prev = v;
-      v = chol->solve(rhs);
+      // rhs = B v + (b_prev + b_now)/2, B v stamped per resistor.
+      for (std::size_t i = 0; i < n; ++i)
+        rhs[i] = c_over_h[i] * v[i] + 0.5 * (b_prev[i] + b_now[i]);
+      rhs[net.source] -= 0.5 * g_drv * v[net.source];
+      for (const linalg::Branch& br : half_g) {
+        const double current = br.g * (v[br.a] - v[br.b]);
+        rhs[br.a] -= current;
+        rhs[br.b] += current;
+      }
+      ldlt->solve(rhs);
+      std::swap(v_prev, v);
+      std::swap(v, rhs);
       std::swap(b_prev, b_now);
       ++result.steps_executed;
 

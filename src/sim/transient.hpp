@@ -1,10 +1,11 @@
 /// \file transient.hpp
 /// Golden transient simulation of RC nets (the PrimeTime-SI substitute).
 ///
-/// Solves C dv/dt = -G v + b(t) by the trapezoidal rule with a single dense
-/// Cholesky factorization. The driver is an ideal voltage ramp behind a drive
-/// resistance; crosstalk ("SI mode") couples aggressor ramps through coupling
-/// caps, injecting Cc * dVa/dt displacement current at victim nodes.
+/// Solves C dv/dt = -G v + b(t) by the trapezoidal rule with a single sparse
+/// LDLᵀ factorization (linalg/tree_ldlt.hpp), so each step costs O(n) plus
+/// loop fill. The driver is an ideal voltage ramp behind a drive resistance;
+/// crosstalk ("SI mode") couples aggressor ramps through coupling caps,
+/// injecting Cc * dVa/dt displacement current at victim nodes.
 ///
 /// Timing measurements follow STA conventions:
 ///  - wire delay of a sink = t50(sink) - t50(source node waveform),

@@ -11,7 +11,7 @@ WireAnalysis analyze_wire(const rcnet::RcNet& net) {
   wa.moments = compute_moments(net);
   wa.d2m = d2m_from_moments(wa.moments);
   wa.sp_tree = rcnet::shortest_path_tree(net);
-  wa.paths = rcnet::enumerate_paths(net);
+  wa.paths = rcnet::enumerate_paths(net, wa.sp_tree);
 
   const std::size_t n = net.node_count();
 

@@ -97,20 +97,22 @@ TEST(Adjacency, DegreesMatchResistors) {
 }
 
 TEST(Paths, ChainPathVisitsAllNodesInOrder) {
-  const auto paths = enumerate_paths(chain4());
+  const RcNet net = chain4();
+  const auto paths = enumerate_paths(net, shortest_path_tree(net));
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].sink, 3u);
   EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(paths[0].resistor_indices.size(), 3u);
-  EXPECT_DOUBLE_EQ(paths[0].path_resistance(chain4()), 60.0);
+  EXPECT_DOUBLE_EQ(paths[0].path_resistance(net), 60.0);
 }
 
 TEST(Paths, DiamondTakesShortestResistancePath) {
-  const auto paths = enumerate_paths(diamond());
+  const RcNet net = diamond();
+  const auto paths = enumerate_paths(net, shortest_path_tree(net));
   ASSERT_EQ(paths.size(), 1u);
   // Via node 2: 5 + 5 = 10 beats via node 1: 10 + 10 = 20.
   EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{0, 2, 3}));
-  EXPECT_DOUBLE_EQ(paths[0].path_resistance(diamond()), 10.0);
+  EXPECT_DOUBLE_EQ(paths[0].path_resistance(net), 10.0);
 }
 
 TEST(Paths, ShortestPathTreeDistancesAreMonotone) {

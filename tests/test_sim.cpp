@@ -1,9 +1,15 @@
 // Tests for the analytical (Elmore/D2M/moments) and golden transient engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <random>
+#include <string>
 
+#include "dense_oracle.hpp"
+#include "linalg/tree_ldlt.hpp"
 #include "rcnet/generate.hpp"
 #include "rcnet/paths.hpp"
 #include "sim/golden.hpp"
@@ -226,6 +232,173 @@ TEST(Transient, SiIsDeterministicPerSeed) {
 TEST(Transient, RejectsNonPositiveSlew) {
   const RcNet net = chain(3, 50.0, 2e-15);
   EXPECT_THROW(sim::simulate(net, quiet_config(), 0.0), std::invalid_argument);
+}
+
+// ---- Sparse LDLᵀ vs the dense oracle ----
+
+/// The rcgen topologies the sparse solver must match the dense one on.
+struct NetSet {
+  const char* name;
+  rcnet::NetGenConfig cfg;
+  int nets;
+};
+
+std::vector<NetSet> differential_sets() {
+  std::vector<NetSet> sets;
+  sets.push_back({"default", {}, 12});
+  rcnet::NetGenConfig large;
+  large.min_nodes = 160;
+  large.max_nodes = 320;
+  sets.push_back({"large", large, 4});
+  rcnet::NetGenConfig tree;
+  tree.non_tree_fraction = 0.0;
+  sets.push_back({"tree", tree, 8});
+  rcnet::NetGenConfig single;
+  single.min_sinks = single.max_sinks = 1;
+  sets.push_back({"single_sink", single, 8});
+  for (std::uint32_t extra : {64u, 160u}) {
+    rcnet::NetGenConfig mesh = large;
+    mesh.non_tree_fraction = 1.0;
+    mesh.max_extra_edges = extra;
+    sets.push_back({extra == 64 ? "mesh64" : "mesh160", mesh, 4});
+  }
+  return sets;
+}
+
+std::vector<linalg::Branch> conductances(const RcNet& net, double scale) {
+  std::vector<linalg::Branch> out;
+  for (const rcnet::Resistor& r : net.resistors)
+    out.push_back({r.a, r.b, scale * (1.0 / r.ohms)});
+  return out;
+}
+
+std::vector<double> node_caps(const RcNet& net) {
+  std::vector<double> caps = net.ground_cap;
+  for (const rcnet::CouplingCap& cc : net.couplings) caps[cc.victim_node] += cc.farads;
+  return caps;
+}
+
+/// m1..m3 by dense Cholesky of the grounded conductance matrix.
+std::vector<std::vector<double>> dense_moments(const RcNet& net) {
+  const std::size_t n = net.node_count();
+  std::vector<double> l = dense_oracle::assemble(
+      std::vector<double>(n, 0.0), conductances(net, 1.0), net.source);
+  EXPECT_TRUE(dense_oracle::cholesky(l, n));
+  const std::vector<double> caps = node_caps(net);
+  std::vector<std::vector<double>> m;
+  std::vector<double> prev(n, 1.0);
+  for (int k = 0; k < 3; ++k) {
+    std::vector<double> x(n);
+    for (std::size_t v = 0; v < n; ++v) x[v] = caps[v] * prev[v];
+    x[net.source] = 0.0;
+    dense_oracle::cholesky_solve(l, n, x);
+    m.push_back(x);
+    prev = x;
+  }
+  return m;
+}
+
+/// First linear-interpolated crossing of \p threshold, or -1.
+double crossing(const std::vector<double>& t, const std::vector<double>& v,
+                double threshold) {
+  for (std::size_t k = 1; k < v.size(); ++k)
+    if (v[k - 1] < threshold && v[k] >= threshold)
+      return t[k - 1] + (threshold - v[k - 1]) / (v[k] - v[k - 1]) * (t[k] - t[k - 1]);
+  return -1.0;
+}
+
+/// The quiet (SI off) trapezoidal stepper with dense matrices, on the time
+/// grid \p time that simulate_with_probe reported. Returns one waveform per
+/// node.
+std::vector<std::vector<double>> dense_waveforms(const RcNet& net,
+                                                 const sim::TransientConfig& cfg,
+                                                 double slew_in, double r_drv,
+                                                 const std::vector<double>& time) {
+  const std::size_t n = net.node_count();
+  const double h = time[1] - time[0];
+  const double g_drv = 1.0 / r_drv;
+  const double t_ramp = slew_in / 0.6;
+  std::vector<double> c_over_h = node_caps(net);
+  for (double& c : c_over_h) c /= h;
+  // A = C/h + G/2 and B = C/h - G/2, driver conductance at the source.
+  std::vector<double> a_shunt = c_over_h, b_shunt = c_over_h;
+  a_shunt[net.source] += 0.5 * g_drv;
+  b_shunt[net.source] -= 0.5 * g_drv;
+  std::vector<double> l = dense_oracle::assemble(a_shunt, conductances(net, 0.5));
+  const std::vector<double> b_mat = dense_oracle::assemble(b_shunt, conductances(net, -0.5));
+  EXPECT_TRUE(dense_oracle::cholesky(l, n));
+  auto drive = [&](double t) {
+    return g_drv * (t <= 0.0 ? 0.0 : t >= t_ramp ? cfg.vdd : cfg.vdd * t / t_ramp);
+  };
+  std::vector<std::vector<double>> wave(n, std::vector<double>{0.0});
+  std::vector<double> v(n, 0.0);
+  for (std::size_t k = 1; k < time.size(); ++k) {
+    std::vector<double> rhs = dense_oracle::matvec(b_mat, v);
+    rhs[net.source] += 0.5 * (drive(time[k - 1]) + drive(time[k]));
+    dense_oracle::cholesky_solve(l, n, rhs);
+    v = rhs;
+    for (std::size_t i = 0; i < n; ++i) wave[i].push_back(v[i]);
+  }
+  return wave;
+}
+
+TEST(SparseVsDense, MomentsMatchOnEveryTopology) {
+  std::mt19937_64 rng(21);
+  for (const NetSet& set : differential_sets()) {
+    double worst = 0.0, entries = 0.0, nodes = 0.0;
+    for (int i = 0; i < set.nets; ++i) {
+      const RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
+      const sim::Moments m = sim::compute_moments(net);
+      const auto dense = dense_moments(net);
+      for (const auto& [k, sparse] : {std::pair{0, &m.m1}, {1, &m.m2}, {2, &m.m3}}) {
+        const double rel = dense_oracle::rel_inf_diff(*sparse, dense[k]);
+        EXPECT_LE(rel, 1e-12) << set.name << " net " << i << " m" << k + 1;
+        worst = std::max(worst, rel);
+      }
+      const auto ldlt = linalg::TreeLdlt::factor(std::vector<double>(net.node_count(), 0.0),
+                                                 conductances(net, 1.0), net.source, true);
+      ASSERT_TRUE(ldlt.has_value());
+      entries += static_cast<double>(ldlt->factor_entries());
+      nodes += static_cast<double>(net.node_count());
+    }
+    // Fill is measured, not assumed: factor entries per node per topology.
+    RecordProperty(std::string(set.name) + "_entries_per_node", std::to_string(entries / nodes));
+    std::printf("[ fill     ] %-11s %.2f factor entries/node, worst moment diff %.1e\n",
+                set.name, entries / nodes, worst);
+  }
+}
+
+TEST(SparseVsDense, GoldenDelayAndSlewMatchDenseStepper) {
+  std::mt19937_64 rng(22);
+  sim::TransientConfig cfg = quiet_config();
+  cfg.steps = 300;
+  const double slew_in = 3e-11, r_drv = 120.0;
+  for (const NetSet& set : differential_sets()) {
+    for (int i = 0; i < std::min(set.nets, 3); ++i) {
+      const RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
+      const auto [res, probe] =
+          sim::simulate_with_probe(net, cfg, slew_in, net.sinks[0], r_drv);
+      const auto wave = dense_waveforms(net, cfg, slew_in, r_drv, probe.time);
+      auto timing = [&](rcnet::NodeId v) {
+        const double t20 = crossing(probe.time, wave[v], 0.2 * cfg.vdd);
+        const double t50 = crossing(probe.time, wave[v], 0.5 * cfg.vdd);
+        const double t80 = crossing(probe.time, wave[v], 0.8 * cfg.vdd);
+        return std::array<double, 3>{t20, t50, t80};
+      };
+      const auto src = timing(net.source);
+      for (const sim::SinkTiming& st : res.sinks) {
+        const auto snk = timing(st.sink);
+        ASSERT_TRUE(st.settled) << set.name << " net " << i;
+        ASSERT_GE(snk[2], 0.0) << set.name << " net " << i;
+        const double delay = snk[1] - src[1];
+        const double slew = (snk[2] - snk[0]) / 0.6;
+        EXPECT_LE(std::abs(st.delay - delay), 1e-9 * std::abs(delay))
+            << set.name << " net " << i << " sink " << st.sink;
+        EXPECT_LE(std::abs(st.slew - slew), 1e-9 * slew)
+            << set.name << " net " << i << " sink " << st.sink;
+      }
+    }
+  }
 }
 
 TEST(WireAnalysis, DownstreamCapAtSourceEqualsTotalCap) {
