@@ -8,7 +8,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/telemetry/log.hpp"
+#include "core/telemetry/metrics.hpp"
 #include "core/telemetry/trace.hpp"
 #include "nn/guard.hpp"
 #include "nn/models.hpp"
@@ -17,10 +21,20 @@ namespace gnntrans::nn {
 
 namespace {
 
-// ---- 4-wide lanes (GCC/Clang vector extensions, SSE2 width) ----
+// ---- Vector lanes (GCC/Clang vector extensions) ----
+//
+// The dense products run 4 wide (SSE2). The attention kernel serves W heads
+// side by side, one 4-lane group per head: Vec<1> is SSE2, Vec<2> AVX2 and
+// Vec<4> AVX-512. Wide vectors never appear by value in the signature of a
+// function without a target attribute (that would change its ABI), so the
+// generic helpers below take them by reference and are always inlined.
 
-typedef float v4sf __attribute__((vector_size(16)));
-typedef std::int32_t v4si __attribute__((vector_size(16)));
+template <int W>
+struct Vec {
+  typedef float f __attribute__((vector_size(16 * W)));
+  typedef std::int32_t i __attribute__((vector_size(16 * W)));
+};
+using v4sf = Vec<1>::f;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
@@ -34,36 +48,91 @@ inline v4sf load4(const float* p) {
 }
 inline void store4(float* p, v4sf v) { std::memcpy(p, &v, sizeof(v)); }
 
-inline v4sf max4(v4sf a, v4sf b) { return a > b ? a : b; }
 inline v4sf relu4(v4sf v) { return v > 0.0f ? v : splat(0.0f); }
-inline float hmax(v4sf v) {
-  return std::max(std::max(v[0], v[1]), std::max(v[2], v[3]));
-}
-inline float hsum(v4sf v) { return (v[0] + v[1]) + (v[2] + v[3]); }
 
-/// e^x for x <= 0 (a score minus its row maximum), Cephes expf: round
-/// x / ln 2 to n, reduce with a two-part ln 2, a degree-6 polynomial on
-/// [-ln2/2, ln2/2], then scale by 2^n built in the exponent bits. Inputs
-/// below ln(FLT_MIN), the -inf row padding included, give exactly 0; NaN
-/// stays NaN so the finite guard still sees it.
-inline v4sf exp4(v4sf x) {
-  const v4sf lo = splat(-87.33654f);
-  const v4si tiny = x < lo;
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const float* p) {
+  std::memcpy(&v, p, sizeof(V));
+}
+template <class V>
+[[gnu::always_inline]] inline void store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+template <class V>
+[[gnu::always_inline]] inline void fill(V& v, float x) {
+  for (std::size_t l = 0; l < sizeof(V) / sizeof(float); ++l) v[l] = x;
+}
+
+/// Within every 4-lane group: kSwap1 swaps lanes 0<->1 and 2<->3, kSwap2
+/// swaps lanes 0,1 <-> 2,3, kFirst copies lane 0 to all four.
+enum class Perm { kSwap1, kSwap2, kFirst };
+
+template <Perm P, class V, std::int32_t... I>
+[[gnu::always_inline]] inline void permute(
+    V& out, const V& v, std::integer_sequence<std::int32_t, I...>) {
+  typedef std::int32_t VI __attribute__((vector_size(sizeof(V))));
+  out = __builtin_shuffle(v, VI{(P == Perm::kSwap1   ? I ^ 1
+                                 : P == Perm::kSwap2 ? I ^ 2
+                                                     : I & ~3)...});
+}
+template <Perm P, class V>
+[[gnu::always_inline]] inline void permute(V& out, const V& v) {
+  permute<P>(out, v, std::make_integer_sequence<std::int32_t,
+                                                sizeof(V) / sizeof(float)>{});
+}
+
+/// Lane 0 of every group := (v0 + v1) + (v2 + v3) of that group.
+template <class V>
+[[gnu::always_inline]] inline void group_sum(V& v) {
+  V t{};
+  permute<Perm::kSwap1>(t, v);
+  v = v + t;
+  permute<Perm::kSwap2>(t, v);
+  v = v + t;
+}
+
+/// Every lane of a group := max(max(v0, v1), max(v2, v3)) of that group,
+/// where max(a, b) is std::max's a < b ? b : a.
+template <class V>
+[[gnu::always_inline]] inline void group_max(V& v) {
+  V t{};
+  permute<Perm::kSwap1>(t, v);
+  v = v < t ? t : v;
+  permute<Perm::kSwap2>(t, v);
+  v = v < t ? t : v;
+  permute<Perm::kFirst>(t, v);
+  v = t;
+}
+
+/// x := e^x lane by lane, for x <= 0 (a score minus its row maximum),
+/// Cephes expf: round x / ln 2 to n, reduce with a two-part ln 2, a degree-6
+/// polynomial on [-ln2/2, ln2/2], then scale by 2^n built in the exponent
+/// bits. Inputs below ln(FLT_MIN), the -inf row padding included, give
+/// exactly 0; NaN stays NaN so the finite guard still sees it. Every lane
+/// runs the same float operations at every width, and plan.cpp is built
+/// with -ffp-contract=off so no width may fuse them into an FMA.
+template <class V>
+[[gnu::always_inline]] inline void exp_lanes(V& x) {
+  typedef std::int32_t VI __attribute__((vector_size(sizeof(V))));
+  V lo{}, magic{}, zero{};
+  fill(lo, -87.33654f);
+  fill(magic, 12582912.0f);  // 1.5 * 2^23: rounds to an integer
+  const VI tiny = x < lo;
   x = tiny ? lo : x;
-  const v4sf magic = splat(12582912.0f);  // 1.5 * 2^23: rounds to an integer
-  const v4sf t = x * 1.44269504088896341f + magic;
-  const v4sf n = t - magic;
-  v4sf r = x - n * 0.693359375f;
+  const V t = x * 1.44269504088896341f + magic;
+  const V n = t - magic;
+  V r = x - n * 0.693359375f;
   r = r - n * -2.12194440e-4f;
-  v4sf y = splat(1.9875691500e-4f);
+  V y{};
+  fill(y, 1.9875691500e-4f);
   y = y * r + 1.3981999507e-3f;
   y = y * r + 8.3334519073e-3f;
   y = y * r + 4.1665795894e-2f;
   y = y * r + 1.6666665459e-1f;
   y = y * r + 5.0000001201e-1f;
   y = y * (r * r) + r + 1.0f;
-  const v4si pow2n = ((v4si)t - (v4si)magic + 127) << 23;
-  return tiny ? splat(0.0f) : y * (v4sf)pow2n;
+  const VI pow2n = ((VI)t - (VI)magic + 127) << 23;
+  x = tiny ? zero : y * (V)pow2n;
 }
 
 // ---- Dense products ----
@@ -165,87 +234,213 @@ constexpr std::size_t round_up(std::size_t n, std::size_t to) {
   return (n + to - 1) / to * to;
 }
 
-/// One head of one attention layer, its keys and values already transposed.
-struct AttentionHead {
-  const float* q;  ///< row r's query at q[r * ldq], dk wide
+/// W heads of one attention layer side by side, keys and values transposed
+/// to [dk][nb][W][4]: dimension c, block b (nodes 4b..4b+3), head w, lane.
+struct HeadGroup {
+  const float* q;  ///< row r, head w's query at q[r * ldq + w * dk], dk wide
   std::size_t ldq;
-  const float* kt;  ///< [dk, round_up(n, 4)] keys, zero padded
-  const float* vt;  ///< [dk, round_up(n, 4)] values, zero padded
+  const float* kt;  ///< keys, zero padded past n
+  const float* vt;  ///< values, same layout
   std::size_t n;    ///< nodes
   std::size_t dk;
   float scale;  ///< 1 / sqrt(dk)
-  float* row;   ///< round_up(n, 4) floats of working space
-  float* out;   ///< row r's head output at out[r * ldo], dk wide
+  float* row;   ///< round_up(n, 4) * W floats of working space
+  float* out;   ///< row r, head w's output at out[r * ldo + w * dk]
   std::size_t ldo;
 };
 
-/// softmax(q k^T * scale) v for every query row of one head.
-void attend(const AttentionHead& a) {
-  // Locals, so stores through row cannot force reloads of the fields.
-  const std::size_t n = a.n, np = round_up(n, 4), dk = a.dk;
-  const float* kt = a.kt;
-  const float* vt = a.vt;
-  const float scale = a.scale;
-  float* row = a.row;
-  // Lanes of the last 4-block that hold real nodes; the rest is padding.
-  v4si tail_valid{};
-  for (int l = 0; l < 4; ++l)
-    tail_valid[l] = np - 4 + static_cast<std::size_t>(l) < n ? -1 : 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const float* q = a.q + r * a.ldq;
-    // Scores, one key dimension per pass in ascending order as
-    // tensor::matmul_nt sums them; the last pass scales, masks the padding
-    // to -inf and takes the row maximum.
-    v4sf mx = splat(kNegInf);
-    for (std::size_t c = 0; c < dk; ++c) {
-      const v4sf qc = splat(q[c]);
-      const float* kc = kt + c * np;
-      const bool first = c == 0, last = c + 1 == dk;
-      for (std::size_t j = 0; j < np; j += 4) {
-        v4sf s = qc * load4(kc + j);
-        if (!first) s = load4(row + j) + s;
-        if (last) {
-          s *= scale;
-          if (j + 4 > n) s = tail_valid ? s : splat(kNegInf);
-          mx = max4(mx, s);
-        }
-        store4(row + j, s);
-      }
+/// Scores of dimensions [c, c + C) for one query row: row[b] (plus the
+/// earlier dimensions unless kFirst) += q_c k_c in ascending c, as
+/// tensor::matmul_nt sums them. kLast also scales, masks the padding of
+/// the last block to -inf and takes the running maximum.
+template <int W, int C, bool kFirst, bool kLast>
+[[gnu::always_inline]] inline void score_pass(
+    const HeadGroup& g, const typename Vec<W>::f (&q)[C], std::size_t c,
+    const typename Vec<W>::i& tail_valid, typename Vec<W>::f& mx) {
+  using V = typename Vec<W>::f;
+  constexpr std::size_t L = 4 * W;
+  const std::size_t nb = (g.n + 3) / 4, ld = nb * L;
+  const float* kt = g.kt + c * ld;
+  float* row = g.row;
+  V neg_inf{};
+  fill(neg_inf, kNegInf);
+  for (std::size_t b = 0; b < nb; ++b) {
+    V k{}, s{};
+    load(k, kt + b * L);
+    s = q[0] * k;
+    if constexpr (!kFirst) {
+      V prev{};
+      load(prev, row + b * L);
+      s = prev + s;
     }
-    const v4sf row_max = splat(hmax(mx));
-    v4sf sum{};
-    for (std::size_t j = 0; j < np; j += 4) {
-      const v4sf e = exp4(load4(row + j) - row_max);
-      store4(row + j, e);
+#pragma GCC unroll 4
+    for (int i = 1; i < C; ++i) {
+      load(k, kt + i * ld + b * L);
+      s = s + q[i] * k;
+    }
+    if constexpr (kLast) {
+      s = s * g.scale;
+      if (b + 1 == nb) s = tail_valid ? s : neg_inf;
+      mx = mx > s ? mx : s;
+    }
+    store(row + b * L, s);
+  }
+}
+
+template <int W, int C>
+[[gnu::always_inline]] inline void scores(const HeadGroup& g, const float* q,
+                                          std::size_t c,
+                                          const typename Vec<W>::i& tail_valid,
+                                          typename Vec<W>::f& mx) {
+  // Query dimension c + i of head w, splatted over group w.
+  typename Vec<W>::f qc[C] = {};
+  for (int i = 0; i < C; ++i)
+    for (std::size_t l = 0; l < 4 * W; ++l) qc[i][l] = q[l / 4 * g.dk + c + i];
+  const bool first = c == 0, last = c + C == g.dk;
+  if (first && last)
+    score_pass<W, C, true, true>(g, qc, c, tail_valid, mx);
+  else if (first)
+    score_pass<W, C, true, false>(g, qc, c, tail_valid, mx);
+  else if (last)
+    score_pass<W, C, false, true>(g, qc, c, tail_valid, mx);
+  else
+    score_pass<W, C, false, false>(g, qc, c, tail_valid, mx);
+}
+
+/// acc[i] += e * v_{c+i} over every block, e the softmax numerator. kExp
+/// computes e = exp(score - row_max) from the scores and adds it to sum,
+/// and kKeep stores it back for the passes that follow; otherwise e is
+/// loaded.
+template <int W, int C, bool kExp, bool kKeep>
+[[gnu::always_inline]] inline void value_pass(
+    const HeadGroup& g, std::size_t c, const typename Vec<W>::f& row_max,
+    typename Vec<W>::f& sum, typename Vec<W>::f (&acc)[C]) {
+  using V = typename Vec<W>::f;
+  constexpr std::size_t L = 4 * W;
+  const std::size_t nb = (g.n + 3) / 4, ld = nb * L;
+  const float* vt = g.vt + c * ld;
+  float* row = g.row;
+  for (std::size_t b = 0; b < nb; ++b) {
+    V e{};
+    load(e, row + b * L);
+    if constexpr (kExp) {
+      e = e - row_max;
+      exp_lanes(e);
       sum += e;
+      if constexpr (kKeep) store(row + b * L, e);
     }
-    // Softmax normalisation folded into the head output: one reciprocal and
-    // dk multiplies instead of np divides. Values four dimensions per pass.
-    const float inv = 1.0f / hsum(sum);
-    float* out = a.out + r * a.ldo;
-    std::size_t c = 0;
-    for (; c + 4 <= dk; c += 4) {
-      const float* v0 = vt + c * np;
-      v4sf c0{}, c1{}, c2{}, c3{};
-      for (std::size_t j = 0; j < np; j += 4) {
-        const v4sf e = load4(row + j);
-        c0 += e * load4(v0 + j);
-        c1 += e * load4(v0 + np + j);
-        c2 += e * load4(v0 + 2 * np + j);
-        c3 += e * load4(v0 + 3 * np + j);
-      }
-      out[c] = hsum(c0) * inv;
-      out[c + 1] = hsum(c1) * inv;
-      out[c + 2] = hsum(c2) * inv;
-      out[c + 3] = hsum(c3) * inv;
-    }
-    for (; c < dk; ++c) {
-      v4sf acc{};
-      for (std::size_t j = 0; j < np; j += 4)
-        acc += load4(row + j) * load4(vt + c * np + j);
-      out[c] = hsum(acc) * inv;
+#pragma GCC unroll 4
+    for (int i = 0; i < C; ++i) {
+      V v{};
+      load(v, vt + i * ld + b * L);
+      acc[i] += e * v;
     }
   }
+}
+
+/// Head outputs of dimensions [c, c + C) for one query row. The pass for
+/// c = 0 also evaluates the exps, their sum and inv, one reciprocal per
+/// group that folds the softmax normalisation into the output.
+template <int W, int C>
+[[gnu::always_inline]] inline void values(const HeadGroup& g, std::size_t c,
+                                          const typename Vec<W>::f& row_max,
+                                          typename Vec<W>::f& sum,
+                                          typename Vec<W>::f& inv,
+                                          float* out) {
+  typename Vec<W>::f acc[C] = {};
+  if (c != 0) {
+    value_pass<W, C, false, false>(g, c, row_max, sum, acc);
+  } else {
+    if (C < g.dk)
+      value_pass<W, C, true, true>(g, c, row_max, sum, acc);
+    else
+      value_pass<W, C, true, false>(g, c, row_max, sum, acc);
+    group_sum(sum);
+    permute<Perm::kFirst>(inv, sum);
+    inv = 1.0f / inv;
+  }
+  for (int i = 0; i < C; ++i) {
+    group_sum(acc[i]);
+    acc[i] = acc[i] * inv;
+    for (std::size_t w = 0; w < W; ++w) out[w * g.dk + c + i] = acc[i][4 * w];
+  }
+}
+
+/// softmax(q k^T * scale) v for every query row of W heads at once. Every
+/// lane does the arithmetic a 4-wide kernel serving one head would, so every
+/// W gives the same bits: per lane, the scores sum in ascending dimension
+/// order and the exp sum and A.V products in ascending block order; per
+/// group, the max and the sums reduce as (v0 . v1) . (v2 . v3). Dimensions
+/// go four per pass, then one at a time.
+template <int W>
+[[gnu::always_inline]] inline void attend_group(const HeadGroup& g) {
+  using V = typename Vec<W>::f;
+  const std::size_t n = g.n, nb = (n + 3) / 4, dk = g.dk;
+  // Lanes of the last block that hold real nodes; the rest is padding.
+  typename Vec<W>::i tail_valid{};
+  for (std::size_t l = 0; l < 4 * W; ++l)
+    tail_valid[l] = (nb - 1) * 4 + l % 4 < n ? -1 : 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const float* q = g.q + r * g.ldq;
+    V mx{};
+    fill(mx, kNegInf);
+    std::size_t c = 0;
+    for (; c + 4 <= dk; c += 4) scores<W, 4>(g, q, c, tail_valid, mx);
+    for (; c < dk; ++c) scores<W, 1>(g, q, c, tail_valid, mx);
+    group_max(mx);
+    V sum{}, inv{};
+    float* out = g.out + r * g.ldo;
+    for (c = 0; c + 4 <= dk; c += 4) values<W, 4>(g, c, mx, sum, inv, out);
+    for (; c < dk; ++c) values<W, 1>(g, c, mx, sum, inv, out);
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline void exp_blocks(float* x, std::size_t count) {
+  for (std::size_t i = 0; i < count; i += 4 * W) {
+    typename Vec<W>::f v{};
+    load(v, x + i);
+    exp_lanes(v);
+    store(x + i, v);
+  }
+}
+
+// One instantiation per width; compile() picks the widest the CPU runs.
+void attend_sse2(const HeadGroup& g) { attend_group<1>(g); }
+void exp_sse2(float* x, std::size_t count) { exp_blocks<1>(x, count); }
+__attribute__((target("avx2"))) void attend_avx2(const HeadGroup& g) {
+  attend_group<2>(g);
+}
+__attribute__((target("avx2"))) void exp_avx2(float* x, std::size_t count) {
+  exp_blocks<2>(x, count);
+}
+__attribute__((target("avx512f"))) void attend_avx512(const HeadGroup& g) {
+  attend_group<4>(g);
+}
+__attribute__((target("avx512f"))) void exp_avx512(float* x,
+                                                   std::size_t count) {
+  exp_blocks<4>(x, count);
+}
+
+/// The attention kernel and its exp at one width; kKernels[lanes / 8].
+struct Kernel {
+  const char* isa;
+  void (*attend)(const HeadGroup&);
+  void (*exp)(float*, std::size_t);
+};
+constexpr Kernel kKernels[] = {{"SSE2", attend_sse2, exp_sse2},
+                               {"AVX2", attend_avx2, exp_avx2},
+                               {"AVX-512F", attend_avx512, exp_avx512}};
+
+/// The kernel \p lanes wide; throws unless it is 4, 8 or 16 and the CPU
+/// runs it.
+const Kernel& kernel(std::size_t lanes) {
+  if (lanes > GnnTransPlan::widest_lanes() ||
+      (lanes != 4 && lanes != 8 && lanes != 16))
+    throw std::invalid_argument("GnnTransPlan: this CPU has no " +
+                                std::to_string(lanes) +
+                                "-lane attention kernel");
+  return kKernels[lanes / 8];
 }
 
 void require(bool ok, const char* what) {
@@ -312,7 +507,34 @@ class WeightReader {
 
 }  // namespace
 
+std::size_t GnnTransPlan::widest_lanes() {
+  static const std::size_t lanes = [] {
+    __builtin_cpu_init();
+    const std::size_t widest = __builtin_cpu_supports("avx512f") ? 16
+                               : __builtin_cpu_supports("avx2")  ? 8
+                                                                 : 4;
+    GNNTRANS_LOG_INFO("nn", "attention kernel: %s, %zu float lanes",
+                      kKernels[widest / 8].isa, widest);
+    return widest;
+  }();
+  return lanes;
+}
+
+void GnnTransPlan::exp_for_testing(std::size_t lanes, std::span<float> x) {
+  const Kernel& k = kernel(lanes);
+  std::vector<float> padded(round_up(x.size(), lanes), 0.0f);
+  std::copy(x.begin(), x.end(), padded.begin());
+  k.exp(padded.data(), padded.size());
+  std::copy_n(padded.begin(), x.size(), x.begin());
+}
+
 std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model) {
+  return compile(model, widest_lanes());
+}
+
+std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model,
+                                                    std::size_t lanes) {
+  (void)kernel(lanes);
   if (model.kind() != ModelKind::kGnnTrans) return nullptr;
   const ModelConfig& c = model.config();
   const std::size_t d = c.hidden_dim;
@@ -360,6 +582,12 @@ std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model) {
   plan->inv_sqrt_dk_ = 1.0f / std::sqrt(static_cast<float>(dk));
   plan->use_edge_weights_ = c.use_edge_weights;
   plan->cascade_ = c.cascade_delay_head;
+  plan->lanes_ = lanes;
+  static const telemetry::Gauge lanes_gauge =
+      telemetry::MetricsRegistry::global().gauge(
+          "gnntrans_nn_attention_lanes",
+          "Float lanes of the attention kernel of the last compiled plan");
+  lanes_gauge.set(static_cast<double>(lanes));
   return plan;
 }
 
@@ -381,7 +609,8 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
   guard_finite(sample.x, "input");
 
   // Slab layout: every buffer starts on a 16-float boundary. Sizes depend
-  // only on (n, p), so a warm workspace never grows for a net it has seen.
+  // only on (n, p) and the plan, so a warm workspace never grows for a net
+  // it has seen.
   const std::size_t d = hidden_, dk = head_dim_, ld3 = 3 * d;
   const std::size_t np = round_up(n, 4);  // score rows, padded with -inf
   const std::size_t repr = d + path_dim_;
@@ -393,12 +622,21 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
     total += round_up(floats, 16);
     return at;
   };
+  // The attention kernel serves heads in groups of up to group_max.
+  const auto group_width = [this](std::size_t heads_left) {
+    std::size_t w = lanes_ / 4;
+    while (w > heads_left) w /= 2;
+    return w;
+  };
+  const std::size_t group_max = group_width(heads_);
   const std::size_t at_act0 = carve(n * d), at_act1 = carve(n * d),
                     at_agg = carve(n * std::max(node_dim_, d)),
-                    at_qkv = carve(n * ld3), at_kt = carve(dk * np),
-                    at_vt = carve(dk * np), at_row = carve(np),
-                    at_cat = carve(n * d), at_repr = carve(p * repr_ld),
-                    at_hid0 = carve(p * mlp), at_hid1 = carve(p * mlp);
+                    at_qkv = carve(n * ld3),
+                    at_kt = carve(dk * np * group_max),
+                    at_vt = carve(dk * np * group_max),
+                    at_row = carve(np * group_max), at_cat = carve(n * d),
+                    at_repr = carve(p * repr_ld), at_hid0 = carve(p * mlp),
+                    at_hid1 = carve(p * mlp);
   float* slab = workspace.acquire(total);
   float* act[2] = {slab + at_act0, slab + at_act1};
   float* aggx = slab + at_agg;
@@ -430,20 +668,21 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
     float* cat = slab + at_cat;
     for (std::size_t l = 0; l < qkv_.size(); ++l) {
       dense<Store::kSet>(x, d, n, qkv_[l], qkv, ld3);
-      for (std::size_t h = 0; h < heads_; ++h) {
-        // K and V of this head, transposed to [dk, np] with zero padding.
-        for (std::size_t c = 0; c < dk; ++c) {
-          float* kc = kt + c * np;
-          float* vc = vt + c * np;
-          for (std::size_t j = 0; j < n; ++j) {
-            kc[j] = qkv[j * ld3 + d + h * dk + c];
-            vc[j] = qkv[j * ld3 + 2 * d + h * dk + c];
-          }
-          std::fill(kc + n, kc + np, 0.0f);
-          std::fill(vc + n, vc + np, 0.0f);
-        }
-        attend({qkv + h * dk, ld3, kt, vt, n, dk, inv_sqrt_dk_, row,
-                cat + h * dk, d});
+      for (std::size_t h = 0; h < heads_;) {
+        // K and V of heads h..h+w-1, transposed to [dk][np / 4][w][4] with
+        // zero padding.
+        const std::size_t w = group_width(heads_ - h), ld = np * w;
+        for (std::size_t c = 0; c < dk; ++c)
+          for (std::size_t j = 0; j < np; ++j)
+            for (std::size_t u = 0; u < w; ++u) {
+              const std::size_t at = c * ld + (j / 4 * w + u) * 4 + j % 4;
+              const std::size_t col = (h + u) * dk + c;
+              kt[at] = j < n ? qkv[j * ld3 + d + col] : 0.0f;
+              vt[at] = j < n ? qkv[j * ld3 + 2 * d + col] : 0.0f;
+            }
+        kKernels[w / 2].attend({qkv + h * dk, ld3, kt, vt, n, dk,
+                                inv_sqrt_dk_, row, cat + h * dk, d});
+        h += w;
       }
       dense<Store::kAdd>(cat, d, n, w3_[l], x, d);  // residual
     }

@@ -9,17 +9,26 @@
 ///   - Sage layers (Eq. 1) and the MLP heads (Eq. 5-6) are register-blocked
 ///     dense products with the bias, residual or ReLU fused into the store;
 ///   - each attention layer (Eq. 2-3) computes every head's Q, K and V in one
-///     product against a fused [d, 3d] weight, transposes K and V per head so
-///     the score and value loops run over contiguous memory, and evaluates
-///     the row softmax four lanes at a time: 4-wide max, a range-reduced
-///     polynomial exp, 4-wide sum, and one reciprocal multiply folded into
-///     the head output. Rows are padded to a multiple of 4 with -inf.
+///     product against a fused [d, 3d] weight. One kernel then serves W heads
+///     side by side, one 4-lane group per head, with K and V transposed to
+///     [dk][n/4][W][4]. Per query row, a score pass (ascending dimensions,
+///     scale, -inf row padding, running max) is followed by one fused pass
+///     that evaluates exp(score - max) with a range-reduced polynomial, adds
+///     it to the row sum and accumulates e * V; the max and the sum reduce
+///     per group, and one reciprocal per group is folded into the head output.
+///
+/// Width: compile() picks W once per process from the CPU, 4 heads with
+/// AVX-512F (16 lanes), 2 with AVX2, else 1 (SSE2); heads that do not fill a
+/// group go to narrower ones. Every lane does the arithmetic of the 4-wide
+/// kernel and plan.cpp is built with -ffp-contract=off, so no width fuses a
+/// multiply-add and every width gives the same bits: a host changes how fast
+/// a model is served, never what it outputs.
 ///
 /// Numerics: the dense products sum in the same order as tensor::matmul, so
 /// they are bitwise equal to autograd; the softmax differs from the libm
 /// reference by a few float ulps. Summation grouping depends only on the
-/// net's node count, never on slab alignment or history, so results are
-/// identical for every thread count and workspace.
+/// net's node count, never on slab alignment, history or vector width, so
+/// results are identical for every thread count, workspace and machine.
 ///
 /// The plan covers GNNTrans with global attention and at least one Sage
 /// layer. Neighbour-masked attention and the four zoo kinds stay on the
@@ -28,6 +37,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/graph_sample.hpp"
@@ -54,6 +64,23 @@ class GnnTransPlan {
   [[nodiscard]] static std::unique_ptr<GnnTransPlan> compile(
       const WireModel& model);
 
+  /// For tests: compile() with the attention kernel \p lanes wide (4, 8 or
+  /// 16) instead of the widest this CPU runs. Throws std::invalid_argument
+  /// for any other width or one above widest_lanes().
+  [[nodiscard]] static std::unique_ptr<GnnTransPlan> compile(
+      const WireModel& model, std::size_t lanes);
+
+  /// Float lanes of the widest attention kernel this CPU runs: 16 with
+  /// AVX-512F, 8 with AVX2, else 4 (SSE2). Detected once per process.
+  [[nodiscard]] static std::size_t widest_lanes();
+
+  /// For tests: x := e^x in place, by the attention kernel's vector exp
+  /// \p lanes wide. Throws as compile(model, lanes) does.
+  static void exp_for_testing(std::size_t lanes, std::span<float> x);
+
+  /// Float lanes of this plan's attention kernel.
+  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
+
   /// Standardized per-path slew and delay of \p sample ([P,1] each), with the
   /// model's trace spans and finite guards. Throws std::invalid_argument on
   /// a sample whose shapes do not match the model.
@@ -71,6 +98,7 @@ class GnnTransPlan {
   float inv_sqrt_dk_ = 1.0f;
   bool use_edge_weights_ = true;
   bool cascade_ = true;
+  std::size_t lanes_ = 4;  ///< attention kernel width in floats, 4 per head
 
   std::vector<Dense> sage_self_;   ///< W1 per Sage layer
   std::vector<Dense> sage_neigh_;  ///< W2 per Sage layer

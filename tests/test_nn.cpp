@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -9,6 +12,7 @@
 
 #include "cell/library.hpp"
 #include "features/dataset.hpp"
+#include "nn/guard.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/plan.hpp"
@@ -397,6 +401,134 @@ TEST(GnnTransPlan, SlabHistoryDoesNotChangeBits) {
   EXPECT_EQ(used.stats().grown, 1u);
   EXPECT_EQ(used.stats().reused, small.size());
   EXPECT_EQ(used.stats().peak_bytes, grown);
+}
+
+/// Widths the attention kernel can be forced to on this CPU; 4 is SSE2.
+std::vector<std::size_t> runnable_lanes() {
+  std::vector<std::size_t> lanes;
+  for (const std::size_t l : {4u, 8u, 16u})
+    if (l <= GnnTransPlan::widest_lanes()) lanes.push_back(l);
+  return lanes;
+}
+
+/// \p s with node \p node's features all set to \p value.
+GraphSample with_node_features(const GraphSample& s, std::size_t node,
+                               float value) {
+  GraphSample out = s;
+  std::vector<float> x(s.x.values().begin(), s.x.values().end());
+  std::fill_n(x.begin() + node * s.x.cols(), s.x.cols(), value);
+  out.x = tensor::Tensor::from_data(std::move(x), s.x.rows(), s.x.cols());
+  return out;
+}
+
+TEST(GnnTransPlan, EveryWidthMatchesSse2Bitwise) {
+  const std::vector<GraphSample> samples = differential_population();
+  const std::vector<std::size_t> lanes = runnable_lanes();
+  // (hidden, heads): dk = 4 at four, two and three heads (three fill a
+  // two-head and a one-head group), dk = 8, dk = 1 at eight heads (two
+  // or more groups) and dk = 16 at one head.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {16, 4}, {8, 2}, {12, 3}, {16, 2}, {8, 8}, {16, 1}};
+  for (const auto& [hidden, heads] : shapes) {
+    ModelConfig config = served_config();
+    config.hidden_dim = hidden;
+    config.heads = heads;
+    const auto model = make_model(ModelKind::kGnnTrans, config);
+    const auto sse2 = GnnTransPlan::compile(*model, 4);
+    ASSERT_NE(sse2, nullptr);
+    EXPECT_EQ(sse2->lanes(), 4u);
+    Workspace ws;
+    std::vector<WirePrediction> reference;
+    for (const GraphSample& s : samples)
+      reference.push_back(sse2->run(s, ws));
+    for (const std::size_t l : lanes) {
+      const auto plan = GnnTransPlan::compile(*model, l);
+      ASSERT_EQ(plan->lanes(), l);
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const WirePrediction got = plan->run(samples[i], ws);
+        for (std::size_t q = 0; q < samples[i].path_count; ++q) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got.slew(q, 0)),
+                    std::bit_cast<std::uint32_t>(reference[i].slew(q, 0)))
+              << l << " lanes, " << hidden << "/" << heads << ", net "
+              << samples[i].net_name << " path " << q;
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got.delay(q, 0)),
+                    std::bit_cast<std::uint32_t>(reference[i].delay(q, 0)))
+              << l << " lanes, " << hidden << "/" << heads << ", net "
+              << samples[i].net_name << " path " << q;
+        }
+      }
+    }
+  }
+
+  // Non-finite values at every width. A NaN feature is refused at the input
+  // guard, before any kernel runs. Huge finite features pass the Sage layers
+  // but overflow the scores; the softmax turns inf - inf into NaN inside the
+  // attention kernel, and the "attention" guard must see it.
+  const auto model = make_model(ModelKind::kGnnTrans, served_config());
+  const GraphSample& large = samples.back();
+  ASSERT_GE(large.node_count, 160u);
+  const GraphSample nan_input =
+      with_node_features(large, 7, std::numeric_limits<float>::quiet_NaN());
+  const GraphSample overflow = with_node_features(large, 7, 1e20f);
+  for (const std::size_t l : lanes) {
+    const auto plan = GnnTransPlan::compile(*model, l);
+    Workspace ws;
+    for (const auto& [sample, stage] : {std::pair{&nan_input, "input"},
+                                        std::pair{&overflow, "attention"}}) {
+      try {
+        (void)plan->run(*sample, ws);
+        ADD_FAILURE() << l << " lanes: expected a non-finite " << stage;
+      } catch (const NonFiniteActivationError& e) {
+        EXPECT_EQ(e.stage(), stage) << l << " lanes";
+      }
+    }
+  }
+  if (lanes.back() < 16)
+    GTEST_SKIP() << "this CPU runs only " << lanes.back()
+                 << "-lane attention; wider widths untested";
+}
+
+/// The Cephes expf sequence of the attention kernel, one float at a time.
+float cephes_exp(float x) {
+  const bool tiny = x < -87.33654f;
+  if (tiny) x = -87.33654f;
+  const float magic = 12582912.0f;
+  const float t = x * 1.44269504088896341f + magic;
+  const float n = t - magic;
+  float r = x - n * 0.693359375f;
+  r = r - n * -2.12194440e-4f;
+  float y = 1.9875691500e-4f;
+  y = y * r + 1.3981999507e-3f;
+  y = y * r + 8.3334519073e-3f;
+  y = y * r + 4.1665795894e-2f;
+  y = y * r + 1.6666665459e-1f;
+  y = y * r + 5.0000001201e-1f;
+  y = y * (r * r) + r + 1.0f;
+  const std::uint32_t pow2n = (std::bit_cast<std::uint32_t>(t) -
+                               std::bit_cast<std::uint32_t>(magic) + 127u)
+                              << 23;
+  return tiny ? 0.0f : y * std::bit_cast<float>(pow2n);
+}
+
+TEST(GnnTransPlan, VectorExpMatchesScalarCephesBitwise) {
+  std::vector<float> x = {-std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -87.33654f, -87.4f, -1e-30f, 0.0f};
+  constexpr std::size_t kSpread = 100000;  // over [-88, 0]
+  for (std::size_t i = 0; i < kSpread; ++i)
+    x.push_back(-88.0f + 88.0f * static_cast<float>(i) / (kSpread - 1));
+  const std::vector<std::size_t> lanes = runnable_lanes();
+  for (const std::size_t l : lanes) {
+    std::vector<float> got = x;
+    GnnTransPlan::exp_for_testing(l, got);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(cephes_exp(x[i])))
+          << l << " lanes, x = " << x[i];
+  }
+  EXPECT_THROW(GnnTransPlan::exp_for_testing(12, x), std::invalid_argument);
+  if (lanes.back() < 16)
+    GTEST_SKIP() << "this CPU runs only " << lanes.back() << "-lane exp";
 }
 
 TEST(GnnTransPlan, CompileReturnsNullWhereAutogradServes) {

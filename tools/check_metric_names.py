@@ -44,8 +44,8 @@ SANITARY = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 # Known second-level namespaces (gnntrans_<ns>_...). Introducing a new one is
 # fine — add it here deliberately, so near-miss spellings don't slip through.
 NAMESPACES = (
-    "cache", "client", "eco", "golden", "liberty", "net", "obs", "quality",
-    "serving", "spef", "sta", "trace", "train", "verilog",
+    "cache", "client", "eco", "golden", "liberty", "net", "nn", "obs",
+    "quality", "serving", "spef", "sta", "trace", "train", "verilog",
 )
 
 # Registrations that are deliberately hostile or synthetic (tests exercising
