@@ -6,35 +6,6 @@
 
 namespace gnntrans::baseline {
 
-namespace {
-
-/// Union-find over node ids.
-class DisjointSet {
- public:
-  explicit DisjointSet(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t v) {
-    while (parent_[v] != v) {
-      parent_[v] = parent_[parent_[v]];
-      v = parent_[v];
-    }
-    return v;
-  }
-  bool unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
-
 rcnet::RcNet break_loops(const rcnet::RcNet& net) {
   if (net.is_tree()) return net;
 
@@ -47,7 +18,7 @@ rcnet::RcNet break_loops(const rcnet::RcNet& net) {
 
   rcnet::RcNet out = net;
   out.resistors.clear();
-  DisjointSet ds(net.node_count());
+  rcnet::DisjointSet ds(net.node_count());
   for (std::size_t idx : order)
     if (ds.unite(net.resistors[idx].a, net.resistors[idx].b))
       out.resistors.push_back(net.resistors[idx]);

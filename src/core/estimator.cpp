@@ -286,19 +286,16 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   tensor::NoGradGuard no_grad;
   FaultInjector& inject = FaultInjector::global();
 
-  // Build an unlabeled record: features only, labels zero. Any exception in
-  // path enumeration / feature extraction is a per-net failure, not a batch
-  // abort.
-  features::WireRecord rec;
-  rec.net = net;
-  rec.context = context;
+  // Any exception in path enumeration / feature extraction is a per-net
+  // failure, not a batch abort.
+  features::RawFeatures raw;
   {
     const auto t0 = Clock::now();
     const telemetry::TraceSpan span("featurize", "serving");
     try {
       if (inject.armed() && inject.should_fail(FaultSite::kFeaturize, net.name))
         throw std::runtime_error("injected featurization fault");
-      rec.raw = features::extract_features(net, context);
+      raw = features::extract_features(net, context);
     } catch (const std::invalid_argument& e) {
       // Caller contract violation, not a path-extraction fault. (The
       // loads/sinks misalignment case is pre-gated by estimate_batch with a
@@ -313,22 +310,17 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
     }
     if (stages) stages->featurize += seconds_since(t0);
   }
-  if (rec.raw.analysis.paths.size() != net.sinks.size())
+  if (raw.analysis.paths.size() != net.sinks.size())
     return Status(ErrorCode::kPathExtractionFailed,
                   net.name + ": enumerated " +
-                      std::to_string(rec.raw.analysis.paths.size()) +
+                      std::to_string(raw.analysis.paths.size()) +
                       " paths for " + std::to_string(net.sinks.size()) +
                       " sinks");
-  rec.non_tree = !net.is_tree();
-  rec.slew_labels.assign(rec.raw.analysis.paths.size(), 0.0);
-  rec.delay_labels.assign(rec.raw.analysis.paths.size(), 0.0);
 
   const auto t0 = Clock::now();
   nn::WirePrediction pred;
-  std::size_t path_count = 0;
   try {
-    const nn::GraphSample sample = standardizer_.make_sample(rec);
-    path_count = sample.path_count;
+    const nn::GraphSample sample = standardizer_.make_sample(net, raw);
     const telemetry::TraceSpan forward_span("forward", "serving");
     if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
       throw std::runtime_error("injected forward fault");
@@ -345,10 +337,10 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   if (stages) stages->forward += seconds_since(t0);
 
   std::vector<PathEstimate> out;
-  out.reserve(path_count);
-  for (std::size_t q = 0; q < path_count; ++q) {
+  out.reserve(raw.analysis.paths.size());
+  for (std::size_t q = 0; q < raw.analysis.paths.size(); ++q) {
     PathEstimate pe;
-    pe.sink = rec.raw.analysis.paths[q].sink;
+    pe.sink = raw.analysis.paths[q].sink;
     pe.slew = standardizer_.unstandardize_slew(pred.slew(q, 0));
     pe.delay = standardizer_.unstandardize_delay(pred.delay(q, 0));
     out.push_back(pe);

@@ -103,17 +103,18 @@ double Standardizer::unstandardize_delay(double z) const noexcept {
 
 namespace {
 
-/// Builds all aggregation operators of a net for the model zoo.
+/// Builds all aggregation operators of a net for the model zoo from its
+/// analysis' adjacency and paths.
 void build_graph_operators(const rcnet::RcNet& net,
                            const sim::WireAnalysis& analysis,
                            nn::GraphSample& sample) {
   const std::size_t n = net.node_count();
-  const rcnet::Adjacency adj = rcnet::build_adjacency(net);
+  const rcnet::Adjacency& adj = analysis.adjacency;
 
   // Eq. (1): resistance-valued adjacency, row-normalized for stability.
-  sample.weighted_adj = tensor::GraphMatrix(n, n);
+  sample.weighted_adj = tensor::GraphMatrix(n, n, adj.neighbors.size());
   // GraphSage-classic: mean over neighbors.
-  sample.mean_adj = tensor::GraphMatrix(n, n);
+  sample.mean_adj = tensor::GraphMatrix(n, n, adj.neighbors.size());
   for (NodeId v = 0; v < n; ++v) {
     const float inv_deg =
         adj[v].empty() ? 0.0f : 1.0f / static_cast<float>(adj[v].size());
@@ -126,7 +127,7 @@ void build_graph_operators(const rcnet::RcNet& net,
   sample.weighted_adj.row_normalize();
 
   // GCNII: D^{-1/2} (A + I) D^{-1/2} over the binary graph with self loops.
-  sample.gcnii_adj = tensor::GraphMatrix(n, n);
+  sample.gcnii_adj = tensor::GraphMatrix(n, n, adj.neighbors.size() + n);
   std::vector<float> inv_sqrt_deg(n);
   for (NodeId v = 0; v < n; ++v)
     inv_sqrt_deg[v] = 1.0f / std::sqrt(static_cast<float>(adj[v].size() + 1));
@@ -155,22 +156,24 @@ void build_graph_operators(const rcnet::RcNet& net,
 
 }  // namespace
 
-nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
+nn::GraphSample Standardizer::make_sample(const rcnet::RcNet& net,
+                                          const RawFeatures& raw) const {
   if (!fitted()) throw std::logic_error("Standardizer: fit() before make_sample()");
 
   nn::GraphSample sample;
-  sample.net_name = record.net.name;
-  sample.non_tree = record.non_tree;
-  sample.node_count = record.net.node_count();
-  sample.path_count = record.raw.analysis.paths.size();
+  sample.net_name = net.name;
+  // raw came from a valid, hence connected, net: a tree iff it has n - 1 edges.
+  sample.non_tree = net.resistors.size() + 1 != net.node_count();
+  sample.node_count = net.node_count();
+  sample.path_count = raw.analysis.paths.size();
 
   // Standardize features.
-  std::vector<float> x = record.raw.x;
+  std::vector<float> x = raw.x;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::size_t c = i % kNodeFeatureCount;
     x[i] = static_cast<float>((x[i] - x_mean_[c]) / x_std_[c]);
   }
-  std::vector<float> h = record.raw.h;
+  std::vector<float> h = raw.h;
   for (std::size_t i = 0; i < h.size(); ++i) {
     const std::size_t c = i % kPathFeatureCount;
     h[i] = static_cast<float>((h[i] - h_mean_[c]) / h_std_[c]);
@@ -180,9 +183,12 @@ nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
   sample.h =
       tensor::Tensor::from_data(std::move(h), sample.path_count, kPathFeatureCount);
 
-  build_graph_operators(record.net, record.raw.analysis, sample);
+  build_graph_operators(net, raw.analysis, sample);
+  return sample;
+}
 
-  // Labels.
+nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
+  nn::GraphSample sample = make_sample(record.net, record.raw);
   std::vector<float> slew_z(sample.path_count), delay_z(sample.path_count);
   for (std::size_t q = 0; q < sample.path_count; ++q) {
     slew_z[q] = static_cast<float>(standardize_slew(record.slew_labels[q]));

@@ -44,7 +44,11 @@ class Standardizer {
   /// (zero variance) get std 1 so they pass through unchanged.
   void fit(const std::vector<WireRecord>& records);
 
-  /// Builds the standardized GraphSample of one record (fit() must have run).
+  /// Builds the standardized, unlabelled GraphSample of \p net from \p raw,
+  /// its extract_features() (fit() must have run). Serving's form.
+  [[nodiscard]] nn::GraphSample make_sample(const rcnet::RcNet& net,
+                                            const RawFeatures& raw) const;
+  /// The same plus the record's standardized labels.
   [[nodiscard]] nn::GraphSample make_sample(const WireRecord& record) const;
 
   /// Label space conversions (seconds <-> standardized units).

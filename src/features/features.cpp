@@ -91,13 +91,12 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
   constexpr double kS = 1e12;   // seconds -> ps
   constexpr double kR = 1e-3;   // ohms -> kOhm
 
-  const rcnet::Adjacency adj = rcnet::build_adjacency(net);
   rf.x.assign(n * kNodeFeatureCount, 0.0f);
   for (NodeId v = 0; v < n; ++v) {
     float* row = rf.x.data() + v * kNodeFeatureCount;
     double in_cap = 0.0, out_cap = 0.0, in_res = 0.0, out_res = 0.0;
     std::uint32_t in_nodes = 0, out_nodes = 0;
-    for (const rcnet::Neighbor& nb : adj[v]) {
+    for (const rcnet::Neighbor& nb : wa.adjacency[v]) {
       const double r = net.resistors[nb.resistor_index].ohms;
       // Orientation: neighbors nearer the source are inputs (stage view).
       const bool is_input = wa.sp_tree.distance[nb.node] < wa.sp_tree.distance[v];
@@ -116,7 +115,7 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
     row[kNumOutputNodes] = static_cast<float>(out_nodes);
     row[kTotInputCap] = static_cast<float>(in_cap * kF);
     row[kTotOutputCap] = static_cast<float>(out_cap * kF);
-    row[kNumConnectedRes] = static_cast<float>(adj[v].size());
+    row[kNumConnectedRes] = static_cast<float>(wa.adjacency[v].size());
     row[kTotInputRes] = static_cast<float>(in_res * kR);
     row[kTotOutputRes] = static_cast<float>(out_res * kR);
     row[kDownstreamCap] = static_cast<float>(wa.downstream_cap[v] * kF);

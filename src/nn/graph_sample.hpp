@@ -4,7 +4,8 @@
 /// A sample bundles the node feature matrix X, path feature matrix H, the
 /// weighted adjacency in the aggregation forms each model family consumes,
 /// the per-path pooling operator, and standardized labels. Built by
-/// features::build_sample(); consumed by every model in models.hpp.
+/// features::Standardizer::make_sample(); consumed by every model in
+/// models.hpp.
 #pragma once
 
 #include <cstdint>

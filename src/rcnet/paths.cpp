@@ -12,8 +12,7 @@ double WirePath::path_resistance(const RcNet& net) const {
   return acc;
 }
 
-ShortestPathTree shortest_path_tree(const RcNet& net) {
-  const Adjacency adj = build_adjacency(net);
+ShortestPathTree shortest_path_tree(const RcNet& net, const Adjacency& adj) {
   const std::size_t n = net.node_count();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 

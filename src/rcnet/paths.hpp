@@ -42,8 +42,10 @@ struct ShortestPathTree {
   std::vector<NodeId> order;
 };
 
-/// Computes the shortest-path tree of \p net (Dijkstra, resistance weights).
-[[nodiscard]] ShortestPathTree shortest_path_tree(const RcNet& net);
+/// Computes the shortest-path tree of \p net (Dijkstra, resistance weights)
+/// over \p adj, the net's build_adjacency(). Ties settle in adjacency order.
+[[nodiscard]] ShortestPathTree shortest_path_tree(const RcNet& net,
+                                                  const Adjacency& adj);
 
 /// Enumerates the timing path for every sink of \p net (one WirePath per sink,
 /// in sink order) by walking \p tree, the net's shortest_path_tree(), from

@@ -34,6 +34,14 @@ inline std::uint64_t finalize(std::uint64_t h) noexcept {
   return h;
 }
 
+/// The resistor graph's components; out-of-range resistors join nothing.
+DisjointSet components(const RcNet& net) {
+  DisjointSet sets(net.node_count());
+  for (const Resistor& r : net.resistors)
+    if (r.a < net.node_count() && r.b < net.node_count()) sets.unite(r.a, r.b);
+  return sets;
+}
+
 }  // namespace
 
 bool RcNet::is_tree() const {
@@ -135,26 +143,17 @@ std::vector<std::string> RcNet::validate(std::uint64_t* content_hash) const {
 
     // Per-node reachability from the source: name dangling nodes and each
     // unreachable sink individually rather than one generic message.
-    const Adjacency adj = build_adjacency(*this);
-    std::vector<bool> seen(n, false);
-    std::vector<NodeId> stack{source};
-    seen[source] = true;
-    while (!stack.empty()) {
-      const NodeId v = stack.back();
-      stack.pop_back();
-      for (const Neighbor& nb : adj[v])
-        if (!seen[nb.node]) {
-          seen[nb.node] = true;
-          stack.push_back(nb.node);
-        }
-    }
+    DisjointSet sets = components(*this);
+    const NodeId source_root = sets.find(source);
     for (NodeId s : sinks)
-      if (!seen[s])
+      if (sets.find(s) != source_root)
         errors.push_back("sink " + std::to_string(s) +
                          " unreachable from source");
-    for (std::size_t v = 0; v < n; ++v) {
-      if (seen[v]) continue;
-      if (adj[v].empty())
+    std::vector<bool> attached(n, false);
+    for (const auto& [a, b] : edge_keys) attached[a] = attached[b] = true;
+    for (NodeId v = 0; v < n; ++v) {
+      if (sets.find(v) == source_root) continue;
+      if (!attached[v])
         errors.push_back("node " + std::to_string(v) +
                          " is dangling (no resistor attached)");
       else if (!sink_seen[v])
@@ -166,35 +165,31 @@ std::vector<std::string> RcNet::validate(std::uint64_t* content_hash) const {
 }
 
 Adjacency build_adjacency(const RcNet& net) {
-  Adjacency adj(net.node_count());
-  for (std::size_t i = 0; i < net.resistors.size(); ++i) {
-    const Resistor& r = net.resistors[i];
-    adj[r.a].push_back({r.b, static_cast<std::uint32_t>(i)});
-    adj[r.b].push_back({r.a, static_cast<std::uint32_t>(i)});
+  // Counting sort: degree of v lands in offsets[v + 2], so after the prefix
+  // sum offsets[v + 1] is v's first slot and serves as its fill cursor; once
+  // filled it has advanced to v's end, i.e. the start of v + 1.
+  Adjacency adj;
+  adj.offsets.assign(net.node_count() + 2, 0);
+  for (const Resistor& r : net.resistors) {
+    ++adj.offsets[r.a + 2];
+    ++adj.offsets[r.b + 2];
   }
+  std::partial_sum(adj.offsets.begin(), adj.offsets.end(), adj.offsets.begin());
+  adj.neighbors.resize(2 * net.resistors.size());
+  for (std::uint32_t i = 0; i < net.resistors.size(); ++i) {
+    const Resistor& r = net.resistors[i];
+    adj.neighbors[adj.offsets[r.a + 1]++] = {r.b, i};
+    adj.neighbors[adj.offsets[r.b + 1]++] = {r.a, i};
+  }
+  adj.offsets.pop_back();
   return adj;
 }
 
 bool is_connected(const RcNet& net) {
-  const std::size_t n = net.node_count();
-  if (n == 0) return true;
-  const Adjacency adj = build_adjacency(net);
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> stack{net.source < n ? net.source : NodeId{0}};
-  seen[stack.back()] = true;
-  std::size_t visited = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const Neighbor& nb : adj[v]) {
-      if (!seen[nb.node]) {
-        seen[nb.node] = true;
-        ++visited;
-        stack.push_back(nb.node);
-      }
-    }
-  }
-  return visited == n;
+  DisjointSet sets = components(net);
+  for (NodeId v = 1; v < net.node_count(); ++v)
+    if (sets.find(v) != sets.find(0)) return false;
+  return true;
 }
 
 }  // namespace gnntrans::rcnet

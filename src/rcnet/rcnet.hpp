@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,14 +86,46 @@ struct Neighbor {
   std::uint32_t resistor_index = 0;
 };
 
-/// Adjacency list over the resistive graph; index by NodeId.
-using Adjacency = std::vector<std::vector<Neighbor>>;
+/// Resistor adjacency in CSR form: node v's neighbours are
+/// neighbors[offsets[v] .. offsets[v + 1]), in resistor-index order.
+struct Adjacency {
+  std::vector<std::uint32_t> offsets;  ///< node_count() + 1 entries
+  std::vector<Neighbor> neighbors;     ///< two per resistor
+  [[nodiscard]] std::span<const Neighbor> operator[](NodeId v) const noexcept {
+    return {neighbors.data() + offsets[v], neighbors.data() + offsets[v + 1]};
+  }
+};
 
-/// Builds the resistor adjacency list of \p net.
+/// Builds the CSR resistor adjacency of \p net (one counting-sort pass).
+/// Precondition: every resistor endpoint is < net.node_count().
 [[nodiscard]] Adjacency build_adjacency(const RcNet& net);
 
+/// Union-find over node ids with path halving.
+class DisjointSet {
+ public:
+  explicit DisjointSet(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), NodeId{0});
+  }
+  [[nodiscard]] NodeId find(NodeId v) {
+    while (parent_[v] != v) v = parent_[v] = parent_[parent_[v]];
+    return v;
+  }
+  /// Merges the sets of \p a and \p b; false when they already were one.
+  bool unite(NodeId a, NodeId b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return false;
+    parent_[a] = b;
+    return true;
+  }
+
+ private:
+  std::vector<NodeId> parent_;
+};
+
 /// True iff the resistive graph of \p net is connected (single component
-/// containing every node). An empty net is considered connected.
+/// containing every node). An empty net is considered connected. Resistors
+/// with an out-of-range endpoint join nothing.
 [[nodiscard]] bool is_connected(const RcNet& net);
 
 }  // namespace gnntrans::rcnet

@@ -161,6 +161,10 @@ class NetServer {
   [[nodiscard]] bool running() const noexcept {
     return running_.load(std::memory_order_acquire);
   }
+  /// True once stop() has closed admission (new requests get kShuttingDown).
+  [[nodiscard]] bool draining() const noexcept {
+    return draining_.load(std::memory_order_acquire);
+  }
   /// Port actually bound (resolves port 0). Valid after start().
   [[nodiscard]] std::uint16_t port() const noexcept { return bound_port_; }
   [[nodiscard]] const NetServerLedger& ledger() const noexcept {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "linalg/tree_ldlt.hpp"
+#include "rcnet/paths.hpp"
 
 namespace gnntrans::sim {
 
@@ -45,46 +46,24 @@ Moments compute_moments(const RcNet& net) {
 
 std::vector<double> elmore_tree(const RcNet& net) {
   assert(net.is_tree());
-  const rcnet::Adjacency adj = rcnet::build_adjacency(net);
+  // On a tree the SP tree is the source-rooted tree; its order is topological.
+  const rcnet::ShortestPathTree t =
+      rcnet::shortest_path_tree(net, rcnet::build_adjacency(net));
   const std::size_t n = net.node_count();
 
-  // DFS order from the source (tree: each node reached once).
-  std::vector<NodeId> order;
-  order.reserve(n);
-  std::vector<NodeId> parent(n, net.source);
-  std::vector<std::uint32_t> parent_res(n, 0);
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> stack{net.source};
-  seen[net.source] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    order.push_back(v);
-    for (const rcnet::Neighbor& nb : adj[v]) {
-      if (!seen[nb.node]) {
-        seen[nb.node] = true;
-        parent[nb.node] = v;
-        parent_res[nb.node] = nb.resistor_index;
-        stack.push_back(nb.node);
-      }
-    }
-  }
-
   // Pass 1 (reverse order): downstream capacitance per node.
-  std::vector<double> down_cap(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) down_cap[v] = net.ground_cap[v];
+  std::vector<double> down_cap = net.ground_cap;
   for (const rcnet::CouplingCap& cc : net.couplings)
     down_cap[cc.victim_node] += cc.farads;
-  for (std::size_t i = order.size(); i-- > 1;) {
-    const NodeId v = order[i];
-    down_cap[parent[v]] += down_cap[v];
-  }
+  for (std::size_t i = t.order.size(); i-- > 1;)
+    down_cap[t.parent[t.order[i]]] += down_cap[t.order[i]];
 
   // Pass 2 (forward order): delay(v) = delay(parent) + R_edge * down_cap(v).
   std::vector<double> delay(n, 0.0);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const NodeId v = order[i];
-    delay[v] = delay[parent[v]] + net.resistors[parent_res[v]].ohms * down_cap[v];
+  for (std::size_t i = 1; i < t.order.size(); ++i) {
+    const NodeId v = t.order[i];
+    delay[v] = delay[t.parent[v]] +
+               net.resistors[t.parent_resistor[v]].ohms * down_cap[v];
   }
   return delay;
 }

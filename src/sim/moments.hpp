@@ -31,8 +31,9 @@ struct Moments {
 /// Precondition: net.validate() is empty.
 [[nodiscard]] Moments compute_moments(const rcnet::RcNet& net);
 
-/// Elmore delay per node via two tree traversals (downstream-cap pass +
-/// accumulation pass). Exact on trees only; used to cross-check the MNA path.
+/// Elmore delay per node via two passes over the source-rooted tree
+/// (downstream-cap pass + accumulation pass). Exact on trees only; used to
+/// cross-check the MNA path.
 ///
 /// Precondition: net.is_tree().
 [[nodiscard]] std::vector<double> elmore_tree(const rcnet::RcNet& net);

@@ -10,15 +10,15 @@ WireAnalysis analyze_wire(const rcnet::RcNet& net) {
   WireAnalysis wa;
   wa.moments = compute_moments(net);
   wa.d2m = d2m_from_moments(wa.moments);
-  wa.sp_tree = rcnet::shortest_path_tree(net);
+  wa.adjacency = rcnet::build_adjacency(net);
+  wa.sp_tree = rcnet::shortest_path_tree(net, wa.adjacency);
   wa.paths = rcnet::enumerate_paths(net, wa.sp_tree);
 
   const std::size_t n = net.node_count();
 
   // Downstream cap: accumulate each node's cap into its SP-tree ancestors by
   // walking the settle order backwards (children settle after parents).
-  wa.downstream_cap.assign(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) wa.downstream_cap[v] = net.ground_cap[v];
+  wa.downstream_cap = net.ground_cap;
   for (const rcnet::CouplingCap& cc : net.couplings)
     wa.downstream_cap[cc.victim_node] += cc.farads;
   for (std::size_t i = wa.sp_tree.order.size(); i-- > 1;) {

@@ -22,11 +22,13 @@ struct WireAnalysis {
   std::vector<double> d2m;            ///< D2M delay metric per node
   std::vector<double> downstream_cap; ///< farads, on the shortest-path tree
   std::vector<double> stage_delay;    ///< m1[v] - m1[parent(v)], clamped at 0
+  rcnet::Adjacency adjacency;         ///< the net's only adjacency build
   rcnet::ShortestPathTree sp_tree;
   std::vector<rcnet::WirePath> paths; ///< one timing path per sink
 };
 
-/// Runs the full analytical pass over \p net.
+/// Runs the full analytical pass over \p net. Builds the net's resistor
+/// adjacency once and keeps it, so featurization reads it from here.
 ///
 /// Precondition: net.validate() is empty.
 [[nodiscard]] WireAnalysis analyze_wire(const rcnet::RcNet& net);

@@ -23,7 +23,12 @@ struct GraphMatrix {
   std::vector<float> values;
 
   GraphMatrix() = default;
-  GraphMatrix(std::size_t r, std::size_t c) : rows(r), cols(c) {}
+  GraphMatrix(std::size_t r, std::size_t c, std::size_t capacity = 0)
+      : rows(r), cols(c) {
+    row_index.reserve(capacity);
+    col_index.reserve(capacity);
+    values.reserve(capacity);
+  }
 
   void add(std::uint32_t r, std::uint32_t c, float v) {
     row_index.push_back(r);

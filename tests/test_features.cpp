@@ -1,10 +1,16 @@
 // Tests for Table I feature extraction, standardization, sample assembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <span>
 #include <sstream>
+#include <utility>
 
+#include "adjacency_oracle.hpp"
+#include "differential_nets.hpp"
 #include "features/dataset.hpp"
 #include "features/features.hpp"
 #include "netlist/generate.hpp"
@@ -177,6 +183,86 @@ TEST(Dataset, MakeSampleBuildsConsistentOperators) {
     // Attention mask has self loops.
     for (std::size_t v = 0; v < s.node_count; ++v)
       EXPECT_EQ(s.attn_mask[v * s.node_count + v], 1);
+
+    // The serving form builds the same inputs and no label tensors.
+    const nn::GraphSample u = std_.make_sample(rec.net, rec.raw);
+    EXPECT_TRUE(std::ranges::equal(u.x.values(), s.x.values()));
+    EXPECT_TRUE(std::ranges::equal(u.h.values(), s.h.values()));
+    EXPECT_EQ(u.weighted_adj.values, s.weighted_adj.values);
+    EXPECT_EQ(u.non_tree, s.non_tree);
+    EXPECT_FALSE(u.slew_label.defined());
+    EXPECT_FALSE(u.delay_label.defined());
+    EXPECT_TRUE(u.slew_seconds.empty());
+    EXPECT_TRUE(u.delay_seconds.empty());
+  }
+}
+
+// ---- CSR adjacency vs the vector-of-vectors oracle ----
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_bits(const tensor::GraphMatrix& a, const tensor::GraphMatrix& b) {
+  return a.rows == b.rows && a.cols == b.cols &&
+         same_bits(a.row_index, b.row_index) &&
+         same_bits(a.col_index, b.col_index) && same_bits(a.values, b.values);
+}
+
+TEST(CsrVsListAdjacency, FeaturizationIsBitwiseIdentical) {
+  Standardizer standardizer;
+  standardizer.fit(small_records(4, 13));
+  std::mt19937_64 rng(31);
+  for (const differential_nets::NetSet& set : differential_nets::sets()) {
+    for (int i = 0; i < set.nets; ++i) {
+      const rcnet::RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
+      ASSERT_TRUE(net.validate().empty()) << set.name << " net " << i;
+      const NetContext ctx = fixed_context(net);
+      const RawFeatures raw = extract_features(net, ctx);
+      const sim::WireAnalysis& wa = raw.analysis;
+
+      // Per-node neighbour order.
+      const adjacency_oracle::ListAdjacency list = adjacency_oracle::build(net);
+      ASSERT_EQ(wa.adjacency.offsets.size(), net.node_count() + 1);
+      ASSERT_EQ(wa.adjacency.neighbors.size(), 2 * net.resistors.size());
+      const auto pairs = [](std::span<const rcnet::Neighbor> neighbors) {
+        std::vector<std::pair<rcnet::NodeId, std::uint32_t>> out;
+        for (const rcnet::Neighbor& nb : neighbors)
+          out.emplace_back(nb.node, nb.resistor_index);
+        return out;
+      };
+      for (rcnet::NodeId v = 0; v < net.node_count(); ++v)
+        ASSERT_EQ(pairs(wa.adjacency[v]), pairs(list[v]))
+            << set.name << " net " << i << " node " << v;
+
+      // Shortest-path tree: parents, settle order, distances.
+      const rcnet::ShortestPathTree tree =
+          adjacency_oracle::shortest_path_tree(net, list);
+      EXPECT_EQ(wa.sp_tree.parent, tree.parent) << set.name << " net " << i;
+      EXPECT_EQ(wa.sp_tree.parent_resistor, tree.parent_resistor);
+      EXPECT_EQ(wa.sp_tree.order, tree.order);
+      EXPECT_TRUE(same_bits(wa.sp_tree.distance, tree.distance));
+
+      // Table I features.
+      const adjacency_oracle::Features ref =
+          adjacency_oracle::features(net, ctx, list, tree);
+      EXPECT_TRUE(same_bits(raw.x, ref.x)) << set.name << " net " << i;
+      EXPECT_TRUE(same_bits(raw.h, ref.h)) << set.name << " net " << i;
+
+      // Every aggregation operator of the served sample.
+      const nn::GraphSample sample = standardizer.make_sample(net, raw);
+      nn::GraphSample ops;
+      adjacency_oracle::graph_operators(net, list, tree, ops);
+      EXPECT_TRUE(same_bits(sample.weighted_adj, ops.weighted_adj))
+          << set.name << " net " << i;
+      EXPECT_TRUE(same_bits(sample.mean_adj, ops.mean_adj));
+      EXPECT_TRUE(same_bits(sample.gcnii_adj, ops.gcnii_adj));
+      EXPECT_TRUE(same_bits(sample.path_pool, ops.path_pool));
+      EXPECT_EQ(sample.attn_mask, ops.attn_mask);
+    }
   }
 }
 

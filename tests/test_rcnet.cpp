@@ -56,19 +56,51 @@ TEST(RcNet, TotalsSumComponents) {
   EXPECT_DOUBLE_EQ(net.total_coupling_cap(), 0.0);
 }
 
+using Errors = std::vector<std::string>;
+
 TEST(RcNet, ValidateCatchesSelfLoop) {
   RcNet net = chain4();
   net.resistors.push_back({2, 2, 5.0});
   const auto errors = net.validate();
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("self loop"), std::string::npos);
+
+  // A repeated segment, in either orientation, is named once per repeat with
+  // its endpoints in ascending order.
+  RcNet dup = chain4();
+  dup.resistors.push_back({2, 1, 7.0});
+  dup.resistors.push_back({1, 2, 8.0});
+  EXPECT_EQ(dup.validate(),
+            (Errors{"duplicate resistor between nodes 1 and 2",
+                    "duplicate resistor between nodes 1 and 2"}));
 }
 
 TEST(RcNet, ValidateCatchesDisconnectedGraph) {
   RcNet net = chain4();
-  net.resistors.pop_back();  // node 3 now isolated
-  const auto errors = net.validate();
-  ASSERT_FALSE(errors.empty());
+  net.resistors.pop_back();  // sink 3 now has no resistor
+  EXPECT_EQ(net.validate(),
+            (Errors{"sink 3 unreachable from source",
+                    "node 3 is dangling (no resistor attached)"}));
+  EXPECT_FALSE(is_connected(net));
+  EXPECT_FALSE(net.is_tree());
+
+  // Nodes 4-5 form an island joined to each other but not to the source;
+  // node 6 has no resistor at all; sink 5 sits on the island. Sinks are
+  // reported first in sink order, then every other stray node in index
+  // order; a stray sink is not reported twice.
+  RcNet island = chain4();
+  island.ground_cap.resize(7, 1e-15);
+  island.resistors.push_back({4, 5, 10.0});
+  island.sinks = {5, 3};
+  EXPECT_EQ(island.validate(),
+            (Errors{"sink 5 unreachable from source",
+                    "node 4 disconnected from source",
+                    "node 6 is dangling (no resistor attached)"}));
+  EXPECT_FALSE(is_connected(island));
+
+  // Reachability is only judged on an otherwise well-formed net.
+  island.ground_cap[6] = 0.0;
+  EXPECT_EQ(island.validate(), (Errors{"node 6 has non-positive ground cap"}));
 }
 
 TEST(RcNet, ValidateCatchesNonPositiveValues) {
@@ -98,7 +130,8 @@ TEST(Adjacency, DegreesMatchResistors) {
 
 TEST(Paths, ChainPathVisitsAllNodesInOrder) {
   const RcNet net = chain4();
-  const auto paths = enumerate_paths(net, shortest_path_tree(net));
+  const auto paths =
+      enumerate_paths(net, shortest_path_tree(net, build_adjacency(net)));
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].sink, 3u);
   EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{0, 1, 2, 3}));
@@ -108,7 +141,8 @@ TEST(Paths, ChainPathVisitsAllNodesInOrder) {
 
 TEST(Paths, DiamondTakesShortestResistancePath) {
   const RcNet net = diamond();
-  const auto paths = enumerate_paths(net, shortest_path_tree(net));
+  const auto paths =
+      enumerate_paths(net, shortest_path_tree(net, build_adjacency(net)));
   ASSERT_EQ(paths.size(), 1u);
   // Via node 2: 5 + 5 = 10 beats via node 1: 10 + 10 = 20.
   EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{0, 2, 3}));
@@ -116,7 +150,8 @@ TEST(Paths, DiamondTakesShortestResistancePath) {
 }
 
 TEST(Paths, ShortestPathTreeDistancesAreMonotone) {
-  const ShortestPathTree t = shortest_path_tree(diamond());
+  const RcNet net = diamond();
+  const ShortestPathTree t = shortest_path_tree(net, build_adjacency(net));
   EXPECT_DOUBLE_EQ(t.distance[0], 0.0);
   EXPECT_DOUBLE_EQ(t.distance[2], 5.0);
   EXPECT_DOUBLE_EQ(t.distance[3], 10.0);

@@ -997,6 +997,14 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   constexpr std::uint64_t kQueued = 120;
   RawConn conn;
   ASSERT_TRUE(conn.connect_to(server.port()));
+  // Requests sent after the drain starts use their own connection, one at a
+  // time: closing a socket that still holds unread input resets the stream
+  // and drops the responses not yet delivered, so the queued connection must
+  // carry nothing the server will not read.
+  RawConn poke;
+  ASSERT_TRUE(poke.connect_to(server.port()));
+  ASSERT_TRUE(wait_until(
+      [&] { return server.ledger().connections_accepted.load() == 2; }, 5000));
   for (std::uint64_t id = 1; id <= kQueued; ++id)
     ASSERT_TRUE(conn.send_bytes(make_request_bytes(id, id)));
   ASSERT_TRUE(wait_until(
@@ -1004,18 +1012,24 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
       5000));
 
   std::thread stopper([&] { server.stop(); });
-  // Give stop() a beat to set draining, then poke it with new requests: every
-  // one that still reaches admission must get a typed kShuttingDown.
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    if (!conn.send_bytes(make_request_bytes(1000 + i, i))) break;
-    if (server.ledger().rejected_shutdown.load() >= 3) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Once stop() has closed admission, poke it with new requests: every one
+  // that still reaches admission must get a typed kShuttingDown. The wait
+  // spins so the first poke lands while the queued batch is being served.
+  const auto poke_deadline = Clock::now() + std::chrono::seconds(5);
+  while (!server.draining() && Clock::now() < poke_deadline)
+    std::this_thread::yield();
+  EXPECT_TRUE(server.draining());
+  std::vector<serve::ResponseFrame> responses;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    if (!poke.send_bytes(make_request_bytes(1000 + i, i))) break;
+    const std::vector<serve::ResponseFrame> answer = poke.read_responses(1, 2000);
+    responses.insert(responses.end(), answer.begin(), answer.end());
+    if (answer.empty()) break;  // the drain closed the connection first
   }
   stopper.join();
 
-  const std::vector<serve::ResponseFrame> responses =
-      conn.read_responses(0, 3000);
+  const std::vector<serve::ResponseFrame> queued = conn.read_responses(0, 3000);
+  responses.insert(responses.end(), queued.begin(), queued.end());
   std::size_t ok = 0, shutdown = 0, other = 0;
   for (const serve::ResponseFrame& r : responses) {
     if (r.status == ErrorCode::kOk)

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "dense_oracle.hpp"
+#include "differential_nets.hpp"
 #include "linalg/tree_ldlt.hpp"
 #include "rcnet/generate.hpp"
 #include "rcnet/paths.hpp"
@@ -236,34 +237,7 @@ TEST(Transient, RejectsNonPositiveSlew) {
 
 // ---- Sparse LDLᵀ vs the dense oracle ----
 
-/// The rcgen topologies the sparse solver must match the dense one on.
-struct NetSet {
-  const char* name;
-  rcnet::NetGenConfig cfg;
-  int nets;
-};
-
-std::vector<NetSet> differential_sets() {
-  std::vector<NetSet> sets;
-  sets.push_back({"default", {}, 12});
-  rcnet::NetGenConfig large;
-  large.min_nodes = 160;
-  large.max_nodes = 320;
-  sets.push_back({"large", large, 4});
-  rcnet::NetGenConfig tree;
-  tree.non_tree_fraction = 0.0;
-  sets.push_back({"tree", tree, 8});
-  rcnet::NetGenConfig single;
-  single.min_sinks = single.max_sinks = 1;
-  sets.push_back({"single_sink", single, 8});
-  for (std::uint32_t extra : {64u, 160u}) {
-    rcnet::NetGenConfig mesh = large;
-    mesh.non_tree_fraction = 1.0;
-    mesh.max_extra_edges = extra;
-    sets.push_back({extra == 64 ? "mesh64" : "mesh160", mesh, 4});
-  }
-  return sets;
-}
+using differential_nets::NetSet;
 
 std::vector<linalg::Branch> conductances(const RcNet& net, double scale) {
   std::vector<linalg::Branch> out;
@@ -344,7 +318,7 @@ std::vector<std::vector<double>> dense_waveforms(const RcNet& net,
 
 TEST(SparseVsDense, MomentsMatchOnEveryTopology) {
   std::mt19937_64 rng(21);
-  for (const NetSet& set : differential_sets()) {
+  for (const NetSet& set : differential_nets::sets()) {
     double worst = 0.0, entries = 0.0, nodes = 0.0;
     for (int i = 0; i < set.nets; ++i) {
       const RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
@@ -373,7 +347,7 @@ TEST(SparseVsDense, GoldenDelayAndSlewMatchDenseStepper) {
   sim::TransientConfig cfg = quiet_config();
   cfg.steps = 300;
   const double slew_in = 3e-11, r_drv = 120.0;
-  for (const NetSet& set : differential_sets()) {
+  for (const NetSet& set : differential_nets::sets()) {
     for (int i = 0; i < std::min(set.nets, 3); ++i) {
       const RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
       const auto [res, probe] =
