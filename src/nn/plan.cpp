@@ -237,6 +237,7 @@ constexpr std::size_t round_up(std::size_t n, std::size_t to) {
 /// W heads of one attention layer side by side, keys and values transposed
 /// to [dk][nb][W][4]: dimension c, block b (nodes 4b..4b+3), head w, lane.
 struct HeadGroup {
+  std::span<const std::uint32_t> rows;  ///< the query rows served, each < n
   const float* q;  ///< row r, head w's query at q[r * ldq + w * dk], dk wide
   std::size_t ldq;
   const float* kt;  ///< keys, zero padded past n
@@ -366,9 +367,9 @@ template <int W, int C>
   }
 }
 
-/// softmax(q k^T * scale) v for every query row of W heads at once. Every
-/// lane does the arithmetic a 4-wide kernel serving one head would, so every
-/// W gives the same bits: per lane, the scores sum in ascending dimension
+/// softmax(q k^T * scale) v for each served query row of W heads at once.
+/// Every lane does the arithmetic a 4-wide kernel serving one head would, so
+/// every W gives the same bits: per lane, the scores sum in ascending dimension
 /// order and the exp sum and A.V products in ascending block order; per
 /// group, the max and the sums reduce as (v0 . v1) . (v2 . v3). Dimensions
 /// go four per pass, then one at a time.
@@ -380,7 +381,7 @@ template <int W>
   typename Vec<W>::i tail_valid{};
   for (std::size_t l = 0; l < 4 * W; ++l)
     tail_valid[l] = (nb - 1) * 4 + l % 4 < n ? -1 : 0;
-  for (std::size_t r = 0; r < n; ++r) {
+  for (const std::size_t r : g.rows) {
     const float* q = g.q + r * g.ldq;
     V mx{};
     fill(mx, kNegInf);
@@ -641,6 +642,19 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
   float* act[2] = {slab + at_act0, slab + at_act1};
   float* aggx = slab + at_agg;
 
+  // Query rows of the attention layers: every node, then the live rows, the
+  // ascending distinct nodes the path pooling reads (marked, then packed).
+  std::vector<std::uint32_t>& rows = workspace.rows();
+  rows.assign(2 * n, 0);
+  for (const std::uint32_t c : sample.path_pool.col_index) rows[n + c] = 1;
+  std::size_t live = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (rows[n + r] != 0) rows[n + live++] = r;
+    rows[r] = r;
+  }
+  const std::span<const std::uint32_t> all_rows(rows.data(), n),
+      live_rows(rows.data() + n, live);
+
   // Eq. (1): x' = ReLU(x W1 + (A x) W2), ping-ponging between two buffers.
   float* x = nullptr;
   {
@@ -667,6 +681,9 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
     float* row = slab + at_row;
     float* cat = slab + at_cat;
     for (std::size_t l = 0; l < qkv_.size(); ++l) {
+      // Only pooled rows reach the heads, so the last layer serves just
+      // those; every layer's keys and values still cover all n nodes.
+      const auto served = l + 1 < qkv_.size() ? all_rows : live_rows;
       dense<Store::kSet>(x, d, n, qkv_[l], qkv, ld3);
       for (std::size_t h = 0; h < heads_;) {
         // K and V of heads h..h+w-1, transposed to [dk][np / 4][w][4] with
@@ -680,11 +697,12 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
               kt[at] = j < n ? qkv[j * ld3 + d + col] : 0.0f;
               vt[at] = j < n ? qkv[j * ld3 + 2 * d + col] : 0.0f;
             }
-        kKernels[w / 2].attend({qkv + h * dk, ld3, kt, vt, n, dk,
+        kKernels[w / 2].attend({served, qkv + h * dk, ld3, kt, vt, n, dk,
                                 inv_sqrt_dk_, row, cat + h * dk, d});
         h += w;
       }
-      dense<Store::kAdd>(cat, d, n, w3_[l], x, d);  // residual
+      for (const std::size_t r : served)  // residual
+        dense<Store::kAdd>(cat + r * d, d, 1, w3_[l], x + r * d, d);
     }
     guard_finite({x, n * d}, d, "attention");
   }

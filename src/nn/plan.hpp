@@ -24,6 +24,16 @@
 /// multiply-add and every width gives the same bits: a host changes how fast
 /// a model is served, never what it outputs.
 ///
+/// Rows: the heads read node embeddings only through Eq. (4)'s per-path mean
+/// pooling, so the last attention layer runs its softmax rows and its W3
+/// residual only for the live rows, the ascending distinct columns of
+/// path_pool (nodes on some source-to-sink path). Every earlier layer, and
+/// the last layer's Q/K/V product, serve all n nodes, because each served
+/// row attends over every node's key and value. That is exact: a served row
+/// does the same arithmetic as when every row is served, and no row reads
+/// another row's output. The "attention" guard still scans all n rows; the
+/// rows nobody pools keep the previous layer's values.
+///
 /// Numerics: the dense products sum in the same order as tensor::matmul, so
 /// they are bitwise equal to autograd; the softmax differs from the libm
 /// reference by a few float ulps. Summation grouping depends only on the

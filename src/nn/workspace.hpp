@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace gnntrans::nn {
@@ -38,10 +39,15 @@ class Workspace {
     return slab_.data();
   }
 
+  /// Node indices the plan's attention layers serve, kept beside the slab
+  /// so that it, too, only grows for a net larger than any earlier one.
+  [[nodiscard]] std::vector<std::uint32_t>& rows() noexcept { return rows_; }
+
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   std::vector<float> slab_;
+  std::vector<std::uint32_t> rows_;
   Stats stats_;
 };
 

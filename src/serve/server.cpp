@@ -1,9 +1,11 @@
 #include "serve/server.hpp"
 
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +31,36 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
+}
+
+/// Graceful close: half-closes \p fd, then discards the peer's input until
+/// its EOF, until it has acknowledged every byte sent (FIN included) with
+/// nothing left to read, or for \p timeout_ms. Closing with unread input
+/// would reset the stream, and the kernel would drop the responses still in
+/// the send buffer.
+void drain_and_close(int fd, int timeout_ms) {
+  ::shutdown(fd, SHUT_WR);
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  for (int unacked = 0; ::ioctl(fd, SIOCOUTQ, &unacked) == 0;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) break;
+    pollfd pfd{fd, POLLIN, 0};
+    // Once everything sent is acknowledged, only input already here is read.
+    const long long wait_ms =
+        unacked == 0 ? 0 : std::min<long long>(left.count(), 10);
+    const int ready = ::poll(&pfd, 1, static_cast<int>(wait_ms));
+    if (ready < 0 && errno != EINTR) break;
+    if (ready == 0 && unacked == 0) break;
+    if (ready <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN &&
+                   errno != EWOULDBLOCK))
+      break;
+  }
+  ::close(fd);
 }
 
 /// gnntrans_net_* observability, registered once (idempotent by name).
@@ -553,8 +585,12 @@ void NetServer::connection_loop(const std::shared_ptr<Connection>& conn) {
     conn->closing = true;
     if (abortive) conn->outbox.clear();
   }
-  ::shutdown(conn->fd, SHUT_RDWR);
-  ::close(conn->fd);
+  if (abortive) {
+    ::shutdown(conn->fd, SHUT_RDWR);
+    ::close(conn->fd);
+  } else {
+    drain_and_close(conn->fd, config_.read_timeout_ms);
+  }
   conn->fd = -1;
   active_conns_.fetch_sub(1, std::memory_order_acq_rel);
   metrics.active.set(static_cast<double>(active_conns_.load()));

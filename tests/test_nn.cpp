@@ -488,6 +488,59 @@ TEST(GnnTransPlan, EveryWidthMatchesSse2Bitwise) {
                  << "-lane attention; wider widths untested";
 }
 
+/// \p s with one more path whose pooling row covers every node, so the plan's
+/// last attention layer must serve every row.
+GraphSample with_every_node_pooled(const GraphSample& s) {
+  GraphSample out = s;
+  const std::size_t n = s.x.rows(), p = s.path_pool.rows;
+  out.path_pool.rows = p + 1;
+  for (std::uint32_t j = 0; j < n; ++j)
+    out.path_pool.add(static_cast<std::uint32_t>(p), j, 1.0f / n);
+  std::vector<float> h(s.h.values().begin(), s.h.values().end());
+  h.resize(h.size() + s.h.cols(), 0.5f);
+  out.h = tensor::Tensor::from_data(std::move(h), p + 1, s.h.cols());
+  out.path_count = p + 1;
+  return out;
+}
+
+TEST(GnnTransPlan, LiveRowsMatchEveryRowBitwise) {
+  const std::vector<GraphSample> samples = differential_population();
+  std::vector<GraphSample> wide;
+  for (const GraphSample& s : samples)
+    wide.push_back(with_every_node_pooled(s));
+  // The (hidden, heads) shapes of EveryWidthMatchesSse2Bitwise.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {16, 4}, {8, 2}, {12, 3}, {16, 2}, {8, 8}, {16, 1}};
+  for (const std::size_t layers : {1u, 3u}) {
+    for (const auto& [hidden, heads] : shapes) {
+      ModelConfig config = served_config();
+      config.hidden_dim = hidden;
+      config.heads = heads;
+      config.transformer_layers = layers;
+      const auto model = make_model(ModelKind::kGnnTrans, config);
+      for (const std::size_t l : runnable_lanes()) {
+        const auto plan = GnnTransPlan::compile(*model, l);
+        Workspace ws;
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+          const WirePrediction live = plan->run(samples[i], ws);
+          const WirePrediction every = plan->run(wide[i], ws);
+          ASSERT_EQ(every.slew.rows(), samples[i].path_count + 1);
+          for (std::size_t q = 0; q < samples[i].path_count; ++q) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(live.slew(q, 0)),
+                      std::bit_cast<std::uint32_t>(every.slew(q, 0)))
+                << l << " lanes, " << hidden << "/" << heads << ", " << layers
+                << " layers, net " << samples[i].net_name << " path " << q;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(live.delay(q, 0)),
+                      std::bit_cast<std::uint32_t>(every.delay(q, 0)))
+                << l << " lanes, " << hidden << "/" << heads << ", " << layers
+                << " layers, net " << samples[i].net_name << " path " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The Cephes expf sequence of the attention kernel, one float at a time.
 float cephes_exp(float x) {
   const bool tiny = x < -87.33654f;

@@ -1049,6 +1049,54 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   EXPECT_EQ(ok + shutdown, server.ledger().requests_decoded.load());
 }
 
+TEST(NetServe, DrainDeliversServedResponsesPastUnreadInput) {
+  serve::NetServerConfig scfg;
+  scfg.batch_max = 1024;
+  scfg.queue_capacity = 4096;
+  scfg.flush_age_seconds = 10.0;  // nothing flushes until the drain
+  scfg.read_timeout_ms = 1000;    // bounds the drain's wait for our EOF
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+
+  constexpr std::uint64_t kQueued = 120;
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  for (std::uint64_t id = 1; id <= kQueued; ++id)
+    ASSERT_TRUE(conn.send_bytes(make_request_bytes(id, id)));
+  ASSERT_TRUE(wait_until(
+      [&] { return server.ledger().requests_decoded.load() == kQueued; },
+      5000));
+
+  std::thread stopper([&] { server.stop(); });
+  EXPECT_TRUE(wait_until([&] { return server.draining(); }, 5000));
+  // Keep sending on the same connection, reading nothing, until a request
+  // goes unread: the server has stopped reading, so the drain closes this
+  // connection with that input pending.
+  std::uint64_t sent = kQueued;
+  bool unread = false;
+  while (!unread && sent < kQueued + 200) {
+    if (!conn.send_bytes(make_request_bytes(1000 + sent, sent))) break;
+    ++sent;
+    unread = !wait_until(
+        [&] { return server.ledger().frames.load() == sent; }, 100);
+  }
+  stopper.join();
+  EXPECT_TRUE(unread);
+
+  const std::vector<serve::ResponseFrame> responses =
+      conn.read_responses(0, 3000);
+  EXPECT_TRUE(conn.eof);
+  std::size_t ok = 0, shutdown = 0;
+  for (const serve::ResponseFrame& r : responses) {
+    ok += r.status == ErrorCode::kOk;
+    shutdown += r.status == ErrorCode::kShuttingDown;
+  }
+  EXPECT_EQ(ok, kQueued);
+  EXPECT_EQ(ok, server.ledger().served.load());
+  EXPECT_EQ(shutdown, server.ledger().rejected_shutdown.load());
+  EXPECT_EQ(ok + shutdown, responses.size());
+}
+
 // ---------------------------------------------------------------------------
 // The soak: 8 concurrent clients, 10k requests, 5% injected socket faults.
 // Zero crashes/hangs, an exact reject/served ledger, and bitwise identity
