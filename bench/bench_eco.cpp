@@ -8,8 +8,8 @@
 // holds when the mean cone stays well below the design size and the mean
 // edit cost stays well below a full pass.
 //
-// A machine-readable summary always lands in BENCH_eco.json next to
-// BENCH_serving.json (override the path with --json-out). Flags:
+// A machine-readable summary always lands in BENCH_eco.json in the working
+// directory (override the path with --json-out). Flags:
 //   --edits N          edit count (default 200)
 //   --seed S           design + edit-stream seed (default 1)
 //   --steps T          transient resolution of the golden timer (default 300)

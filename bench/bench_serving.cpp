@@ -1,16 +1,16 @@
-// Serving benchmark for the batched inference engine: throughput vs thread
-// count, activation-slab reuse, and per-net latency percentiles.
+// Serving benchmark for the batched inference engine: the costs perfbench
+// does not measure.
 //
 // Protocol: train a tiny GNNTrans estimator (quality is irrelevant here — the
-// forward-pass cost is what serving pays), generate an eval population of RC
-// nets with random contexts, then time estimate_batch at T in {1, 2, 4, 8}
-// workers over the same batch. A separate pass splits the forward pass of
-// the paper-scaled model at n = 16 / 40 / 160 nodes: the autograd path
-// against the compiled inference plan (nn/plan.hpp) that serving runs.
-//
-// Scaling is hardware-bound: speedup at T workers approaches min(T, cores).
-// On a single-core container every T reports ~1x — run on a multicore host
-// to see the fan-out.
+// forward-pass cost is what serving pays) and generate an eval population of
+// RC nets with random contexts. Then: split the forward pass of the
+// paper-scaled model at n = 16 / 40 / 160 nodes (the autograd path against
+// the compiled inference plan, nn/plan.hpp, that serving runs); sweep the
+// estimate cache over repeat traffic; and measure the overhead of tracing,
+// fault tolerance, shadow scoring and the network server's head-sampled
+// request tracing. Throughput vs thread count, serving latency and the
+// server's sustainable rate are perfbench's core.thread_scaling and serve.*
+// layers (perfbench/README.md).
 //
 // Flags: --obs-port P [--obs-addr A] serves live /metrics etc. while the
 // bench runs; --flight-out FILE dumps the flight recorder at exit. A
@@ -172,25 +172,11 @@ EvalSet build_eval_set(const cell::CellLibrary& library, std::size_t count) {
   return set;
 }
 
-/// One offered-rate step of the network load sweep.
-struct NetRateRow {
-  double offered_rps = 0.0;   ///< aggregate send rate across all clients
-  double achieved_rps = 0.0;  ///< served responses / wall
-  double p50_us = 0.0;        ///< end-to-end (client clock), served only
-  double p99_us = 0.0;
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;  ///< typed kOverloaded answers
-  std::uint64_t timeouts = 0;  ///< transport failures / client timeouts
-};
-
 /// The numbers BENCH_serving.json records so the perf trajectory is
 /// comparable across commits.
 struct BenchSummary {
   /// Forward pass at n = 16 / 40 / 160: autograd vs compiled plan.
   std::vector<ForwardSplitRow> forward_split;
-  double nets_per_second = 0.0;  ///< T=1 steady state (slabs warm)
-  double p50_us = 0.0;
-  double p99_us = 0.0;
   double tracing_overhead_pct = 0.0;  ///< full tracing (1-in-1)
   double fallback_overhead_pct = 0.0;  ///< 1% injection vs disarmed
   // Shadow-scoring overhead vs a disarmed monitor, at fixed rates.
@@ -215,19 +201,8 @@ struct BenchSummary {
   double cache_speedup_95_repeat = 0.0;
   double cache_speedup_target = 5.0;      ///< acceptance bound at 95% repeat
   bool cache_speedup_target_met = false;
-  // Network front-end: many-client open-loop sweep over the socket path.
+  // Network front-end over the socket path.
   std::size_t net_clients = 0;
-  std::vector<NetRateRow> net_rows;
-  /// Saturation knee: last offered rate still achieving >= 90% of offered.
-  double net_knee_offered_rps = 0.0;
-  /// Server-side stage clock over the whole sweep, from the
-  /// gnntrans_net_stage_* histograms (where did a request's time go).
-  struct NetStageRow {
-    std::string stage;
-    double p50_us = 0.0;
-    double p99_us = 0.0;
-  };
-  std::vector<NetStageRow> net_stage_rows;
   /// Closed-loop nets/s cost of request tracing at the default head-sampling
   /// rate (1/64) vs tracing disabled; the acceptance budget is <= 1%.
   double net_request_tracing_overhead_pct = 0.0;
@@ -258,9 +233,6 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
          << (i + 1 < s.forward_split.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
-  num("nets_per_second", s.nets_per_second, 1);
-  num("p50_us", s.p50_us, 2);
-  num("p99_us", s.p99_us, 2);
   num("tracing_overhead_pct", s.tracing_overhead_pct, 3);
   num("fallback_overhead_pct", s.fallback_overhead_pct, 3);
   num("shadow_overhead_pct_rate1", s.shadow_overhead_pct_rate1, 3);
@@ -290,30 +262,8 @@ void write_summary_json(const std::string& path, const BenchSummary& s) {
   json << "    ]\n  },\n";
   json << "  \"serving_net\": {\n"
        << "    \"clients\": " << s.net_clients << ",\n"
-       << "    \"knee_offered_rps\": " << std::setprecision(1)
-       << s.net_knee_offered_rps << ",\n"
        << "    \"request_tracing_overhead_pct\": " << std::setprecision(3)
-       << s.net_request_tracing_overhead_pct << ",\n"
-       << "    \"stage_latency_us\": {";
-  for (std::size_t i = 0; i < s.net_stage_rows.size(); ++i) {
-    const BenchSummary::NetStageRow& r = s.net_stage_rows[i];
-    json << (i ? ", " : "") << "\"" << r.stage
-         << "\": {\"p50\": " << std::setprecision(2) << r.p50_us
-         << ", \"p99\": " << r.p99_us << "}";
-  }
-  json << "},\n"
-       << "    \"rows\": [\n";
-  for (std::size_t i = 0; i < s.net_rows.size(); ++i) {
-    const NetRateRow& r = s.net_rows[i];
-    json << "      {\"offered_rps\": " << std::setprecision(1) << r.offered_rps
-         << ", \"achieved_rps\": " << r.achieved_rps
-         << ", \"p50_us\": " << std::setprecision(2) << r.p50_us
-         << ", \"p99_us\": " << r.p99_us << ", \"served\": " << r.served
-         << ", \"rejected\": " << r.rejected
-         << ", \"timeouts\": " << r.timeouts << "}"
-         << (i + 1 < s.net_rows.size() ? "," : "") << "\n";
-  }
-  json << "    ]\n  }\n}\n";
+       << s.net_request_tracing_overhead_pct << "\n  }\n}\n";
   out << json.str();
   GNNTRANS_LOG_INFO("bench", "wrote %s", path.c_str());
 }
@@ -343,7 +293,7 @@ int main(int argc, char** argv) {
     obs->start();
   }
 
-  std::printf("=== Serving throughput: batched inference engine ===\n\n");
+  std::printf("=== Serving benchmark: batched inference engine ===\n\n");
   const auto library = cell::CellLibrary::make_default();
 
   std::printf("training tiny estimator...\n");
@@ -371,46 +321,6 @@ int main(int argc, char** argv) {
                        bench::TablePrinter::fmt(r.autograd_us / r.plan_us, 2) +
                            "x"});
     std::printf("\n");
-  }
-
-  bench::TablePrinter table({"threads", "nets/s", "speedup", "p50(us)",
-                             "p99(us)", "slab reuse", "peak KiB"},
-                            {8, 10, 8, 9, 9, 12, 9});
-  table.print_header();
-
-  double base_rate = 0.0;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    core::BatchOptions options;
-    options.threads = threads;
-    std::vector<nn::Workspace> workspaces;
-    options.workspaces = &workspaces;
-
-    // Warm-up pass grows the slabs; the measured pass reuses them, which is
-    // the steady-state serving regime.
-    core::InferenceStats stats;
-    (void)estimator.estimate_batch(set.items, options, &stats);
-    (void)estimator.estimate_batch(set.items, options, &stats);
-
-    if (threads == 1) {
-      base_rate = stats.nets_per_second;
-      summary.nets_per_second = stats.nets_per_second;
-      summary.p50_us = stats.p50_net_seconds * 1e6;
-      summary.p99_us = stats.p99_net_seconds * 1e6;
-    }
-    const std::size_t acq = stats.arena_reused_buffers + stats.arena_fresh_allocs;
-    table.print_row(
-        {std::to_string(threads), bench::TablePrinter::fmt(stats.nets_per_second, 0),
-         bench::TablePrinter::fmt(stats.nets_per_second / base_rate, 2),
-         bench::TablePrinter::fmt(stats.p50_net_seconds * 1e6, 1),
-         bench::TablePrinter::fmt(stats.p99_net_seconds * 1e6, 1),
-         bench::TablePrinter::fmt(
-             acq ? 100.0 * static_cast<double>(stats.arena_reused_buffers) /
-                       static_cast<double>(acq)
-                 : 0.0,
-             1) + "%",
-         bench::TablePrinter::fmt(
-             static_cast<double>(stats.arena_peak_bytes) / 1024.0, 1)});
-    std::printf("  T=%zu summary: %s\n", threads, stats.summary().c_str());
   }
 
   // Content-addressed estimate cache: repeat-traffic sweep. A stream where
@@ -525,7 +435,7 @@ int main(int argc, char** argv) {
   // validate() per net when nothing fails. The contrast below is injection
   // disarmed (the production configuration) vs 1% of (site, net) decisions
   // injected, where each degraded net additionally pays the analytic
-  // baseline. The disarmed delta vs the table above is the robustness tax.
+  // baseline.
   std::printf("\n=== Fault-tolerance overhead: estimate_batch, T=1 ===\n\n");
   {
     core::BatchOptions options;
@@ -638,18 +548,14 @@ int main(int argc, char** argv) {
                 summary.shadow_under_budget ? "UNDER" : "OVER");
   }
 
-  // Network front-end: the same estimator behind serve::NetServer, driven by
-  // 8 concurrent clients over real sockets. Each client fires on a fixed
-  // schedule derived from the offered rate; when it falls behind (previous
-  // request still in flight) it fires again immediately, so past saturation
-  // the achieved/offered gap and the latency percentiles carry the signal
-  // (in-flight load is bounded at one request per client, so the bounded
-  // admission queue is exercised by the soak test, not here). Offered rates
-  // are multiples of the measured T=1 in-process capacity, so the saturation
-  // knee (last rate with achieved >= 90% of offered) always lands inside the
-  // sweep. Retries are disabled: every request resolves to exactly one of
-  // served / typed kOverloaded reject / timeout.
-  std::printf("\n=== Network serving: open-loop load sweep (8 clients) ===\n\n");
+  // Request-tracing overhead: the same estimator behind serve::NetServer, a
+  // closed-loop burst (8 clients back-to-back, no pacing, so the server is
+  // the bottleneck and wall time carries the signal) with tracing off vs on
+  // at the default head-sampling rate. The acceptance budget is <= 1% of
+  // nets/s; reported, not asserted, since a shared box adds noise at this
+  // scale. perfbench's serve.* layers measure the server's latency and
+  // sustainable rate.
+  std::printf("\n=== Network serving: request-tracing overhead (8 clients) ===\n\n");
   {
     constexpr std::size_t kClients = 8;
     serve::NetServerConfig scfg;
@@ -660,200 +566,62 @@ int main(int argc, char** argv) {
     scfg.queue_capacity = 256;
     serve::NetServer server(estimator, scfg);
     server.start();
-
-    struct ClientTally {
-      std::vector<double> lat_us;
-      std::uint64_t served = 0, rejected = 0, timeouts = 0;
-    };
     summary.net_clients = kClients;
-    const std::vector<double> load_factors = {0.25, 0.5, 1.0, 1.5, 2.0};
-    bench::TablePrinter net_table({"offered/s", "achieved/s", "p50(us)",
-                                   "p99(us)", "served", "rejected", "timeout"},
-                                  {10, 11, 9, 10, 8, 9, 8});
-    net_table.print_header();
-    for (std::size_t step = 0; step < load_factors.size(); ++step) {
-      const double offered = load_factors[step] * summary.nets_per_second;
-      const double period_s = static_cast<double>(kClients) / offered;
-      const std::size_t per_client = std::clamp<std::size_t>(
-          static_cast<std::size_t>(offered * 0.5 / kClients), 24, 400);
-      std::vector<ClientTally> tallies(kClients);
-      const auto sweep_t0 = Clock::now();
+    auto closed_loop_rps = [&](std::uint32_t id_base) {
+      constexpr std::size_t kPerClient = 320;
+      std::vector<std::uint64_t> served(kClients, 0);
       std::vector<std::thread> workers;
       workers.reserve(kClients);
+      const auto t0 = Clock::now();
       for (std::size_t c = 0; c < kClients; ++c) {
         workers.emplace_back([&, c] {
           serve::NetClientConfig ccfg;
           ccfg.port = server.port();
           ccfg.request_timeout_ms = 2000;
-          ccfg.max_retries = 0;
-          ccfg.retry_overloaded = false;
-          ccfg.client_id = static_cast<std::uint32_t>(step * 100 + c + 1);
+          ccfg.max_retries = 2;
+          ccfg.client_id = id_base + static_cast<std::uint32_t>(c);
           serve::NetClient client(ccfg);
-          ClientTally& tally = tallies[c];
-          const auto start = Clock::now();
-          for (std::size_t i = 0; i < per_client; ++i) {
-            std::this_thread::sleep_until(
-                start + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                static_cast<double>(i) * period_s)));
+          for (std::size_t i = 0; i < kPerClient; ++i) {
             const std::size_t idx = (c + i * kClients) % set.items.size();
-            const auto t0 = Clock::now();
-            const serve::NetClient::Result res =
-                client.estimate(set.nets[idx], set.contexts[idx]);
-            if (res.served()) {
-              ++tally.served;
-              tally.lat_us.push_back(
-                  std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                      .count());
-            } else if (res.status.code() == core::ErrorCode::kOverloaded) {
-              ++tally.rejected;
-            } else {
-              ++tally.timeouts;
-            }
+            if (client.estimate(set.nets[idx], set.contexts[idx]).served())
+              ++served[c];
           }
         });
       }
       for (std::thread& w : workers) w.join();
       const double wall =
-          std::chrono::duration<double>(Clock::now() - sweep_t0).count();
-
-      NetRateRow row;
-      row.offered_rps = offered;
-      std::vector<double> lat;
-      for (const ClientTally& tally : tallies) {
-        row.served += tally.served;
-        row.rejected += tally.rejected;
-        row.timeouts += tally.timeouts;
-        lat.insert(lat.end(), tally.lat_us.begin(), tally.lat_us.end());
-      }
-      std::sort(lat.begin(), lat.end());
-      if (!lat.empty()) {
-        row.p50_us = lat[lat.size() / 2];
-        row.p99_us = lat[(lat.size() * 99) / 100];
-      }
-      row.achieved_rps = wall > 0.0 ? static_cast<double>(row.served) / wall : 0.0;
-      if (row.achieved_rps >= 0.9 * row.offered_rps)
-        summary.net_knee_offered_rps = row.offered_rps;
-      summary.net_rows.push_back(row);
-      net_table.print_row(
-          {bench::TablePrinter::fmt(row.offered_rps, 0),
-           bench::TablePrinter::fmt(row.achieved_rps, 0),
-           bench::TablePrinter::fmt(row.p50_us, 1),
-           bench::TablePrinter::fmt(row.p99_us, 1),
-           std::to_string(row.served), std::to_string(row.rejected),
-           std::to_string(row.timeouts)});
-    }
-    // Request-tracing overhead: a closed-loop burst (8 clients back-to-back,
-    // no pacing, so the server is the bottleneck and wall time carries the
-    // signal) with tracing off vs on at the default head-sampling rate. The
-    // acceptance budget is <= 1% of nets/s; reported, not asserted, since a
-    // shared box adds noise at this scale.
-    {
-      auto closed_loop_rps = [&](std::uint32_t id_base) {
-        constexpr std::size_t kPerClient = 320;
-        std::vector<std::uint64_t> served(kClients, 0);
-        std::vector<std::thread> workers;
-        workers.reserve(kClients);
-        const auto t0 = Clock::now();
-        for (std::size_t c = 0; c < kClients; ++c) {
-          workers.emplace_back([&, c] {
-            serve::NetClientConfig ccfg;
-            ccfg.port = server.port();
-            ccfg.request_timeout_ms = 2000;
-            ccfg.max_retries = 2;
-            ccfg.client_id = id_base + static_cast<std::uint32_t>(c);
-            serve::NetClient client(ccfg);
-            for (std::size_t i = 0; i < kPerClient; ++i) {
-              const std::size_t idx = (c + i * kClients) % set.items.size();
-              if (client.estimate(set.nets[idx], set.contexts[idx]).served())
-                ++served[c];
-            }
-          });
-        }
-        for (std::thread& w : workers) w.join();
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        std::uint64_t total = 0;
-        for (const std::uint64_t s : served) total += s;
-        return wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
-      };
-      // Interleave off/on reps and take the best of each arm: the server is
-      // the bottleneck, so max rps is the least-interference estimate, and
-      // alternating arms cancels slow container/thermal drift that would
-      // otherwise masquerade as tracing cost.
-      auto& recorder = telemetry::TraceRecorder::global();
-      const telemetry::TraceConfig default_cfg;  // head rate 1/64
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      std::uint64_t total = 0;
+      for (const std::uint64_t s : served) total += s;
+      return wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
+    };
+    // Interleave off/on reps and take the best of each arm: the server is
+    // the bottleneck, so max rps is the least-interference estimate, and
+    // alternating arms cancels slow container/thermal drift that would
+    // otherwise masquerade as tracing cost.
+    auto& recorder = telemetry::TraceRecorder::global();
+    const telemetry::TraceConfig default_cfg;  // head rate 1/64
+    recorder.disable();
+    (void)closed_loop_rps(9000);  // warm-up
+    double off_rps = 0.0;
+    double on_rps = 0.0;
+    for (std::uint32_t rep = 0; rep < 3; ++rep) {
       recorder.disable();
-      (void)closed_loop_rps(9000);  // warm-up
-      double off_rps = 0.0;
-      double on_rps = 0.0;
-      for (std::uint32_t rep = 0; rep < 3; ++rep) {
-        recorder.disable();
-        off_rps = std::max(off_rps, closed_loop_rps(9100 + rep * 16));
-        recorder.configure(default_cfg);
-        recorder.enable();
-        on_rps = std::max(on_rps, closed_loop_rps(9200 + rep * 16));
-      }
-      recorder.disable();
-      summary.net_request_tracing_overhead_pct =
-          off_rps > 0.0 ? std::max(0.0, 100.0 * (off_rps - on_rps) / off_rps)
-                        : 0.0;
-      std::printf(
-          "\nrequest tracing at default rate (1/64): %.0f nets/s off, %.0f "
-          "nets/s on — overhead %.2f%% (budget 1%%)\n",
-          off_rps, on_rps, summary.net_request_tracing_overhead_pct);
+      off_rps = std::max(off_rps, closed_loop_rps(9100 + rep * 16));
+      recorder.configure(default_cfg);
+      recorder.enable();
+      on_rps = std::max(on_rps, closed_loop_rps(9200 + rep * 16));
     }
-    server.stop();
-
-    // Where did a request's time go: the server-side stage clock over every
-    // request of the sweep, scraped from the stage histograms.
-    {
-      const telemetry::MetricsSnapshot snap =
-          telemetry::MetricsRegistry::global().snapshot();
-      const auto stage_row = [&snap](const char* stage, const char* metric) {
-        BenchSummary::NetStageRow row;
-        row.stage = stage;
-        for (const auto& h : snap.histograms)
-          if (h.name == metric) {
-            row.p50_us = h.data.quantile(0.5) * 1e6;
-            row.p99_us = h.data.quantile(0.99) * 1e6;
-            break;
-          }
-        return row;
-      };
-      summary.net_stage_rows = {
-          stage_row("queue", "gnntrans_net_stage_queue_seconds"),
-          stage_row("batch_wait", "gnntrans_net_stage_batch_wait_seconds"),
-          stage_row("model", "gnntrans_net_stage_model_seconds"),
-          stage_row("serialize", "gnntrans_net_stage_serialize_seconds"),
-          stage_row("write", "gnntrans_net_stage_write_seconds"),
-      };
-      bench::TablePrinter stage_table({"stage", "p50(us)", "p99(us)"},
-                                      {12, 9, 10});
-      std::printf("\nper-stage latency attribution (server stage clock):\n");
-      stage_table.print_header();
-      for (const BenchSummary::NetStageRow& r : summary.net_stage_rows)
-        stage_table.print_row({r.stage, bench::TablePrinter::fmt(r.p50_us, 1),
-                               bench::TablePrinter::fmt(r.p99_us, 1)});
-    }
-
-    const auto& ledger = server.ledger();
+    recorder.disable();
+    summary.net_request_tracing_overhead_pct =
+        off_rps > 0.0 ? std::max(0.0, 100.0 * (off_rps - on_rps) / off_rps)
+                      : 0.0;
     std::printf(
-        "\nsaturation knee: %.0f req/s offered (last rate with achieved >= "
-        "90%% of offered)\nserver ledger: %llu frames, %llu served, %llu "
-        "rejected (%llu overload), %llu batches\n",
-        summary.net_knee_offered_rps,
-        static_cast<unsigned long long>(ledger.frames.load()),
-        static_cast<unsigned long long>(ledger.served.load()),
-        static_cast<unsigned long long>(ledger.rejected_total()),
-        static_cast<unsigned long long>(ledger.rejected_overload.load()),
-        static_cast<unsigned long long>(ledger.batches.load()));
+        "\nrequest tracing at default rate (1/64): %.0f nets/s off, %.0f "
+        "nets/s on — overhead %.2f%% (budget 1%%)\n",
+        off_rps, on_rps, summary.net_request_tracing_overhead_pct);
+    server.stop();
   }
-
-  // Metrics snapshot: everything the run above published to the global
-  // registry, in Prometheus text form (what --metrics-out writes).
-  std::printf("\n=== Metrics snapshot (Prometheus text) ===\n\n%s",
-              telemetry::MetricsRegistry::global().prometheus_text().c_str());
 
   write_summary_json(json_path, summary);
   if (!flight_path.empty()) {

@@ -1,12 +1,10 @@
 /// \file thread_pool.hpp
-/// A reusable, fixed-size worker pool shared by training and serving.
+/// A reusable, fixed-size worker pool for batched inference
+/// (WireTimingEstimator::estimate_batch) and the network server.
 ///
-/// Extracted from the data-parallel trainer so that batched inference
-/// (WireTimingEstimator::estimate_batch) and training fan-out use one
-/// primitive instead of spawning fresh std::threads per mini-batch. The pool
-/// exposes an indexed parallel_for whose callback receives a stable worker id
-/// in [0, size()), which callers use to address per-worker resources (model
-/// replicas, activation slabs) without locking. The worker count is fixed at
+/// The pool exposes an indexed parallel_for whose callback receives a stable
+/// worker id in [0, size()), which callers use to address per-worker resources
+/// (activation slabs) without locking. The worker count is fixed at
 /// construction.
 #pragma once
 

@@ -71,6 +71,15 @@ void fit_scalar(const std::vector<double>& values, double& mean, double& std_dev
   if (std_dev < 1e-18) std_dev = 1.0;
 }
 
+/// Z-scores the row-major [rows, mean.size()] \p data column by column.
+tensor::Tensor standardized(std::vector<float> data, const std::vector<double>& mean,
+                            const std::vector<double>& std_dev, std::size_t rows) {
+  const std::size_t dim = mean.size();
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<float>((data[i] - mean[i % dim]) / std_dev[i % dim]);
+  return tensor::Tensor::from_data(std::move(data), rows, dim);
+}
+
 }  // namespace
 
 void Standardizer::fit(const std::vector<WireRecord>& records) {
@@ -101,61 +110,6 @@ double Standardizer::unstandardize_delay(double z) const noexcept {
   return z * delay_std_ + delay_mean_;
 }
 
-namespace {
-
-/// Builds all aggregation operators of a net for the model zoo from its
-/// analysis' adjacency and paths.
-void build_graph_operators(const rcnet::RcNet& net,
-                           const sim::WireAnalysis& analysis,
-                           nn::GraphSample& sample) {
-  const std::size_t n = net.node_count();
-  const rcnet::Adjacency& adj = analysis.adjacency;
-
-  // Eq. (1): resistance-valued adjacency, row-normalized for stability.
-  sample.weighted_adj = tensor::GraphMatrix(n, n, adj.neighbors.size());
-  // GraphSage-classic: mean over neighbors.
-  sample.mean_adj = tensor::GraphMatrix(n, n, adj.neighbors.size());
-  for (NodeId v = 0; v < n; ++v) {
-    const float inv_deg =
-        adj[v].empty() ? 0.0f : 1.0f / static_cast<float>(adj[v].size());
-    for (const rcnet::Neighbor& nb : adj[v]) {
-      sample.weighted_adj.add(v, nb.node,
-                              static_cast<float>(net.resistors[nb.resistor_index].ohms));
-      sample.mean_adj.add(v, nb.node, inv_deg);
-    }
-  }
-  sample.weighted_adj.row_normalize();
-
-  // GCNII: D^{-1/2} (A + I) D^{-1/2} over the binary graph with self loops.
-  sample.gcnii_adj = tensor::GraphMatrix(n, n, adj.neighbors.size() + n);
-  std::vector<float> inv_sqrt_deg(n);
-  for (NodeId v = 0; v < n; ++v)
-    inv_sqrt_deg[v] = 1.0f / std::sqrt(static_cast<float>(adj[v].size() + 1));
-  for (NodeId v = 0; v < n; ++v) {
-    sample.gcnii_adj.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
-    for (const rcnet::Neighbor& nb : adj[v])
-      sample.gcnii_adj.add(v, nb.node, inv_sqrt_deg[v] * inv_sqrt_deg[nb.node]);
-  }
-
-  // Neighbor mask with self loops for masked attention.
-  sample.attn_mask.assign(n * n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    sample.attn_mask[v * n + v] = 1;
-    for (const rcnet::Neighbor& nb : adj[v]) sample.attn_mask[v * n + nb.node] = 1;
-  }
-
-  // Eq. (4) pooling matrix: mean over each path's nodes.
-  const std::size_t p = analysis.paths.size();
-  sample.path_pool = tensor::GraphMatrix(p, n);
-  for (std::size_t q = 0; q < p; ++q) {
-    const auto& nodes = analysis.paths[q].nodes;
-    const float w = 1.0f / static_cast<float>(nodes.size());
-    for (NodeId v : nodes) sample.path_pool.add(static_cast<std::uint32_t>(q), v, w);
-  }
-}
-
-}  // namespace
-
 nn::GraphSample Standardizer::make_sample(const rcnet::RcNet& net,
                                           const RawFeatures& raw) const {
   if (!fitted()) throw std::logic_error("Standardizer: fit() before make_sample()");
@@ -167,23 +121,26 @@ nn::GraphSample Standardizer::make_sample(const rcnet::RcNet& net,
   sample.node_count = net.node_count();
   sample.path_count = raw.analysis.paths.size();
 
-  // Standardize features.
-  std::vector<float> x = raw.x;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t c = i % kNodeFeatureCount;
-    x[i] = static_cast<float>((x[i] - x_mean_[c]) / x_std_[c]);
-  }
-  std::vector<float> h = raw.h;
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    const std::size_t c = i % kPathFeatureCount;
-    h[i] = static_cast<float>((h[i] - h_mean_[c]) / h_std_[c]);
-  }
-  sample.x = tensor::Tensor::from_data(std::move(x), sample.node_count,
-                                       kNodeFeatureCount);
-  sample.h =
-      tensor::Tensor::from_data(std::move(h), sample.path_count, kPathFeatureCount);
+  sample.x = standardized(raw.x, x_mean_, x_std_, sample.node_count);
+  sample.h = standardized(raw.h, h_mean_, h_std_, sample.path_count);
 
-  build_graph_operators(net, raw.analysis, sample);
+  // Eq. (1): resistance-valued adjacency, row-normalized for stability.
+  const std::size_t n = sample.node_count;
+  const rcnet::Adjacency& adj = raw.analysis.adjacency;
+  sample.weighted_adj = tensor::GraphMatrix(n, n, adj.neighbors.size());
+  for (NodeId v = 0; v < n; ++v)
+    for (const rcnet::Neighbor& nb : adj[v])
+      sample.weighted_adj.add(v, nb.node,
+                              static_cast<float>(net.resistors[nb.resistor_index].ohms));
+  sample.weighted_adj.row_normalize();
+
+  // Eq. (4) pooling matrix: mean over each path's nodes.
+  sample.path_pool = tensor::GraphMatrix(sample.path_count, n);
+  for (std::size_t q = 0; q < sample.path_count; ++q) {
+    const auto& nodes = raw.analysis.paths[q].nodes;
+    const float w = 1.0f / static_cast<float>(nodes.size());
+    for (NodeId v : nodes) sample.path_pool.add(static_cast<std::uint32_t>(q), v, w);
+  }
   return sample;
 }
 

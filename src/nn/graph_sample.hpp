@@ -1,14 +1,12 @@
 /// \file graph_sample.hpp
 /// Model-ready representation of one RC net (paper Sec. III-B, Fig. 5).
 ///
-/// A sample bundles the node feature matrix X, path feature matrix H, the
-/// weighted adjacency in the aggregation forms each model family consumes,
-/// the per-path pooling operator, and standardized labels. Built by
-/// features::Standardizer::make_sample(); consumed by every model in
-/// models.hpp.
+/// A sample bundles the node feature matrix X, path feature matrix H, the two
+/// graph operators GNNTrans reads (Eq. 1 and Eq. 4), and standardized labels.
+/// Built by features::Standardizer::make_sample(); consumed by every model in
+/// models.hpp. The baselines derive their operators from weighted_adj (layers.hpp).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,12 +27,6 @@ struct GraphSample {
 
   /// Eq. (1) aggregation: resistance-weighted adjacency, row-normalized.
   tensor::GraphMatrix weighted_adj;
-  /// GraphSage-classic aggregation: mean over neighbors (binary adjacency).
-  tensor::GraphMatrix mean_adj;
-  /// GCNII propagation: D^{-1/2} (A + I) D^{-1/2}.
-  tensor::GraphMatrix gcnii_adj;
-  /// N*N neighbor mask (self included) for neighbor-restricted attention.
-  std::vector<std::uint8_t> attn_mask;
   /// Eq. (4) pooling: [P, N], row q holds 1/N_q on the nodes of path q.
   tensor::GraphMatrix path_pool;
 

@@ -10,6 +10,43 @@ namespace gnntrans::nn {
 
 using tensor::Tensor;
 
+// ---- Baseline operators ----
+
+tensor::GraphMatrix mean_adjacency(const tensor::GraphMatrix& adj) {
+  std::vector<float> degree(adj.rows, 0.0f);
+  for (const std::uint32_t r : adj.row_index) degree[r] += 1.0f;
+  tensor::GraphMatrix mean = adj;
+  for (std::size_t k = 0; k < mean.nnz(); ++k)
+    mean.values[k] = 1.0f / degree[mean.row_index[k]];
+  return mean;
+}
+
+tensor::GraphMatrix gcnii_adjacency(const tensor::GraphMatrix& adj) {
+  const std::size_t n = adj.rows;
+  std::vector<float> inv_sqrt_deg(n, 1.0f);  // degree + 1 for the self loop
+  for (const std::uint32_t r : adj.row_index) inv_sqrt_deg[r] += 1.0f;
+  for (float& d : inv_sqrt_deg) d = 1.0f / std::sqrt(d);
+  tensor::GraphMatrix gcnii(n, n, adj.nnz() + n);
+  std::size_t k = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    gcnii.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
+    for (; k < adj.nnz() && adj.row_index[k] == v; ++k)
+      gcnii.add(v, adj.col_index[k], inv_sqrt_deg[v] * inv_sqrt_deg[adj.col_index[k]]);
+  }
+  if (k != adj.nnz())
+    throw std::invalid_argument("gcnii_adjacency: entries not grouped by row");
+  return gcnii;
+}
+
+std::vector<std::uint8_t> neighbor_mask(const tensor::GraphMatrix& adj) {
+  const std::size_t n = adj.rows;
+  std::vector<std::uint8_t> mask(n * n, 0);
+  for (std::size_t v = 0; v < n; ++v) mask[v * n + v] = 1;
+  for (std::size_t k = 0; k < adj.nnz(); ++k)
+    mask[adj.row_index[k] * n + adj.col_index[k]] = 1;
+  return mask;
+}
+
 // ---- Linear ----
 
 Linear::Linear(std::size_t in_dim, std::size_t out_dim, std::mt19937_64& rng)

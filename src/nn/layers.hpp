@@ -49,10 +49,19 @@ class Mlp {
   std::vector<Linear> layers_;
 };
 
+/// The baselines' operators, each derived from the sparsity pattern of a
+/// sample's weighted_adj. Mean aggregation: each entry is 1 / its row's nnz.
+[[nodiscard]] tensor::GraphMatrix mean_adjacency(const tensor::GraphMatrix& adj);
+/// GCNII propagation D^{-1/2} (A + I) D^{-1/2}: per row, the self loop, then
+/// the row's entries in order. \p adj's entries must be grouped by row.
+[[nodiscard]] tensor::GraphMatrix gcnii_adjacency(const tensor::GraphMatrix& adj);
+/// N*N neighbour mask, self loops included, for neighbour-restricted attention.
+[[nodiscard]] std::vector<std::uint8_t> neighbor_mask(const tensor::GraphMatrix& adj);
+
 /// Paper Eq. (1): x_i' = ReLU(W1 x_i + W2 * sum_u a_iu x_u).
 ///
 /// The aggregation matrix carries the resistance weights a_iu (or plain mean
-/// weights for the unweighted ablation); it is part of the sample, not the layer.
+/// weights for the unweighted ablation); it comes from the sample, not the layer.
 class SageConv {
  public:
   SageConv() = default;

@@ -107,8 +107,9 @@ class GnnTransModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
-    const tensor::GraphMatrix& agg =
-        config_.use_edge_weights ? sample.weighted_adj : sample.mean_adj;
+    const tensor::GraphMatrix agg = config_.use_edge_weights
+                                        ? sample.weighted_adj
+                                        : mean_adjacency(sample.weighted_adj);
     Tensor x = sample.x;
     guard_finite(x, "input");
     {
@@ -116,12 +117,12 @@ class GnnTransModel final : public WireModel {
       for (const SageConv& layer : gnn_) x = layer.forward(x, agg);  // Eq. (1)
       guard_finite(x, "gnn_forward");
     }
-    static const std::vector<std::uint8_t> kNoMask;
+    const std::vector<std::uint8_t> mask =
+        config_.global_attention ? std::vector<std::uint8_t>()
+                                 : neighbor_mask(sample.weighted_adj);
     {
       const telemetry::TraceSpan span("attention", "model");
-      for (const SelfAttentionLayer& layer : attention_)
-        x = layer.forward(x,
-                          config_.global_attention ? kNoMask : sample.attn_mask);
+      for (const SelfAttentionLayer& layer : attention_) x = layer.forward(x, mask);
       guard_finite(x, "attention");
     }
     const telemetry::TraceSpan span("heads", "model");
@@ -172,8 +173,9 @@ class GraphSageModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+    const tensor::GraphMatrix mean = mean_adjacency(sample.weighted_adj);
     Tensor x = sample.x;
-    for (const SageConv& layer : layers_) x = layer.forward(x, sample.mean_adj);
+    for (const SageConv& layer : layers_) x = layer.forward(x, mean);
     return heads_.predict(tensor::spmm(sample.path_pool, x));
   }
 
@@ -217,10 +219,10 @@ class GcniiModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+    const tensor::GraphMatrix prop = gcnii_adjacency(sample.weighted_adj);
     const Tensor x0 = tensor::relu(input_.forward(sample.x));
     Tensor x = x0;
-    for (const GcniiLayer& layer : layers_)
-      x = layer.forward(x, x0, sample.gcnii_adj);
+    for (const GcniiLayer& layer : layers_) x = layer.forward(x, x0, prop);
     return heads_.predict(tensor::spmm(sample.path_pool, x));
   }
 
@@ -265,8 +267,9 @@ class GatModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+    const std::vector<std::uint8_t> mask = neighbor_mask(sample.weighted_adj);
     Tensor x = sample.x;
-    for (const GatLayer& layer : layers_) x = layer.forward(x, sample.attn_mask);
+    for (const GatLayer& layer : layers_) x = layer.forward(x, mask);
     return heads_.predict(tensor::spmm(sample.path_pool, x));
   }
 
@@ -310,9 +313,10 @@ class GraphTransformerModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+    const std::vector<std::uint8_t> mask = neighbor_mask(sample.weighted_adj);
     Tensor x = tensor::relu(input_.forward(sample.x));
     for (std::size_t l = 0; l < attention_.size(); ++l) {
-      x = attention_[l].forward(x, sample.attn_mask);
+      x = attention_[l].forward(x, mask);
       x = ffn_[l].forward(x);
     }
     return heads_.predict(tensor::spmm(sample.path_pool, x));

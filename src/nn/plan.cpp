@@ -594,13 +594,11 @@ std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model,
 
 WirePrediction GnnTransPlan::run(const GraphSample& sample,
                                  Workspace& workspace) const {
-  const tensor::GraphMatrix& agg =
-      use_edge_weights_ ? sample.weighted_adj : sample.mean_adj;
   require(sample.x.defined() && sample.x.cols() == node_dim_,
           "node feature width mismatch");
   const std::size_t n = sample.x.rows();
   const std::size_t p = sample.path_pool.rows;
-  check_matrix(agg, n, n, "aggregation matrix does not match the net");
+  check_matrix(sample.weighted_adj, n, n, "aggregation matrix does not match the net");
   check_matrix(sample.path_pool, p, n,
                "path pooling matrix does not match the net");
   if (path_dim_ > 0)
@@ -608,6 +606,9 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
                 sample.h.cols() == path_dim_,
             "path feature shape mismatch");
   guard_finite(sample.x, "input");
+  const tensor::GraphMatrix mean =
+      use_edge_weights_ ? tensor::GraphMatrix() : mean_adjacency(sample.weighted_adj);
+  const tensor::GraphMatrix& agg = use_edge_weights_ ? sample.weighted_adj : mean;
 
   // Slab layout: every buffer starts on a 16-float boundary. Sizes depend
   // only on (n, p) and the plan, so a warm workspace never grows for a net

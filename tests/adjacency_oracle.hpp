@@ -1,6 +1,6 @@
 // Vector-of-vectors reference for the CSR resistor adjacency
 // (rcnet::build_adjacency) and everything that walks it: the Dijkstra
-// shortest-path tree, the Table I features and the GraphSample aggregation
+// shortest-path tree, the Table I features and the model zoo's aggregation
 // operators. One std::vector of neighbours per node, filled by push_back in
 // resistor order. Test-only.
 #pragma once
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "features/features.hpp"
-#include "nn/graph_sample.hpp"
+#include "tensor/ops.hpp"
 #include "rcnet/paths.hpp"
 #include "rcnet/rcnet.hpp"
 #include "sim/moments.hpp"
@@ -149,49 +149,59 @@ inline Features features(const RcNet& net,
   return out;
 }
 
-/// Fills every aggregation operator of \p sample (weighted, mean and GCNII
-/// adjacency, attention mask, path pooling) from \p adj and \p tree.
-inline void graph_operators(const RcNet& net, const ListAdjacency& adj,
-                            const ShortestPathTree& tree,
-                            gnntrans::nn::GraphSample& sample) {
+/// Every aggregation operator the model zoo reads.
+struct GraphOperators {
+  gnntrans::tensor::GraphMatrix weighted_adj;
+  gnntrans::tensor::GraphMatrix mean_adj;
+  gnntrans::tensor::GraphMatrix gcnii_adj;
+  std::vector<std::uint8_t> attn_mask;
+  gnntrans::tensor::GraphMatrix path_pool;
+};
+
+/// Builds every aggregation operator (weighted, mean and GCNII adjacency,
+/// attention mask, path pooling) from \p adj and \p tree.
+inline GraphOperators graph_operators(const RcNet& net, const ListAdjacency& adj,
+                                      const ShortestPathTree& tree) {
   using gnntrans::tensor::GraphMatrix;
   const std::size_t n = net.node_count();
-  sample.weighted_adj = GraphMatrix(n, n);
-  sample.mean_adj = GraphMatrix(n, n);
+  GraphOperators ops;
+  ops.weighted_adj = GraphMatrix(n, n);
+  ops.mean_adj = GraphMatrix(n, n);
   for (NodeId v = 0; v < n; ++v) {
     const float inv_deg =
         adj[v].empty() ? 0.0f : 1.0f / static_cast<float>(adj[v].size());
     for (const Neighbor& nb : adj[v]) {
-      sample.weighted_adj.add(
+      ops.weighted_adj.add(
           v, nb.node, static_cast<float>(net.resistors[nb.resistor_index].ohms));
-      sample.mean_adj.add(v, nb.node, inv_deg);
+      ops.mean_adj.add(v, nb.node, inv_deg);
     }
   }
-  sample.weighted_adj.row_normalize();
+  ops.weighted_adj.row_normalize();
 
-  sample.gcnii_adj = GraphMatrix(n, n);
+  ops.gcnii_adj = GraphMatrix(n, n);
   std::vector<float> inv_sqrt_deg(n);
   for (NodeId v = 0; v < n; ++v)
     inv_sqrt_deg[v] = 1.0f / std::sqrt(static_cast<float>(adj[v].size() + 1));
   for (NodeId v = 0; v < n; ++v) {
-    sample.gcnii_adj.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
+    ops.gcnii_adj.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
     for (const Neighbor& nb : adj[v])
-      sample.gcnii_adj.add(v, nb.node, inv_sqrt_deg[v] * inv_sqrt_deg[nb.node]);
+      ops.gcnii_adj.add(v, nb.node, inv_sqrt_deg[v] * inv_sqrt_deg[nb.node]);
   }
 
-  sample.attn_mask.assign(n * n, 0);
+  ops.attn_mask.assign(n * n, 0);
   for (NodeId v = 0; v < n; ++v) {
-    sample.attn_mask[v * n + v] = 1;
-    for (const Neighbor& nb : adj[v]) sample.attn_mask[v * n + nb.node] = 1;
+    ops.attn_mask[v * n + v] = 1;
+    for (const Neighbor& nb : adj[v]) ops.attn_mask[v * n + nb.node] = 1;
   }
 
   const auto paths = gnntrans::rcnet::enumerate_paths(net, tree);
-  sample.path_pool = GraphMatrix(paths.size(), n);
+  ops.path_pool = GraphMatrix(paths.size(), n);
   for (std::size_t q = 0; q < paths.size(); ++q) {
     const float w = 1.0f / static_cast<float>(paths[q].nodes.size());
     for (NodeId v : paths[q].nodes)
-      sample.path_pool.add(static_cast<std::uint32_t>(q), v, w);
+      ops.path_pool.add(static_cast<std::uint32_t>(q), v, w);
   }
+  return ops;
 }
 
 }  // namespace adjacency_oracle

@@ -7,7 +7,6 @@
 
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
-#include "core/parallel.hpp"
 #include "core/trainer.hpp"
 #include "features/dataset.hpp"
 #include "netlist/generate.hpp"
@@ -165,17 +164,10 @@ TEST(Trainer, DiscardsCompiledInferencePlan) {
   tc.epochs = 1;
 
   // The plan copies the weights, so a plan compiled before training would
-  // serve the old ones: both trainers must drop it.
+  // serve the old ones: the trainer must drop it.
   model->compile_inference();
   ASSERT_TRUE(model->has_inference_plan());
   train_model(*model, samples, tc);
-  EXPECT_FALSE(model->has_inference_plan());
-
-  model->compile_inference();
-  ParallelTrainConfig pc;
-  pc.base = tc;
-  pc.workers = 2;
-  train_model_parallel(*model, samples, pc);
   EXPECT_FALSE(model->has_inference_plan());
 }
 

@@ -14,6 +14,7 @@
 #include "features/dataset.hpp"
 #include "features/features.hpp"
 #include "netlist/generate.hpp"
+#include "nn/layers.hpp"
 #include "rcnet/generate.hpp"
 #include "tensor/serialize.hpp"
 
@@ -165,7 +166,6 @@ TEST(Dataset, MakeSampleBuildsConsistentOperators) {
     EXPECT_EQ(s.x.rows(), s.node_count);
     EXPECT_EQ(s.x.cols(), kNodeFeatureCount);
     EXPECT_EQ(s.h.rows(), s.path_count);
-    EXPECT_EQ(s.attn_mask.size(), s.node_count * s.node_count);
     EXPECT_EQ(s.non_tree, !rec.net.is_tree());
 
     // Pooling rows sum to 1 (mean over path nodes).
@@ -180,9 +180,11 @@ TEST(Dataset, MakeSampleBuildsConsistentOperators) {
       adj_sum[s.weighted_adj.row_index[k]] += s.weighted_adj.values[k];
     for (double v : adj_sum) EXPECT_NEAR(v, 1.0, 1e-4);
 
-    // Attention mask has self loops.
+    // The derived attention mask is N*N with self loops.
+    const std::vector<std::uint8_t> mask = nn::neighbor_mask(s.weighted_adj);
+    EXPECT_EQ(mask.size(), s.node_count * s.node_count);
     for (std::size_t v = 0; v < s.node_count; ++v)
-      EXPECT_EQ(s.attn_mask[v * s.node_count + v], 1);
+      EXPECT_EQ(mask[v * s.node_count + v], 1);
 
     // The serving form builds the same inputs and no label tensors.
     const nn::GraphSample u = std_.make_sample(rec.net, rec.raw);
@@ -252,16 +254,16 @@ TEST(CsrVsListAdjacency, FeaturizationIsBitwiseIdentical) {
       EXPECT_TRUE(same_bits(raw.x, ref.x)) << set.name << " net " << i;
       EXPECT_TRUE(same_bits(raw.h, ref.h)) << set.name << " net " << i;
 
-      // Every aggregation operator of the served sample.
+      // Every aggregation operator: the sample's two and the zoo's derived ones.
       const nn::GraphSample sample = standardizer.make_sample(net, raw);
-      nn::GraphSample ops;
-      adjacency_oracle::graph_operators(net, list, tree, ops);
+      const adjacency_oracle::GraphOperators ops =
+          adjacency_oracle::graph_operators(net, list, tree);
       EXPECT_TRUE(same_bits(sample.weighted_adj, ops.weighted_adj))
           << set.name << " net " << i;
-      EXPECT_TRUE(same_bits(sample.mean_adj, ops.mean_adj));
-      EXPECT_TRUE(same_bits(sample.gcnii_adj, ops.gcnii_adj));
+      EXPECT_TRUE(same_bits(nn::mean_adjacency(sample.weighted_adj), ops.mean_adj));
+      EXPECT_TRUE(same_bits(nn::gcnii_adjacency(sample.weighted_adj), ops.gcnii_adj));
       EXPECT_TRUE(same_bits(sample.path_pool, ops.path_pool));
-      EXPECT_EQ(sample.attn_mask, ops.attn_mask);
+      EXPECT_EQ(nn::neighbor_mask(sample.weighted_adj), ops.attn_mask);
     }
   }
 }

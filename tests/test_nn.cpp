@@ -9,6 +9,7 @@
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include "cell/library.hpp"
 #include "features/dataset.hpp"
@@ -23,7 +24,7 @@ namespace {
 using namespace gnntrans;
 using namespace gnntrans::nn;
 
-/// Builds a synthetic 5-node / 2-path sample with all operators populated.
+/// Builds a synthetic 5-node / 2-path sample with both operators populated.
 GraphSample toy_sample(std::uint64_t seed = 1, std::size_t dx = 12,
                        std::size_t dh = 8) {
   std::mt19937_64 rng(seed);
@@ -40,24 +41,11 @@ GraphSample toy_sample(std::uint64_t seed = 1, std::size_t dx = 12,
   s.x = tensor::Tensor::from_data(std::move(x), n, dx);
   s.h = tensor::Tensor::from_data(std::move(h), p, dh);
 
-  // Chain topology 0-1-2-3-4.
+  // Chain topology 0-1-2-3-4, entries grouped by row as make_sample builds them.
   s.weighted_adj = tensor::GraphMatrix(n, n);
-  s.mean_adj = tensor::GraphMatrix(n, n);
-  s.gcnii_adj = tensor::GraphMatrix(n, n);
-  s.attn_mask.assign(n * n, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    s.attn_mask[v * n + v] = 1;
-    s.gcnii_adj.add(v, v, 0.5f);
-    if (v + 1 < n) {
-      s.weighted_adj.add(v, v + 1, 0.5f);
-      s.weighted_adj.add(v + 1, v, 0.5f);
-      s.mean_adj.add(v, v + 1, 0.5f);
-      s.mean_adj.add(v + 1, v, 0.5f);
-      s.gcnii_adj.add(v, v + 1, 0.25f);
-      s.gcnii_adj.add(v + 1, v, 0.25f);
-      s.attn_mask[v * n + v + 1] = 1;
-      s.attn_mask[(v + 1) * n + v] = 1;
-    }
+    if (v > 0) s.weighted_adj.add(v, v - 1, 0.5f);
+    if (v + 1 < n) s.weighted_adj.add(v, v + 1, 0.5f);
   }
   s.path_pool = tensor::GraphMatrix(p, n);
   s.path_pool.add(0, 0, 0.5f);
@@ -193,11 +181,20 @@ TEST(GnnTransAblations, PathFeatureFlagChangesInputDim) {
   (void)b->forward(s);
 }
 
+TEST(GraphOperators, GcniiRejectsEntriesNotGroupedByRow) {
+  tensor::GraphMatrix adj(2, 2);
+  adj.add(1, 0, 1.0f);
+  adj.add(0, 1, 1.0f);
+  EXPECT_THROW((void)gcnii_adjacency(adj), std::invalid_argument);
+}
+
 TEST(GnnTransAblations, EdgeWeightFlagSwitchesAggregator) {
   GraphSample s = toy_sample();
-  // Make the two aggregation matrices radically different so the switch shows.
+  // Make the two aggregation matrices radically different so the switch shows:
+  // unequal weights on one row, where the mean weighs both edges 1/2.
   s.weighted_adj = tensor::GraphMatrix(s.node_count, s.node_count);
-  s.weighted_adj.add(0, 4, 1.0f);  // long-range fake edge
+  s.weighted_adj.add(0, 3, 0.9f);  // long-range fake edges
+  s.weighted_adj.add(0, 4, 0.1f);
   ModelConfig weighted = small_config();
   ModelConfig mean = small_config();
   mean.use_edge_weights = false;

@@ -1,113 +1,16 @@
-// Tests for the synchronous data-parallel trainer and the shared ThreadPool.
+// Tests for the shared ThreadPool.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
-#include "core/parallel.hpp"
 #include "core/thread_pool.hpp"
-#include "features/dataset.hpp"
 
 namespace {
 
 using namespace gnntrans;
 using namespace gnntrans::core;
-
-std::vector<nn::GraphSample> samples_for_test(std::size_t n, std::uint64_t seed,
-                                              features::Standardizer& std_) {
-  const auto lib = cell::CellLibrary::make_default();
-  features::WireDatasetConfig cfg;
-  cfg.net_count = n;
-  cfg.seed = seed;
-  cfg.sim_config.steps = 200;
-  const auto records = features::generate_wire_records(cfg, lib);
-  std_.fit(records);
-  return features::make_samples(records, std_);
-}
-
-std::unique_ptr<nn::WireModel> fresh_model() {
-  nn::ModelConfig mc;
-  mc.node_feature_dim = features::kNodeFeatureCount;
-  mc.path_feature_dim = features::kPathFeatureCount;
-  mc.hidden_dim = 8;
-  mc.gnn_layers = 2;
-  mc.transformer_layers = 1;
-  mc.heads = 2;
-  mc.mlp_hidden = 16;
-  return nn::make_model(nn::ModelKind::kGnnTrans, mc);
-}
-
-TEST(ParallelTrainer, LossDecreasesWithTwoWorkers) {
-  features::Standardizer std_;
-  const auto samples = samples_for_test(24, 71, std_);
-  auto model = fresh_model();
-  ParallelTrainConfig cfg;
-  cfg.workers = 2;
-  cfg.base.epochs = 10;
-  const TrainReport report = train_model_parallel(*model, samples, cfg);
-  ASSERT_EQ(report.epoch_loss.size(), 10u);
-  EXPECT_LT(report.epoch_loss.back(), 0.6 * report.epoch_loss.front());
-}
-
-TEST(ParallelTrainer, DeterministicAcrossRuns) {
-  features::Standardizer std_;
-  const auto samples = samples_for_test(12, 73, std_);
-  ParallelTrainConfig cfg;
-  cfg.workers = 3;
-  cfg.base.epochs = 3;
-
-  auto m1 = fresh_model();
-  auto m2 = fresh_model();
-  const TrainReport r1 = train_model_parallel(*m1, samples, cfg);
-  const TrainReport r2 = train_model_parallel(*m2, samples, cfg);
-  ASSERT_EQ(r1.epoch_loss.size(), r2.epoch_loss.size());
-  for (std::size_t e = 0; e < r1.epoch_loss.size(); ++e)
-    EXPECT_DOUBLE_EQ(r1.epoch_loss[e], r2.epoch_loss[e]);
-  // Trained weights must match too.
-  const auto p1 = m1->parameters();
-  const auto p2 = m2->parameters();
-  for (std::size_t i = 0; i < p1.size(); ++i)
-    for (std::size_t j = 0; j < p1[i].size(); ++j)
-      EXPECT_EQ(p1[i].values()[j], p2[i].values()[j]);
-}
-
-TEST(ParallelTrainer, SingleWorkerStillTrains) {
-  features::Standardizer std_;
-  const auto samples = samples_for_test(12, 77, std_);
-  auto model = fresh_model();
-  ParallelTrainConfig cfg;
-  cfg.workers = 1;
-  cfg.base.epochs = 8;
-  const TrainReport report = train_model_parallel(*model, samples, cfg);
-  EXPECT_LT(report.epoch_loss.back(), report.epoch_loss.front());
-}
-
-TEST(ParallelTrainer, WorkerCountDoesNotBreakConvergence) {
-  // Different worker counts take different step sequences but must both
-  // reach a working model.
-  features::Standardizer std_;
-  const auto samples = samples_for_test(24, 79, std_);
-  for (std::size_t workers : {2u, 4u}) {
-    auto model = fresh_model();
-    ParallelTrainConfig cfg;
-    cfg.workers = workers;
-    cfg.base.epochs = 12;
-    const TrainReport report = train_model_parallel(*model, samples, cfg);
-    EXPECT_LT(report.epoch_loss.back(), 0.5) << workers << " workers";
-    // Model outputs stay finite.
-    const nn::WirePrediction pred = model->forward(samples.front());
-    for (std::size_t q = 0; q < samples.front().path_count; ++q)
-      EXPECT_TRUE(std::isfinite(pred.delay(q, 0)));
-  }
-}
-
-TEST(ParallelTrainer, EmptySampleListIsNoop) {
-  auto model = fresh_model();
-  ParallelTrainConfig cfg;
-  const TrainReport report = train_model_parallel(*model, {}, cfg);
-  EXPECT_TRUE(report.epoch_loss.empty());
-}
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   ThreadPool pool(4);
