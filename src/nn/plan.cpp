@@ -8,6 +8,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,11 +24,13 @@ namespace {
 
 // ---- Vector lanes (GCC/Clang vector extensions) ----
 //
-// The dense products run 4 wide (SSE2). The attention kernel serves W heads
-// side by side, one 4-lane group per head: Vec<1> is SSE2, Vec<2> AVX2 and
-// Vec<4> AVX-512. Wide vectors never appear by value in the signature of a
+// Every kernel runs at the plan's width: Vec<1> is SSE2, Vec<2> AVX2 and
+// Vec<4> AVX-512. The dense products and the aggregation take 4W columns
+// per vector; the attention kernel serves W heads side by side, one 4-lane
+// group per head. Wide vectors never appear by value in the signature of a
 // function without a target attribute (that would change its ABI), so the
-// generic helpers below take them by reference and are always inlined.
+// helpers below take them by reference and are always inlined into one
+// target-specific forward pass per width.
 
 template <int W>
 struct Vec {
@@ -38,18 +41,8 @@ using v4sf = Vec<1>::f;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-inline v4sf splat(float v) { return v4sf{v, v, v, v}; }
-
 // Unaligned loads/stores: correctness never depends on buffer alignment.
-inline v4sf load4(const float* p) {
-  v4sf v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-inline void store4(float* p, v4sf v) { std::memcpy(p, &v, sizeof(v)); }
-
-inline v4sf relu4(v4sf v) { return v > 0.0f ? v : splat(0.0f); }
-
+// V is a float or a vector of them.
 template <class V>
 [[gnu::always_inline]] inline void load(V& v, const float* p) {
   std::memcpy(&v, p, sizeof(V));
@@ -58,9 +51,18 @@ template <class V>
 [[gnu::always_inline]] inline void store(float* p, const V& v) {
   std::memcpy(p, &v, sizeof(V));
 }
+/// v := x in every lane. GCC turns the lane loop into one broadcast at AVX2
+/// and AVX-512, but into one insert per lane at SSE2, where the four-lane
+/// literal becomes one shuffle instead.
 template <class V>
 [[gnu::always_inline]] inline void fill(V& v, float x) {
-  for (std::size_t l = 0; l < sizeof(V) / sizeof(float); ++l) v[l] = x;
+  if constexpr (std::is_same_v<V, float>) {
+    v = x;
+  } else if constexpr (sizeof(V) == 16) {
+    v = V{x, x, x, x};
+  } else {
+    for (std::size_t l = 0; l < sizeof(V) / sizeof(float); ++l) v[l] = x;
+  }
 }
 
 /// Within every 4-lane group: kSwap1 swaps lanes 0<->1 and 2<->3, kSwap2
@@ -135,7 +137,7 @@ template <class V>
   x = tiny ? zero : y * (V)pow2n;
 }
 
-// ---- Dense products ----
+// ---- Dense products and the aggregation ----
 
 /// What a dense product does with its accumulator when it stores it.
 enum class Store {
@@ -146,87 +148,108 @@ enum class Store {
   kBiasRelu  ///< out = relu(acc + bias)
 };
 
-template <Store S>
-inline v4sf finish4(v4sf acc, const float* out, const float* bias) {
-  if constexpr (S == Store::kSet) return acc;
-  if constexpr (S == Store::kAdd) return load4(out) + acc;
-  if constexpr (S == Store::kAddRelu) return relu4(load4(out) + acc);
-  if constexpr (S == Store::kBias) return acc + load4(bias);
-  if constexpr (S == Store::kBiasRelu) return relu4(acc + load4(bias));
+template <Store S, class V>
+[[gnu::always_inline]] inline void finish(const V& acc, float* out,
+                                          const float* bias) {
+  V v = acc;
+  if constexpr (S == Store::kAdd || S == Store::kAddRelu) {
+    load(v, out);
+    v = v + acc;
+  }
+  if constexpr (S == Store::kBias || S == Store::kBiasRelu) {
+    load(v, bias);
+    v = acc + v;
+  }
+  if constexpr (S == Store::kAddRelu || S == Store::kBiasRelu)
+    v = v > 0.0f ? v : V{};
+  store(out, v);
 }
 
-template <Store S>
-inline float finish1(float acc, float out, float bias) {
-  const auto relu = [](float v) { return v > 0.0f ? v : 0.0f; };
-  if constexpr (S == Store::kSet) return acc;
-  if constexpr (S == Store::kAdd) return out + acc;
-  if constexpr (S == Store::kAddRelu) return relu(out + acc);
-  if constexpr (S == Store::kBias) return acc + bias;
-  if constexpr (S == Store::kBiasRelu) return relu(acc + bias);
-}
-
-/// out[r, :] (stride ldo) = store(a[r, 0:w.in] (stride lda) @ w.weight).
-/// Each output sums a[r, c] * w[c, j] over ascending c from zero, as
-/// tensor::matmul does, so the values are the autograd ones (tensor::matmul
-/// also skips zero inputs, which can change only the sign of an exact zero).
-/// Columns are blocked 16, then 4, then 1 wide.
-template <Store S>
-void dense(const float* a, std::size_t lda, std::size_t rows,
-           const GnnTransPlan::Dense& w, float* out, std::size_t ldo) {
-  const std::size_t k = w.in, m = w.out;
-  const float* wt = w.weight.data();
-  const float* bias = w.bias.data();
-  const auto bias_at = [bias](std::size_t j) {
-    return S == Store::kBias || S == Store::kBiasRelu ? bias + j : nullptr;
-  };
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * lda;
-    float* orow = out + r * ldo;
-    std::size_t j = 0;
-    for (; j + 16 <= m; j += 16) {
-      v4sf c0{}, c1{}, c2{}, c3{};
-      for (std::size_t c = 0; c < k; ++c) {
-        const v4sf s = splat(arow[c]);
-        const float* wr = wt + c * m + j;
-        c0 += s * load4(wr);
-        c1 += s * load4(wr + 4);
-        c2 += s * load4(wr + 8);
-        c3 += s * load4(wr + 12);
-      }
-      store4(orow + j, finish4<S>(c0, orow + j, bias_at(j)));
-      store4(orow + j + 4, finish4<S>(c1, orow + j + 4, bias_at(j + 4)));
-      store4(orow + j + 8, finish4<S>(c2, orow + j + 8, bias_at(j + 8)));
-      store4(orow + j + 12, finish4<S>(c3, orow + j + 12, bias_at(j + 12)));
-    }
-    for (; j + 4 <= m; j += 4) {
-      v4sf c0{};
-      for (std::size_t c = 0; c < k; ++c) {
-        c0 += splat(arow[c]) * load4(wt + c * m + j);
-      }
-      store4(orow + j, finish4<S>(c0, orow + j, bias_at(j)));
-    }
-    for (; j < m; ++j) {
-      float acc = 0.0f;
-      for (std::size_t c = 0; c < k; ++c) {
-        acc += arow[c] * wt[c * m + j];
-      }
-      const float* b = bias_at(j);
-      orow[j] = finish1<S>(acc, orow[j], b ? *b : 0.0f);
+/// Columns [j, j + lanes of V) of R consecutive rows, one accumulator per
+/// row, each summing a[r, c] * w[c, j] over ascending c from zero.
+template <Store S, std::size_t R, class V>
+[[gnu::always_inline]] inline void dense_block(const float* a,
+                                               std::size_t lda,
+                                               const GnnTransPlan::Dense& w,
+                                               std::size_t j, float* out,
+                                               std::size_t ldo) {
+  const std::size_t m = w.out;
+  const float* wt = w.weight.data() + j;
+  V acc[R] = {};
+  for (std::size_t c = 0; c < w.in; ++c) {
+    V wc{};
+    load(wc, wt + c * m);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      V s{};
+      fill(s, a[r * lda + c]);
+      acc[r] += s * wc;
     }
   }
+  const bool biased = S == Store::kBias || S == Store::kBiasRelu;
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r)
+    finish<S>(acc[r], out + r * ldo + j, biased ? w.bias.data() + j : nullptr);
+}
+
+/// Every column of R consecutive rows: 4W wide, then 4, then 1.
+template <int W, Store S, std::size_t R>
+[[gnu::always_inline]] inline void dense_rows(const float* a, std::size_t lda,
+                                              const GnnTransPlan::Dense& w,
+                                              float* out, std::size_t ldo) {
+  std::size_t j = 0;
+  for (; j + 4 * W <= w.out; j += 4 * W)
+    dense_block<S, R, typename Vec<W>::f>(a, lda, w, j, out, ldo);
+  for (; j + 4 <= w.out; j += 4)
+    dense_block<S, R, v4sf>(a, lda, w, j, out, ldo);
+  for (; j < w.out; ++j) dense_block<S, R, float>(a, lda, w, j, out, ldo);
+}
+
+/// out[r, :] (stride ldo) = store(a[r, 0:w.in] (stride lda) @ w.weight),
+/// four rows per pass. Each output sums a[r, c] * w[c, j] over ascending c
+/// from zero, as tensor::matmul does, so the values are the autograd ones at
+/// every width (tensor::matmul also skips zero inputs, which can change only
+/// the sign of an exact zero).
+template <int W, Store S>
+[[gnu::always_inline]] inline void dense(const float* a, std::size_t lda,
+                                         std::size_t rows,
+                                         const GnnTransPlan::Dense& w,
+                                         float* out, std::size_t ldo) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4)
+    dense_rows<W, S, 4>(a + r * lda, lda, w, out + r * ldo, ldo);
+  for (; r < rows; ++r)
+    dense_rows<W, S, 1>(a + r * lda, lda, w, out + r * ldo, ldo);
+}
+
+/// out[0, L) += v * x[0, L), L the lanes of V.
+template <class V>
+[[gnu::always_inline]] inline void axpy(float v, const float* x, float* out) {
+  V s{}, xv{}, o{};
+  fill(s, v);
+  load(xv, x);
+  load(o, out);
+  o += s * xv;
+  store(out, o);
 }
 
 /// out[r, 0:d] (stride ldo) = sum over m's entries (r, c, v) of v * x[c, :],
-/// in entry order as tensor::spmm.
-void sparse(const tensor::GraphMatrix& m, const float* x, std::size_t d,
-            float* out, std::size_t ldo) {
+/// in entry order as tensor::spmm; columns 4W wide, then 4, then 1.
+template <int W>
+[[gnu::always_inline]] inline void sparse(const tensor::GraphMatrix& m,
+                                          const float* x, std::size_t d,
+                                          float* out, std::size_t ldo) {
   for (std::size_t r = 0; r < m.rows; ++r)
     std::fill_n(out + r * ldo, d, 0.0f);
   for (std::size_t e = 0; e < m.nnz(); ++e) {
     const float v = m.values[e];
     const float* xr = x + static_cast<std::size_t>(m.col_index[e]) * d;
     float* orow = out + static_cast<std::size_t>(m.row_index[e]) * ldo;
-    for (std::size_t j = 0; j < d; ++j) orow[j] += v * xr[j];
+    std::size_t j = 0;
+    for (; j + 4 * W <= d; j += 4 * W)
+      axpy<typename Vec<W>::f>(v, xr + j, orow + j);
+    for (; j + 4 <= d; j += 4) axpy<v4sf>(v, xr + j, orow + j);
+    for (; j < d; ++j) axpy<float>(v, xr + j, orow + j);
   }
 }
 
@@ -406,41 +429,216 @@ template <int W>
   }
 }
 
-// One instantiation per width; compile() picks the widest the CPU runs.
-void attend_sse2(const HeadGroup& g) { attend_group<1>(g); }
+/// attend_group at the width w of one group of heads, w <= W.
+template <int W>
+[[gnu::always_inline]] inline void attend(std::size_t w, const HeadGroup& g) {
+  if constexpr (W > 1) {
+    if (w < W) return attend<W / 2>(w, g);
+  }
+  attend_group<W>(g);
+}
+
+/// One MLP head over p rows of \p in (stride ld): the hidden layers
+/// ping-pong between hid[0] and hid[1], the last one writes [p, 1] \p result.
+template <int W>
+[[gnu::always_inline]] inline void mlp_forward(
+    const std::vector<GnnTransPlan::Dense>& layers, const float* in,
+    std::size_t ld, std::size_t p, float* const (&hid)[2],
+    tensor::Tensor& result) {
+  for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
+    dense<W, Store::kBiasRelu>(in, ld, p, layers[l], hid[l % 2],
+                               layers[l].out);
+    in = hid[l % 2];
+    ld = layers[l].out;
+  }
+  result = tensor::Tensor(p, 1);
+  dense<W, Store::kBias>(in, ld, p, layers.back(), result.values().data(), 1);
+}
+
+}  // namespace
+
+/// The body of GnnTransPlan::run at W vector groups of 4 floats, once the
+/// sample has passed its checks. Always inlined into one target-specific
+/// function per width, so every kernel it reaches runs at that width; a
+/// lambda here would not inherit the target and could not inline them.
+template <int W>
+[[gnu::always_inline]] inline WirePrediction forward(const GnnTransPlan& plan,
+                                                     const GraphSample& sample,
+                                                     Workspace& workspace) {
+  const std::size_t n = sample.x.rows();
+  const std::size_t p = sample.path_pool.rows;
+  const tensor::GraphMatrix mean = plan.use_edge_weights_
+                                       ? tensor::GraphMatrix()
+                                       : mean_adjacency(sample.weighted_adj);
+  const tensor::GraphMatrix& agg =
+      plan.use_edge_weights_ ? sample.weighted_adj : mean;
+
+  // Slab layout: every buffer starts on a 16-float boundary. Sizes depend
+  // only on (n, p) and the plan, so a warm workspace never grows for a net
+  // it has seen.
+  const std::size_t d = plan.hidden_, dk = plan.head_dim_, ld3 = 3 * d;
+  const std::size_t np = round_up(n, 4);  // score rows, padded with -inf
+  const std::size_t repr = d + plan.path_dim_;
+  const std::size_t repr_ld = repr + (plan.cascade_ ? 1u : 0u);
+  const std::size_t mlp = plan.slew_head_.front().out;
+  std::size_t total = 0;
+  const auto carve = [&total](std::size_t floats) {
+    const std::size_t at = total;
+    total += round_up(floats, 16);
+    return at;
+  };
+  // The attention kernel serves heads in groups of up to group_max.
+  const auto group_width = [](std::size_t heads_left) {
+    std::size_t w = W;
+    while (w > heads_left) w /= 2;
+    return w;
+  };
+  const std::size_t group_max = group_width(plan.heads_);
+  const std::size_t at_act0 = carve(n * d), at_act1 = carve(n * d),
+                    at_agg = carve(n * std::max(plan.node_dim_, d)),
+                    at_qkv = carve(n * ld3),
+                    at_kt = carve(dk * np * group_max),
+                    at_vt = carve(dk * np * group_max),
+                    at_row = carve(np * group_max), at_cat = carve(n * d),
+                    at_repr = carve(p * repr_ld), at_hid0 = carve(p * mlp),
+                    at_hid1 = carve(p * mlp);
+  float* slab = workspace.acquire(total);
+  float* act[2] = {slab + at_act0, slab + at_act1};
+  float* aggx = slab + at_agg;
+
+  // Query rows of the attention layers: every node, then the live rows, the
+  // ascending distinct nodes the path pooling reads (marked, then packed).
+  std::vector<std::uint32_t>& rows = workspace.rows();
+  rows.assign(2 * n, 0);
+  for (const std::uint32_t c : sample.path_pool.col_index) rows[n + c] = 1;
+  std::size_t live = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (rows[n + r] != 0) rows[n + live++] = r;
+    rows[r] = r;
+  }
+  const std::span<const std::uint32_t> all_rows(rows.data(), n),
+      live_rows(rows.data() + n, live);
+
+  // Eq. (1): x' = ReLU(x W1 + (A x) W2), ping-ponging between two buffers.
+  float* x = nullptr;
+  {
+    const telemetry::TraceSpan span("gnn_forward", "model");
+    const float* in = sample.x.values().data();
+    std::size_t width = plan.node_dim_;
+    for (std::size_t l = 0; l < plan.sage_self_.size(); ++l) {
+      x = act[l % 2];
+      sparse<W>(agg, in, width, aggx, width);
+      dense<W, Store::kSet>(in, width, n, plan.sage_self_[l], x, d);
+      dense<W, Store::kAddRelu>(aggx, width, n, plan.sage_neigh_[l], x, d);
+      in = x;
+      width = d;
+    }
+    guard_finite({x, n * d}, d, "gnn_forward");
+  }
+
+  // Eq. (2-3): x += concat_h(softmax(q_h k_h^T / sqrt(dk)) v_h) W3.
+  {
+    const telemetry::TraceSpan span("attention", "model");
+    float* qkv = slab + at_qkv;
+    float* kt = slab + at_kt;
+    float* vt = slab + at_vt;
+    float* row = slab + at_row;
+    float* cat = slab + at_cat;
+    const std::size_t layers = plan.qkv_.size();
+    for (std::size_t l = 0; l < layers; ++l) {
+      // Only pooled rows reach the heads, so the last layer serves just
+      // those; every layer's keys and values still cover all n nodes.
+      const bool last = l + 1 == layers;
+      const auto served = last ? live_rows : all_rows;
+      dense<W, Store::kSet>(x, d, n, plan.qkv_[l], qkv, ld3);
+      for (std::size_t h = 0; h < plan.heads_;) {
+        // K and V of heads h..h+w-1, transposed to [dk][np / 4][w][4] with
+        // zero padding, one Q/K/V row at a time.
+        const std::size_t w = group_width(plan.heads_ - h), ld = np * w;
+        for (std::size_t j = 0; j < np; ++j) {
+          const float* k = qkv + std::min(j, n - 1) * ld3 + d + h * dk;
+          const std::size_t at = j / 4 * w * 4 + j % 4;
+          for (std::size_t u = 0; u < w; ++u)
+            for (std::size_t c = 0; c < dk; ++c) {
+              kt[at + c * ld + u * 4] = j < n ? k[u * dk + c] : 0.0f;
+              vt[at + c * ld + u * 4] = j < n ? k[d + u * dk + c] : 0.0f;
+            }
+        }
+        attend<W>(w, {served, qkv + h * dk, ld3, kt, vt, n, dk,
+                      plan.inv_sqrt_dk_, row, cat + h * dk, d});
+        h += w;
+      }
+      // Residual: one call over every row, or one per served row.
+      if (!last)
+        dense<W, Store::kAdd>(cat, d, n, plan.w3_[l], x, d);
+      else
+        for (const std::size_t r : served)
+          dense<W, Store::kAdd>(cat + r * d, d, 1, plan.w3_[l], x + r * d, d);
+    }
+    guard_finite({x, n * d}, d, "attention");
+  }
+
+  // Eq. (4-6): pool per path, concat path features, slew head, then the
+  // delay head over [repr | slew] when cascaded.
+  const telemetry::TraceSpan span("heads", "model");
+  float* repr_buf = slab + at_repr;
+  float* const hid[2] = {slab + at_hid0, slab + at_hid1};
+  sparse<W>(sample.path_pool, x, d, repr_buf, repr_ld);
+  for (std::size_t q = 0; q < p; ++q)
+    for (std::size_t j = 0; j < plan.path_dim_; ++j)
+      repr_buf[q * repr_ld + d + j] = sample.h(q, j);
+  WirePrediction pred;
+  mlp_forward<W>(plan.slew_head_, repr_buf, repr_ld, p, hid, pred.slew);
+  if (plan.cascade_)
+    for (std::size_t q = 0; q < p; ++q)
+      repr_buf[q * repr_ld + repr] = pred.slew(q, 0);
+  mlp_forward<W>(plan.delay_head_, repr_buf, repr_ld, p, hid, pred.delay);
+  return pred;
+}
+
+namespace {
+
+// One forward pass and one exp per width; compile() picks the widest the
+// CPU runs.
+WirePrediction forward_sse2(const GnnTransPlan& plan, const GraphSample& s,
+                            Workspace& ws) {
+  return forward<1>(plan, s, ws);
+}
 void exp_sse2(float* x, std::size_t count) { exp_blocks<1>(x, count); }
-__attribute__((target("avx2"))) void attend_avx2(const HeadGroup& g) {
-  attend_group<2>(g);
+__attribute__((target("avx2"))) WirePrediction forward_avx2(
+    const GnnTransPlan& plan, const GraphSample& s, Workspace& ws) {
+  return forward<2>(plan, s, ws);
 }
 __attribute__((target("avx2"))) void exp_avx2(float* x, std::size_t count) {
   exp_blocks<2>(x, count);
 }
-__attribute__((target("avx512f"))) void attend_avx512(const HeadGroup& g) {
-  attend_group<4>(g);
+__attribute__((target("avx512f"))) WirePrediction forward_avx512(
+    const GnnTransPlan& plan, const GraphSample& s, Workspace& ws) {
+  return forward<4>(plan, s, ws);
 }
 __attribute__((target("avx512f"))) void exp_avx512(float* x,
                                                    std::size_t count) {
   exp_blocks<4>(x, count);
 }
 
-/// The attention kernel and its exp at one width; kKernels[lanes / 8].
+/// The plan's kernels at one width; kKernels[lanes / 8].
 struct Kernel {
   const char* isa;
-  void (*attend)(const HeadGroup&);
+  WirePrediction (*forward)(const GnnTransPlan&, const GraphSample&,
+                            Workspace&);
   void (*exp)(float*, std::size_t);
 };
-constexpr Kernel kKernels[] = {{"SSE2", attend_sse2, exp_sse2},
-                               {"AVX2", attend_avx2, exp_avx2},
-                               {"AVX-512F", attend_avx512, exp_avx512}};
+constexpr Kernel kKernels[] = {{"SSE2", forward_sse2, exp_sse2},
+                               {"AVX2", forward_avx2, exp_avx2},
+                               {"AVX-512F", forward_avx512, exp_avx512}};
 
-/// The kernel \p lanes wide; throws unless it is 4, 8 or 16 and the CPU
+/// The kernels \p lanes wide; throws unless it is 4, 8 or 16 and the CPU
 /// runs it.
 const Kernel& kernel(std::size_t lanes) {
   if (lanes > GnnTransPlan::widest_lanes() ||
       (lanes != 4 && lanes != 8 && lanes != 16))
     throw std::invalid_argument("GnnTransPlan: this CPU has no " +
-                                std::to_string(lanes) +
-                                "-lane attention kernel");
+                                std::to_string(lanes) + "-lane plan kernels");
   return kKernels[lanes / 8];
 }
 
@@ -514,7 +712,7 @@ std::size_t GnnTransPlan::widest_lanes() {
     const std::size_t widest = __builtin_cpu_supports("avx512f") ? 16
                                : __builtin_cpu_supports("avx2")  ? 8
                                                                  : 4;
-    GNNTRANS_LOG_INFO("nn", "attention kernel: %s, %zu float lanes",
+    GNNTRANS_LOG_INFO("nn", "plan kernels: %s, %zu float lanes",
                       kKernels[widest / 8].isa, widest);
     return widest;
   }();
@@ -587,7 +785,7 @@ std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model,
   static const telemetry::Gauge lanes_gauge =
       telemetry::MetricsRegistry::global().gauge(
           "gnntrans_nn_attention_lanes",
-          "Float lanes of the attention kernel of the last compiled plan");
+          "Float lanes of the kernels of the last compiled plan");
   lanes_gauge.set(static_cast<double>(lanes));
   return plan;
 }
@@ -606,136 +804,7 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
                 sample.h.cols() == path_dim_,
             "path feature shape mismatch");
   guard_finite(sample.x, "input");
-  const tensor::GraphMatrix mean =
-      use_edge_weights_ ? tensor::GraphMatrix() : mean_adjacency(sample.weighted_adj);
-  const tensor::GraphMatrix& agg = use_edge_weights_ ? sample.weighted_adj : mean;
-
-  // Slab layout: every buffer starts on a 16-float boundary. Sizes depend
-  // only on (n, p) and the plan, so a warm workspace never grows for a net
-  // it has seen.
-  const std::size_t d = hidden_, dk = head_dim_, ld3 = 3 * d;
-  const std::size_t np = round_up(n, 4);  // score rows, padded with -inf
-  const std::size_t repr = d + path_dim_;
-  const std::size_t repr_ld = repr + (cascade_ ? 1u : 0u);
-  const std::size_t mlp = slew_head_.front().out;
-  std::size_t total = 0;
-  const auto carve = [&total](std::size_t floats) {
-    const std::size_t at = total;
-    total += round_up(floats, 16);
-    return at;
-  };
-  // The attention kernel serves heads in groups of up to group_max.
-  const auto group_width = [this](std::size_t heads_left) {
-    std::size_t w = lanes_ / 4;
-    while (w > heads_left) w /= 2;
-    return w;
-  };
-  const std::size_t group_max = group_width(heads_);
-  const std::size_t at_act0 = carve(n * d), at_act1 = carve(n * d),
-                    at_agg = carve(n * std::max(node_dim_, d)),
-                    at_qkv = carve(n * ld3),
-                    at_kt = carve(dk * np * group_max),
-                    at_vt = carve(dk * np * group_max),
-                    at_row = carve(np * group_max), at_cat = carve(n * d),
-                    at_repr = carve(p * repr_ld), at_hid0 = carve(p * mlp),
-                    at_hid1 = carve(p * mlp);
-  float* slab = workspace.acquire(total);
-  float* act[2] = {slab + at_act0, slab + at_act1};
-  float* aggx = slab + at_agg;
-
-  // Query rows of the attention layers: every node, then the live rows, the
-  // ascending distinct nodes the path pooling reads (marked, then packed).
-  std::vector<std::uint32_t>& rows = workspace.rows();
-  rows.assign(2 * n, 0);
-  for (const std::uint32_t c : sample.path_pool.col_index) rows[n + c] = 1;
-  std::size_t live = 0;
-  for (std::uint32_t r = 0; r < n; ++r) {
-    if (rows[n + r] != 0) rows[n + live++] = r;
-    rows[r] = r;
-  }
-  const std::span<const std::uint32_t> all_rows(rows.data(), n),
-      live_rows(rows.data() + n, live);
-
-  // Eq. (1): x' = ReLU(x W1 + (A x) W2), ping-ponging between two buffers.
-  float* x = nullptr;
-  {
-    const telemetry::TraceSpan span("gnn_forward", "model");
-    const float* in = sample.x.values().data();
-    std::size_t width = node_dim_;
-    for (std::size_t l = 0; l < sage_self_.size(); ++l) {
-      x = act[l % 2];
-      sparse(agg, in, width, aggx, width);
-      dense<Store::kSet>(in, width, n, sage_self_[l], x, d);
-      dense<Store::kAddRelu>(aggx, width, n, sage_neigh_[l], x, d);
-      in = x;
-      width = d;
-    }
-    guard_finite({x, n * d}, d, "gnn_forward");
-  }
-
-  // Eq. (2-3): x += concat_h(softmax(q_h k_h^T / sqrt(dk)) v_h) W3.
-  {
-    const telemetry::TraceSpan span("attention", "model");
-    float* qkv = slab + at_qkv;
-    float* kt = slab + at_kt;
-    float* vt = slab + at_vt;
-    float* row = slab + at_row;
-    float* cat = slab + at_cat;
-    for (std::size_t l = 0; l < qkv_.size(); ++l) {
-      // Only pooled rows reach the heads, so the last layer serves just
-      // those; every layer's keys and values still cover all n nodes.
-      const auto served = l + 1 < qkv_.size() ? all_rows : live_rows;
-      dense<Store::kSet>(x, d, n, qkv_[l], qkv, ld3);
-      for (std::size_t h = 0; h < heads_;) {
-        // K and V of heads h..h+w-1, transposed to [dk][np / 4][w][4] with
-        // zero padding.
-        const std::size_t w = group_width(heads_ - h), ld = np * w;
-        for (std::size_t c = 0; c < dk; ++c)
-          for (std::size_t j = 0; j < np; ++j)
-            for (std::size_t u = 0; u < w; ++u) {
-              const std::size_t at = c * ld + (j / 4 * w + u) * 4 + j % 4;
-              const std::size_t col = (h + u) * dk + c;
-              kt[at] = j < n ? qkv[j * ld3 + d + col] : 0.0f;
-              vt[at] = j < n ? qkv[j * ld3 + 2 * d + col] : 0.0f;
-            }
-        kKernels[w / 2].attend({served, qkv + h * dk, ld3, kt, vt, n, dk,
-                                inv_sqrt_dk_, row, cat + h * dk, d});
-        h += w;
-      }
-      for (const std::size_t r : served)  // residual
-        dense<Store::kAdd>(cat + r * d, d, 1, w3_[l], x + r * d, d);
-    }
-    guard_finite({x, n * d}, d, "attention");
-  }
-
-  // Eq. (4-6): pool per path, concat path features, slew head, then the
-  // delay head over [repr | slew] when cascaded.
-  const telemetry::TraceSpan span("heads", "model");
-  float* repr_buf = slab + at_repr;
-  float* hid[2] = {slab + at_hid0, slab + at_hid1};
-  sparse(sample.path_pool, x, d, repr_buf, repr_ld);
-  for (std::size_t q = 0; q < p; ++q)
-    for (std::size_t j = 0; j < path_dim_; ++j)
-      repr_buf[q * repr_ld + d + j] = sample.h(q, j);
-  const auto mlp_forward = [&](const std::vector<Dense>& layers,
-                               tensor::Tensor& result) {
-    const float* in = repr_buf;
-    std::size_t ld = repr_ld;
-    for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
-      dense<Store::kBiasRelu>(in, ld, p, layers[l], hid[l % 2], layers[l].out);
-      in = hid[l % 2];
-      ld = layers[l].out;
-    }
-    result = tensor::Tensor(p, 1);
-    dense<Store::kBias>(in, ld, p, layers.back(), result.values().data(), 1);
-  };
-  WirePrediction pred;
-  mlp_forward(slew_head_, pred.slew);
-  if (cascade_)
-    for (std::size_t q = 0; q < p; ++q)
-      repr_buf[q * repr_ld + repr] = pred.slew(q, 0);
-  mlp_forward(delay_head_, pred.delay);
-  return pred;
+  return kKernels[lanes_ / 8].forward(*this, sample, workspace);
 }
 
 }  // namespace gnntrans::nn

@@ -7,7 +7,9 @@
 /// plan replaces all of that with flat weight copies taken once at model load
 /// and hand-written kernels that run on one per-worker slab (nn::Workspace):
 ///   - Sage layers (Eq. 1) and the MLP heads (Eq. 5-6) are register-blocked
-///     dense products with the bias, residual or ReLU fused into the store;
+///     dense products, four rows per pass, with the bias, residual or ReLU
+///     fused into the store; the neighbour aggregation and the path pooling
+///     add each matrix entry's scaled row in entry order;
 ///   - each attention layer (Eq. 2-3) computes every head's Q, K and V in one
 ///     product against a fused [d, 3d] weight. One kernel then serves W heads
 ///     side by side, one 4-lane group per head, with K and V transposed to
@@ -17,10 +19,13 @@
 ///     it to the row sum and accumulates e * V; the max and the sum reduce
 ///     per group, and one reciprocal per group is folded into the head output.
 ///
-/// Width: compile() picks W once per process from the CPU, 4 heads with
-/// AVX-512F (16 lanes), 2 with AVX2, else 1 (SSE2); heads that do not fill a
-/// group go to narrower ones. Every lane does the arithmetic of the 4-wide
-/// kernel and plan.cpp is built with -ffp-contract=off, so no width fuses a
+/// Width: compile() picks the width W once per process from the CPU: 16 float
+/// lanes with AVX-512F (W = 4), 8 with AVX2 (W = 2), else 4 (SSE2, W = 1).
+/// run() makes one call per net into a forward pass built for that width, in
+/// which the dense products and the aggregation take 4W columns per vector
+/// and the attention kernel serves W heads per group; heads that do not fill
+/// a group go to narrower ones. Every lane does the arithmetic of the 4-wide
+/// kernels and plan.cpp is built with -ffp-contract=off, so no width fuses a
 /// multiply-add and every width gives the same bits: a host changes how fast
 /// a model is served, never what it outputs.
 ///
@@ -74,13 +79,13 @@ class GnnTransPlan {
   [[nodiscard]] static std::unique_ptr<GnnTransPlan> compile(
       const WireModel& model);
 
-  /// For tests: compile() with the attention kernel \p lanes wide (4, 8 or
-  /// 16) instead of the widest this CPU runs. Throws std::invalid_argument
-  /// for any other width or one above widest_lanes().
+  /// For tests: compile() with every kernel \p lanes wide (4, 8 or 16)
+  /// instead of the widest this CPU runs. Throws std::invalid_argument for
+  /// any other width or one above widest_lanes().
   [[nodiscard]] static std::unique_ptr<GnnTransPlan> compile(
       const WireModel& model, std::size_t lanes);
 
-  /// Float lanes of the widest attention kernel this CPU runs: 16 with
+  /// Float lanes of the widest plan kernels this CPU runs: 16 with
   /// AVX-512F, 8 with AVX2, else 4 (SSE2). Detected once per process.
   [[nodiscard]] static std::size_t widest_lanes();
 
@@ -88,7 +93,7 @@ class GnnTransPlan {
   /// \p lanes wide. Throws as compile(model, lanes) does.
   static void exp_for_testing(std::size_t lanes, std::span<float> x);
 
-  /// Float lanes of this plan's attention kernel.
+  /// Float lanes of this plan's kernels.
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
 
   /// Standardized per-path slew and delay of \p sample ([P,1] each), with the
@@ -100,6 +105,12 @@ class GnnTransPlan {
  private:
   GnnTransPlan() = default;
 
+  /// run() past its checks, at W groups of 4 float lanes (plan.cpp).
+  template <int W>
+  friend WirePrediction forward(const GnnTransPlan& plan,
+                                const GraphSample& sample,
+                                Workspace& workspace);
+
   std::size_t node_dim_ = 0;    ///< dx
   std::size_t path_dim_ = 0;    ///< dh (0 without path features)
   std::size_t hidden_ = 0;      ///< d
@@ -108,7 +119,7 @@ class GnnTransPlan {
   float inv_sqrt_dk_ = 1.0f;
   bool use_edge_weights_ = true;
   bool cascade_ = true;
-  std::size_t lanes_ = 4;  ///< attention kernel width in floats, 4 per head
+  std::size_t lanes_ = 4;  ///< kernel width in floats, 4 per attention head
 
   std::vector<Dense> sage_self_;   ///< W1 per Sage layer
   std::vector<Dense> sage_neigh_;  ///< W2 per Sage layer

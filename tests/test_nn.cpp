@@ -10,6 +10,8 @@
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "cell/library.hpp"
 #include "features/dataset.hpp"
@@ -421,15 +423,19 @@ GraphSample with_node_features(const GraphSample& s, std::size_t node,
 TEST(GnnTransPlan, EveryWidthMatchesSse2Bitwise) {
   const std::vector<GraphSample> samples = differential_population();
   const std::vector<std::size_t> lanes = runnable_lanes();
-  // (hidden, heads): dk = 4 at four, two and three heads (three fill a
-  // two-head and a one-head group), dk = 8, dk = 1 at eight heads (two
-  // or more groups) and dk = 16 at one head.
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {16, 4}, {8, 2}, {12, 3}, {16, 2}, {8, 8}, {16, 1}};
-  for (const auto& [hidden, heads] : shapes) {
+  // (hidden, heads, MLP hidden): dk = 4 at four, two and three heads (three
+  // fill a two-head and a one-head group), dk = 8, dk = 1 at eight heads
+  // (two or more groups) and dk = 16 at one head. MLP hidden 20 gives the
+  // heads' products column tails at every width: 16 + 4, 8 + 8 + 4.
+  const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
+      {16, 4, 32}, {8, 2, 32}, {12, 3, 32}, {16, 2, 32},
+      {8, 8, 32},  {16, 1, 32}, {16, 4, 20}};
+  for (const auto& [hidden, heads, mlp_hidden] : shapes) {
+    SCOPED_TRACE("MLP hidden " + std::to_string(mlp_hidden));
     ModelConfig config = served_config();
     config.hidden_dim = hidden;
     config.heads = heads;
+    config.mlp_hidden = mlp_hidden;
     const auto model = make_model(ModelKind::kGnnTrans, config);
     const auto sse2 = GnnTransPlan::compile(*model, 4);
     ASSERT_NE(sse2, nullptr);
@@ -483,6 +489,47 @@ TEST(GnnTransPlan, EveryWidthMatchesSse2Bitwise) {
   if (lanes.back() < 16)
     GTEST_SKIP() << "this CPU runs only " << lanes.back()
                  << "-lane attention; wider widths untested";
+}
+
+TEST(GnnTransPlan, NoAttentionMatchesAutogradBitwise) {
+  // Without attention layers every kernel the plan runs sums in autograd's
+  // order: the aggregation and the path pooling in entry order, each dense
+  // product over ascending inputs from zero with the same fused store. So
+  // slew and delay equal autograd's bitwise at every width.
+  const std::vector<GraphSample> samples = differential_population();
+  ModelConfig base = served_config();
+  base.transformer_layers = 0;
+  std::vector<ModelConfig> configs(4, base);
+  configs[1].use_edge_weights = false;
+  configs[2].use_path_features = false;
+  configs[3].cascade_delay_head = false;
+  for (std::size_t variant = 0; variant < configs.size(); ++variant) {
+    const auto model = make_model(ModelKind::kGnnTrans, configs[variant]);
+    std::vector<WirePrediction> reference;
+    {
+      const tensor::NoGradGuard no_grad;  // no plan yet: autograd serves
+      for (const GraphSample& s : samples) reference.push_back(model->forward(s));
+    }
+    for (const std::size_t l : runnable_lanes()) {
+      const auto plan = GnnTransPlan::compile(*model, l);
+      ASSERT_NE(plan, nullptr);
+      Workspace ws;
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const WirePrediction got = plan->run(samples[i], ws);
+        ASSERT_EQ(got.slew.rows(), samples[i].path_count);
+        for (std::size_t q = 0; q < samples[i].path_count; ++q) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got.slew(q, 0)),
+                    std::bit_cast<std::uint32_t>(reference[i].slew(q, 0)))
+              << l << " lanes, config " << variant << ", net "
+              << samples[i].net_name << " path " << q;
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got.delay(q, 0)),
+                    std::bit_cast<std::uint32_t>(reference[i].delay(q, 0)))
+              << l << " lanes, config " << variant << ", net "
+              << samples[i].net_name << " path " << q;
+        }
+      }
+    }
+  }
 }
 
 /// \p s with one more path whose pooling row covers every node, so the plan's
