@@ -282,14 +282,18 @@ WireTimingEstimator WireTimingEstimator::train(
 
 Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
     const rcnet::RcNet& net, const features::NetContext& context,
-    nn::Workspace* workspace, StageSeconds* stages) const {
+    nn::Workspace* workspace, StageSeconds* stages,
+    NetEmbedding* embedding) const {
   tensor::NoGradGuard no_grad;
   FaultInjector& inject = FaultInjector::global();
+  // A stored embedding leaves only the heads to run: no featurization, no
+  // Sage or attention layers.
+  const bool reuse = embedding && !embedding->pooled.empty();
 
   // Any exception in path enumeration / feature extraction is a per-net
   // failure, not a batch abort.
   features::RawFeatures raw;
-  {
+  if (!reuse) {
     const auto t0 = Clock::now();
     const telemetry::TraceSpan span("featurize", "serving");
     try {
@@ -309,22 +313,32 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
                     net.name + ": " + e.what());
     }
     if (stages) stages->featurize += seconds_since(t0);
+    if (raw.analysis.paths.size() != net.sinks.size())
+      return Status(ErrorCode::kPathExtractionFailed,
+                    net.name + ": enumerated " +
+                        std::to_string(raw.analysis.paths.size()) +
+                        " paths for " + std::to_string(net.sinks.size()) +
+                        " sinks");
   }
-  if (raw.analysis.paths.size() != net.sinks.size())
-    return Status(ErrorCode::kPathExtractionFailed,
-                  net.name + ": enumerated " +
-                      std::to_string(raw.analysis.paths.size()) +
-                      " paths for " + std::to_string(net.sinks.size()) +
-                      " sinks");
 
+  // The same fault sites, in the same order, for a full and a heads-only
+  // pass.
   const auto t0 = Clock::now();
   nn::WirePrediction pred;
   try {
-    const nn::GraphSample sample = standardizer_.make_sample(net, raw);
+    nn::GraphSample sample;
+    tensor::Tensor h;
+    if (reuse)
+      h = standardizer_.standardize_path_features(
+          features::path_features(context, embedding->net_columns));
+    else
+      sample = standardizer_.make_sample(net, raw);
     const telemetry::TraceSpan forward_span("forward", "serving");
     if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
       throw std::runtime_error("injected forward fault");
-    pred = model_->forward(sample, workspace);
+    pred = reuse ? model_->forward_heads(embedding->pooled, h, workspace)
+                 : model_->forward(sample, workspace,
+                                   embedding ? &embedding->pooled : nullptr);
     if (inject.armed() && inject.should_fail(FaultSite::kNonFinite, net.name))
       throw nn::NonFiniteActivationError("injected", 0, 0);
   } catch (const nn::NonFiniteActivationError& e) {
@@ -336,14 +350,24 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   }
   if (stages) stages->forward += seconds_since(t0);
 
-  std::vector<PathEstimate> out;
-  out.reserve(raw.analysis.paths.size());
-  for (std::size_t q = 0; q < raw.analysis.paths.size(); ++q) {
-    PathEstimate pe;
-    pe.sink = raw.analysis.paths[q].sink;
-    pe.slew = standardizer_.unstandardize_slew(pred.slew(q, 0));
-    pe.delay = standardizer_.unstandardize_delay(pred.delay(q, 0));
-    out.push_back(pe);
+  const std::size_t p = net.sinks.size();
+  if (embedding && !reuse && !embedding->pooled.empty()) {
+    // The net's own raw path columns go with its embedding.
+    embedding->net_columns.resize(p * features::kNetPathFeatureCount);
+    for (std::size_t q = 0; q < p; ++q)
+      std::copy_n(raw.h.data() + q * features::kPathFeatureCount +
+                      features::kNetPathFeatureBase,
+                  features::kNetPathFeatureCount,
+                  embedding->net_columns.data() +
+                      q * features::kNetPathFeatureCount);
+  }
+  std::vector<PathEstimate> out(p);
+  for (std::size_t q = 0; q < p; ++q) {
+    out[q].sink = net.sinks[q];  // paths follow net.sinks
+    out[q].slew = standardizer_.unstandardize_slew(pred.slew(q, 0));
+    out[q].delay = standardizer_.unstandardize_delay(pred.delay(q, 0));
+    out[q].provenance =
+        reuse ? EstimateProvenance::kCached : EstimateProvenance::kModel;
   }
   return out;
 }
@@ -455,31 +479,40 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
                        net.name + ": injected validation fault");
     }
 
-    // Content-addressed lookup before the model path: a hit returns the
-    // stored bytes of a prior model pass (bitwise identical values, tagged
-    // kCached) and skips featurize+forward entirely. Only formed after every
-    // gate above, so invalid/deadline nets never touch the cache.
-    bool cache_hit = false;
+    // Net-first lookup before the model path (estimate_cache.hpp): an exact
+    // hit returns the stored bytes of a prior model pass (tagged kCached), a
+    // stored embedding leaves only the heads to run, and a net stored under
+    // another context hands this pass's embedding to the cache. Only formed
+    // after every gate above, so invalid/deadline nets never touch the cache.
+    CacheLookup found = CacheLookup::kMiss;
     CacheKey cache_key;
+    NetEmbedding embedding;
     if (failure.ok() && options.cache) {
       cache_key =
           EstimateCache::make_key(net_hash, features::content_hash(context));
-      if (options.cache->lookup(cache_key, &results[i])) {
-        cache_hit = true;
+      found = options.cache->lookup(cache_key, &results[i], &embedding);
+      if (found == CacheLookup::kHit)
         outcome.provenance = EstimateProvenance::kCached;
-      }
     }
 
-    if (failure.ok() && !cache_hit) {
-      auto model_result =
-          run_model_path(net, context, &workspaces[worker], &stages);
+    if (failure.ok() && found != CacheLookup::kHit) {
+      auto model_result = run_model_path(
+          net, context, &workspaces[worker], &stages,
+          found == CacheLookup::kMiss ? nullptr : &embedding);
       if (model_result) {
         results[i] = std::move(*model_result);
-        outcome.provenance = EstimateProvenance::kModel;
-        // Memoize only full model results: a fallback or failure must re-run
-        // the ladder next time (the fault may be transient), and caching it
+        outcome.provenance = found == CacheLookup::kEmbedding
+                                 ? EstimateProvenance::kCached
+                                 : EstimateProvenance::kModel;
+        // Memoize only model results: a fallback or failure must re-run the
+        // ladder next time (the fault may be transient), and caching it
         // would freeze a degraded answer for content the model can serve.
-        if (options.cache) options.cache->insert(cache_key, results[i]);
+        // A heads-only result keeps the stored embedding.
+        if (options.cache)
+          options.cache->insert(cache_key, results[i],
+                                found == CacheLookup::kEmbedding
+                                    ? NetEmbedding{}
+                                    : std::move(embedding));
       } else {
         failure = model_result.status();
       }

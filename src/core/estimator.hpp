@@ -53,6 +53,7 @@ namespace gnntrans::core {
 
 class EstimateCache;         // core/estimate_cache.hpp
 struct EstimateCacheConfig;  // core/estimate_cache.hpp
+struct NetEmbedding;         // core/estimate_cache.hpp
 
 /// Which rung of the degradation ladder produced an estimate.
 enum class EstimateProvenance : std::uint8_t {
@@ -60,8 +61,9 @@ enum class EstimateProvenance : std::uint8_t {
   kBaselineFallback = 1,  ///< analytic Elmore/D2M baseline after a model fault
   kFailed = 2,            ///< no estimator applicable; values are zero
   /// Served from the content-addressed estimate cache: the stored bytes of a
-  /// prior model pass over identical content — bitwise identical values,
-  /// featurize+forward skipped.
+  /// prior model pass over identical content, or the model's heads over the
+  /// net's stored embedding under a new context. Values are bitwise those of
+  /// a full pass; featurization and the layers before the heads are skipped.
   kCached = 3,
 };
 
@@ -197,8 +199,9 @@ struct BatchOptions {
   /// the call; safe to share across concurrent batches). When set, each
   /// structurally valid net is content-hashed during validation, looked up
   /// before the model path, and model-served results are inserted after it.
-  /// Hits return the stored bytes re-tagged kCached; fallback/failed results
-  /// are never cached.
+  /// Hits return the stored bytes, or run only the heads from the net's
+  /// stored embedding, tagged kCached; fallback/failed results are never
+  /// cached.
   EstimateCache* cache = nullptr;
   /// When set, resized to the batch and filled with one outcome per net.
   std::vector<NetOutcome>* outcomes = nullptr;
@@ -306,10 +309,14 @@ class WireTimingEstimator {
 
   /// Model path for one *structurally valid* net: feature extraction +
   /// forward + unstandardize, with every failure mode (including injected
-  /// ones) converted into a Status instead of escaping.
+  /// ones) converted into a Status instead of escaping. With a stored
+  /// \p embedding (pooled non-empty) it runs only the heads from it and tags
+  /// the result kCached; with an empty one it fills it from the full pass
+  /// when the compiled plan serves.
   [[nodiscard]] Expected<std::vector<PathEstimate>> run_model_path(
       const rcnet::RcNet& net, const features::NetContext& context,
-      nn::Workspace* workspace, StageSeconds* stages) const;
+      nn::Workspace* workspace, StageSeconds* stages,
+      NetEmbedding* embedding = nullptr) const;
 
   std::unique_ptr<nn::WireModel> model_;
   features::Standardizer standardizer_;

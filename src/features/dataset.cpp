@@ -110,6 +110,12 @@ double Standardizer::unstandardize_delay(double z) const noexcept {
   return z * delay_std_ + delay_mean_;
 }
 
+tensor::Tensor Standardizer::standardize_path_features(
+    std::vector<float> raw_h) const {
+  const std::size_t rows = raw_h.size() / kPathFeatureCount;
+  return standardized(std::move(raw_h), h_mean_, h_std_, rows);
+}
+
 nn::GraphSample Standardizer::make_sample(const rcnet::RcNet& net,
                                           const RawFeatures& raw) const {
   if (!fitted()) throw std::logic_error("Standardizer: fit() before make_sample()");
@@ -122,7 +128,7 @@ nn::GraphSample Standardizer::make_sample(const rcnet::RcNet& net,
   sample.path_count = raw.analysis.paths.size();
 
   sample.x = standardized(raw.x, x_mean_, x_std_, sample.node_count);
-  sample.h = standardized(raw.h, h_mean_, h_std_, sample.path_count);
+  sample.h = standardize_path_features(raw.h);
 
   // Eq. (1): resistance-valued adjacency, row-normalized for stability.
   const std::size_t n = sample.node_count;

@@ -48,6 +48,10 @@ class Standardizer {
   /// its extract_features() (fit() must have run). Serving's form.
   [[nodiscard]] nn::GraphSample make_sample(const rcnet::RcNet& net,
                                             const RawFeatures& raw) const;
+  /// Z-scored path features [P, dh] from raw rows (extract_features' h or
+  /// path_features()), exactly as make_sample builds sample.h.
+  [[nodiscard]] tensor::Tensor standardize_path_features(
+      std::vector<float> raw_h) const;
   /// The same plus the record's standardized labels.
   [[nodiscard]] nn::GraphSample make_sample(const WireRecord& record) const;
 

@@ -1,5 +1,6 @@
 #include "features/features.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -76,6 +77,37 @@ NetContext random_context(const cell::CellLibrary& library,
   return ctx;
 }
 
+namespace {
+
+// Scale factors keeping raw features in O(1) ranges before standardization
+// (fF, ps, kOhm) so float32 accumulation stays well-conditioned.
+constexpr double kF = 1e15;   // farads -> fF
+constexpr double kS = 1e12;   // seconds -> ps
+constexpr double kR = 1e-3;   // ohms -> kOhm
+
+}  // namespace
+
+std::vector<float> path_features(const NetContext& context,
+                                 std::span<const float> net_columns) {
+  const std::size_t p = context.loads.size();
+  if (net_columns.size() != p * kNetPathFeatureCount)
+    throw std::invalid_argument("path_features: net columns misaligned");
+  std::vector<float> h(p * kPathFeatureCount);
+  for (std::size_t q = 0; q < p; ++q) {
+    float* row = h.data() + q * kPathFeatureCount;
+    const SinkLoad& load = context.loads[q];
+    row[kInputSlew] = static_cast<float>(context.input_slew * kS);
+    row[kDriveStrength] = static_cast<float>(context.driver_strength);
+    row[kDriveFunction] = static_cast<float>(context.driver_function);
+    row[kLoadStrength] = static_cast<float>(load.drive_strength);
+    row[kLoadFunction] = static_cast<float>(load.function);
+    row[kLoadCeff] = static_cast<float>(load.input_cap * kF);
+    std::copy_n(net_columns.data() + q * kNetPathFeatureCount,
+                kNetPathFeatureCount, row + kNetPathFeatureBase);
+  }
+  return h;
+}
+
 RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context) {
   if (context.loads.size() != net.sinks.size())
     throw std::invalid_argument("extract_features: context.loads misaligned");
@@ -84,12 +116,6 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
   rf.analysis = sim::analyze_wire(net);
   const sim::WireAnalysis& wa = rf.analysis;
   const std::size_t n = net.node_count();
-
-  // Scale factors keeping raw features in O(1) ranges before standardization
-  // (fF, ps, kOhm) so float32 accumulation stays well-conditioned.
-  constexpr double kF = 1e15;   // farads -> fF
-  constexpr double kS = 1e12;   // seconds -> ps
-  constexpr double kR = 1e-3;   // ohms -> kOhm
 
   rf.x.assign(n * kNodeFeatureCount, 0.0f);
   for (NodeId v = 0; v < n; ++v) {
@@ -123,24 +149,18 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
   }
 
   const std::size_t p = wa.paths.size();
-  rf.h.assign(p * kPathFeatureCount, 0.0f);
+  std::vector<float> net_columns(p * kNetPathFeatureCount);
   for (std::size_t q = 0; q < p; ++q) {
-    float* row = rf.h.data() + q * kPathFeatureCount;
+    // kElmoreDelay, kD2mDelay, kImpulseSpread.
+    float* row = net_columns.data() + q * kNetPathFeatureCount;
     const NodeId sink = wa.paths[q].sink;
-    const SinkLoad& load = context.loads[q];
-    row[kInputSlew] = static_cast<float>(context.input_slew * kS);
-    row[kDriveStrength] = static_cast<float>(context.driver_strength);
-    row[kDriveFunction] = static_cast<float>(context.driver_function);
-    row[kLoadStrength] = static_cast<float>(load.drive_strength);
-    row[kLoadFunction] = static_cast<float>(load.function);
-    row[kLoadCeff] = static_cast<float>(load.input_cap * kF);
-    row[kElmoreDelay] = static_cast<float>(wa.moments.m1[sink] * kS);
-    row[kD2mDelay] = static_cast<float>(wa.d2m[sink] * kS);
+    row[0] = static_cast<float>(wa.moments.m1[sink] * kS);
+    row[1] = static_cast<float>(wa.d2m[sink] * kS);
     const double m1 = wa.moments.m1[sink];
     const double spread2 = 2.0 * wa.moments.m2[sink] - m1 * m1;
-    row[kImpulseSpread] =
-        static_cast<float>(std::sqrt(std::max(0.0, spread2)) * kS);
+    row[2] = static_cast<float>(std::sqrt(std::max(0.0, spread2)) * kS);
   }
+  rf.h = path_features(context, net_columns);
   return rf;
 }
 

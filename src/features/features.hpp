@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ enum PathFeature : std::size_t {
   kPathFeatureCount
 };
 
+/// The path-feature columns that depend only on the net, not on its context:
+/// kElmoreDelay, kD2mDelay and kImpulseSpread, in PathFeature order.
+inline constexpr std::size_t kNetPathFeatureBase = kElmoreDelay;
+inline constexpr std::size_t kNetPathFeatureCount =
+    kPathFeatureCount - kNetPathFeatureBase;
+static_assert(kD2mDelay == kElmoreDelay + 1 && kImpulseSpread == kD2mDelay + 1 &&
+              kNetPathFeatureCount == 3);
+
 /// Load cell attached to one sink.
 struct SinkLoad {
   std::uint32_t drive_strength = 1;
@@ -94,6 +103,13 @@ struct RawFeatures {
   std::vector<float> h;  ///< [path_count x kPathFeatureCount], row-major
   sim::WireAnalysis analysis;
 };
+
+/// Raw path-feature rows [P x kPathFeatureCount] under \p context, from the
+/// net's own columns \p net_columns ([P x kNetPathFeatureCount], P =
+/// context.loads.size()). extract_features builds its h with this, so a net
+/// retimed under a new context gets the same floats from stored columns.
+[[nodiscard]] std::vector<float> path_features(
+    const NetContext& context, std::span<const float> net_columns);
 
 /// Extracts Table I features for \p net under \p context.
 ///

@@ -28,18 +28,37 @@ std::size_t WireModel::parameter_count() const {
 }
 
 WirePrediction WireModel::forward(const GraphSample& sample,
-                                  Workspace* workspace) const {
+                                  Workspace* workspace,
+                                  std::vector<float>* embedding) const {
   WirePrediction pred;
   if (!plan_ || tensor::grad_enabled()) {
     pred = run_forward(sample);
   } else if (workspace) {
-    pred = plan_->run(sample, *workspace);
+    pred = plan_->run(sample, *workspace, embedding);
   } else {
     Workspace local;
-    pred = plan_->run(sample, local);
+    pred = plan_->run(sample, local, embedding);
   }
   // Final boundary guard for every architecture: predictions are [P,1], so
   // this scan is negligible next to the forward pass it protects.
+  guard_finite(pred.slew, "slew_head");
+  guard_finite(pred.delay, "delay_head");
+  return pred;
+}
+
+WirePrediction WireModel::forward_heads(std::span<const float> embedding,
+                                        const tensor::Tensor& h,
+                                        Workspace* workspace) const {
+  if (!plan_)
+    throw std::logic_error("forward_heads: " + name() +
+                           " has no compiled inference plan");
+  WirePrediction pred;
+  if (workspace) {
+    pred = plan_->run_heads(embedding, h, *workspace);
+  } else {
+    Workspace local;
+    pred = plan_->run_heads(embedding, h, local);
+  }
   guard_finite(pred.slew, "slew_head");
   guard_finite(pred.delay, "delay_head");
   return pred;

@@ -11,6 +11,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,21 @@ class WireModel {
   /// compiled inference plan and autograd disabled (tensor::NoGradGuard) the
   /// plan runs on \p workspace's slab (a temporary one when null); otherwise
   /// the autograd path runs and \p workspace is unused. The workspace must
-  /// not be shared by concurrent callers; use one per thread.
-  [[nodiscard]] WirePrediction forward(const GraphSample& sample,
-                                       Workspace* workspace = nullptr) const;
+  /// not be shared by concurrent callers; use one per thread. When the plan
+  /// serves and \p embedding is set, it also receives the pooled path
+  /// embeddings ([P, d]) for a later forward_heads(); it is left as is when
+  /// autograd serves.
+  [[nodiscard]] WirePrediction forward(
+      const GraphSample& sample, Workspace* workspace = nullptr,
+      std::vector<float>* embedding = nullptr) const;
+
+  /// The heads alone (GnnTransPlan::run_heads): forward()'s bits for a net
+  /// whose pooled embeddings forward() stored in \p embedding, under the
+  /// standardized path features \p h. Needs a compiled plan; throws
+  /// std::logic_error without one.
+  [[nodiscard]] WirePrediction forward_heads(
+      std::span<const float> embedding, const tensor::Tensor& h,
+      Workspace* workspace = nullptr) const;
 
   /// Compiles the tape-free inference plan (nn/plan.hpp) from the current
   /// weights. A model the plan does not cover keeps the autograd path.

@@ -457,16 +457,19 @@ template <int W>
 
 }  // namespace
 
-/// The body of GnnTransPlan::run at W vector groups of 4 floats, once the
-/// sample has passed its checks. Always inlined into one target-specific
-/// function per width, so every kernel it reaches runs at that width; a
-/// lambda here would not inherit the target and could not inline them.
+/// Eq. (1)-(4) of GnnTransPlan::run at W vector groups of 4 floats, once the
+/// sample has passed its checks: the Sage layers, the attention stack and
+/// the per-path mean pooling, which lands in the first d columns of the
+/// heads' rows at the start of the returned slab (stride repr_ld()). The
+/// heads' buffers are carved first, so a heads-only pass lays out the same
+/// rows without the rest. Always inlined into one target-specific function
+/// per width, so every kernel it reaches runs at that width; a lambda here
+/// would not inherit the target and could not inline them.
 template <int W>
-[[gnu::always_inline]] inline WirePrediction forward(const GnnTransPlan& plan,
-                                                     const GraphSample& sample,
-                                                     Workspace& workspace) {
+[[gnu::always_inline]] inline float* embed(const GnnTransPlan& plan,
+                                           const GraphSample& sample,
+                                           Workspace& workspace) {
   const std::size_t n = sample.x.rows();
-  const std::size_t p = sample.path_pool.rows;
   const tensor::GraphMatrix mean = plan.use_edge_weights_
                                        ? tensor::GraphMatrix()
                                        : mean_adjacency(sample.weighted_adj);
@@ -478,10 +481,7 @@ template <int W>
   // it has seen.
   const std::size_t d = plan.hidden_, dk = plan.head_dim_, ld3 = 3 * d;
   const std::size_t np = round_up(n, 4);  // score rows, padded with -inf
-  const std::size_t repr = d + plan.path_dim_;
-  const std::size_t repr_ld = repr + (plan.cascade_ ? 1u : 0u);
-  const std::size_t mlp = plan.slew_head_.front().out;
-  std::size_t total = 0;
+  std::size_t total = plan.heads_floats(sample.path_pool.rows);
   const auto carve = [&total](std::size_t floats) {
     const std::size_t at = total;
     total += round_up(floats, 16);
@@ -499,9 +499,7 @@ template <int W>
                     at_qkv = carve(n * ld3),
                     at_kt = carve(dk * np * group_max),
                     at_vt = carve(dk * np * group_max),
-                    at_row = carve(np * group_max), at_cat = carve(n * d),
-                    at_repr = carve(p * repr_ld), at_hid0 = carve(p * mlp),
-                    at_hid1 = carve(p * mlp);
+                    at_row = carve(np * group_max), at_cat = carve(n * d);
   float* slab = workspace.acquire(total);
   float* act[2] = {slab + at_act0, slab + at_act1};
   float* aggx = slab + at_agg;
@@ -578,15 +576,29 @@ template <int W>
     guard_finite({x, n * d}, d, "attention");
   }
 
-  // Eq. (4-6): pool per path, concat path features, slew head, then the
-  // delay head over [repr | slew] when cascaded.
+  // Eq. (4): mean pooling per path.
+  sparse<W>(sample.path_pool, x, d, slab, plan.repr_ld());
+  return slab;
+}
+
+/// Eq. (4)'s path-feature concat and Eq. (5-6) over p pooled rows at the
+/// start of \p slab (stride repr_ld()): copy h in beside each row, slew
+/// head, then the delay head over [repr | slew] when cascaded. Reads and
+/// writes only the heads_floats(p) floats embed() carves first.
+template <int W>
+[[gnu::always_inline]] inline WirePrediction heads(const GnnTransPlan& plan,
+                                                   std::size_t p, float* slab,
+                                                   const tensor::Tensor& h) {
   const telemetry::TraceSpan span("heads", "model");
-  float* repr_buf = slab + at_repr;
-  float* const hid[2] = {slab + at_hid0, slab + at_hid1};
-  sparse<W>(sample.path_pool, x, d, repr_buf, repr_ld);
+  const std::size_t d = plan.hidden_, repr = d + plan.path_dim_;
+  const std::size_t repr_ld = plan.repr_ld();
+  const std::size_t rows = round_up(p * repr_ld, 16),
+                    mlp = round_up(p * plan.slew_head_.front().out, 16);
+  float* repr_buf = slab;
+  float* const hid[2] = {slab + rows, slab + rows + mlp};
   for (std::size_t q = 0; q < p; ++q)
     for (std::size_t j = 0; j < plan.path_dim_; ++j)
-      repr_buf[q * repr_ld + d + j] = sample.h(q, j);
+      repr_buf[q * repr_ld + d + j] = h(q, j);
   WirePrediction pred;
   mlp_forward<W>(plan.slew_head_, repr_buf, repr_ld, p, hid, pred.slew);
   if (plan.cascade_)
@@ -598,23 +610,38 @@ template <int W>
 
 namespace {
 
-// One forward pass and one exp per width; compile() picks the widest the
+// One embed, one heads and one exp per width; compile() picks the widest the
 // CPU runs.
-WirePrediction forward_sse2(const GnnTransPlan& plan, const GraphSample& s,
-                            Workspace& ws) {
-  return forward<1>(plan, s, ws);
+float* embed_sse2(const GnnTransPlan& plan, const GraphSample& s,
+                  Workspace& ws) {
+  return embed<1>(plan, s, ws);
+}
+WirePrediction heads_sse2(const GnnTransPlan& plan, std::size_t p, float* slab,
+                          const tensor::Tensor& h) {
+  return heads<1>(plan, p, slab, h);
 }
 void exp_sse2(float* x, std::size_t count) { exp_blocks<1>(x, count); }
-__attribute__((target("avx2"))) WirePrediction forward_avx2(
-    const GnnTransPlan& plan, const GraphSample& s, Workspace& ws) {
-  return forward<2>(plan, s, ws);
+__attribute__((target("avx2"))) float* embed_avx2(const GnnTransPlan& plan,
+                                                  const GraphSample& s,
+                                                  Workspace& ws) {
+  return embed<2>(plan, s, ws);
+}
+__attribute__((target("avx2"))) WirePrediction heads_avx2(
+    const GnnTransPlan& plan, std::size_t p, float* slab,
+    const tensor::Tensor& h) {
+  return heads<2>(plan, p, slab, h);
 }
 __attribute__((target("avx2"))) void exp_avx2(float* x, std::size_t count) {
   exp_blocks<2>(x, count);
 }
-__attribute__((target("avx512f"))) WirePrediction forward_avx512(
+__attribute__((target("avx512f"))) float* embed_avx512(
     const GnnTransPlan& plan, const GraphSample& s, Workspace& ws) {
-  return forward<4>(plan, s, ws);
+  return embed<4>(plan, s, ws);
+}
+__attribute__((target("avx512f"))) WirePrediction heads_avx512(
+    const GnnTransPlan& plan, std::size_t p, float* slab,
+    const tensor::Tensor& h) {
+  return heads<4>(plan, p, slab, h);
 }
 __attribute__((target("avx512f"))) void exp_avx512(float* x,
                                                    std::size_t count) {
@@ -624,13 +651,15 @@ __attribute__((target("avx512f"))) void exp_avx512(float* x,
 /// The plan's kernels at one width; kKernels[lanes / 8].
 struct Kernel {
   const char* isa;
-  WirePrediction (*forward)(const GnnTransPlan&, const GraphSample&,
-                            Workspace&);
+  float* (*embed)(const GnnTransPlan&, const GraphSample&, Workspace&);
+  WirePrediction (*heads)(const GnnTransPlan&, std::size_t, float*,
+                          const tensor::Tensor&);
   void (*exp)(float*, std::size_t);
 };
-constexpr Kernel kKernels[] = {{"SSE2", forward_sse2, exp_sse2},
-                               {"AVX2", forward_avx2, exp_avx2},
-                               {"AVX-512F", forward_avx512, exp_avx512}};
+constexpr Kernel kKernels[] = {
+    {"SSE2", embed_sse2, heads_sse2, exp_sse2},
+    {"AVX2", embed_avx2, heads_avx2, exp_avx2},
+    {"AVX-512F", embed_avx512, heads_avx512, exp_avx512}};
 
 /// The kernels \p lanes wide; throws unless it is 4, 8 or 16 and the CPU
 /// runs it.
@@ -790,8 +819,18 @@ std::unique_ptr<GnnTransPlan> GnnTransPlan::compile(const WireModel& model,
   return plan;
 }
 
+std::size_t GnnTransPlan::repr_ld() const noexcept {
+  return hidden_ + path_dim_ + (cascade_ ? 1u : 0u);
+}
+
+std::size_t GnnTransPlan::heads_floats(std::size_t paths) const noexcept {
+  return round_up(paths * repr_ld(), 16) +
+         2 * round_up(paths * slew_head_.front().out, 16);
+}
+
 WirePrediction GnnTransPlan::run(const GraphSample& sample,
-                                 Workspace& workspace) const {
+                                 Workspace& workspace,
+                                 std::vector<float>* embedding) const {
   require(sample.x.defined() && sample.x.cols() == node_dim_,
           "node feature width mismatch");
   const std::size_t n = sample.x.rows();
@@ -804,7 +843,30 @@ WirePrediction GnnTransPlan::run(const GraphSample& sample,
                 sample.h.cols() == path_dim_,
             "path feature shape mismatch");
   guard_finite(sample.x, "input");
-  return kKernels[lanes_ / 8].forward(*this, sample, workspace);
+  const Kernel& k = kKernels[lanes_ / 8];
+  float* slab = k.embed(*this, sample, workspace);
+  if (embedding) {
+    embedding->resize(p * hidden_);
+    for (std::size_t q = 0; q < p; ++q)
+      std::copy_n(slab + q * repr_ld(), hidden_,
+                  embedding->data() + q * hidden_);
+  }
+  return k.heads(*this, p, slab, sample.h);
+}
+
+WirePrediction GnnTransPlan::run_heads(std::span<const float> embedding,
+                                       const tensor::Tensor& h,
+                                       Workspace& workspace) const {
+  const std::size_t p = embedding.size() / hidden_;
+  require(p * hidden_ == embedding.size(), "embedding is not [P, d]");
+  if (path_dim_ > 0)
+    require(h.defined() && h.rows() == p && h.cols() == path_dim_,
+            "path feature shape mismatch");
+  float* slab = workspace.acquire(heads_floats(p));
+  for (std::size_t q = 0; q < p; ++q)
+    std::copy_n(embedding.data() + q * hidden_, hidden_,
+                slab + q * repr_ld());
+  return kKernels[lanes_ / 8].heads(*this, p, slab, h);
 }
 
 }  // namespace gnntrans::nn

@@ -21,10 +21,10 @@
 ///
 /// Width: compile() picks the width W once per process from the CPU: 16 float
 /// lanes with AVX-512F (W = 4), 8 with AVX2 (W = 2), else 4 (SSE2, W = 1).
-/// run() makes one call per net into a forward pass built for that width, in
-/// which the dense products and the aggregation take 4W columns per vector
-/// and the attention kernel serves W heads per group; heads that do not fill
-/// a group go to narrower ones. Every lane does the arithmetic of the 4-wide
+/// run() makes one call per net into each of embed and heads built for that
+/// width, in which the dense products and the aggregation take 4W columns
+/// per vector and the attention kernel serves W heads per group; heads that
+/// do not fill a group go to narrower ones. Every lane does the arithmetic of the 4-wide
 /// kernels and plan.cpp is built with -ffp-contract=off, so no width fuses a
 /// multiply-add and every width gives the same bits: a host changes how fast
 /// a model is served, never what it outputs.
@@ -38,6 +38,14 @@
 /// does the same arithmetic as when every row is served, and no row reads
 /// another row's output. The "attention" guard still scans all n rows; the
 /// rows nobody pools keep the previous layer's values.
+///
+/// Embed and heads: the driver context reaches the model only through the
+/// path features h (paper Table I), so the pass splits into embed, Eq. (1)-(4)
+/// up to the pooled [P, d] path embeddings, a pure function of the net, and
+/// heads, which concatenates h and runs Eq. (5)-(6). run() is heads(embed())
+/// and can hand the pooled block out; run_heads() runs the same heads code
+/// from a stored block, so a net retimed under a new context skips the Sage
+/// and attention layers and gets the bits of a full pass.
 ///
 /// Numerics: the dense products sum in the same order as tensor::matmul, so
 /// they are bitwise equal to autograd; the softmax differs from the libm
@@ -97,19 +105,40 @@ class GnnTransPlan {
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
 
   /// Standardized per-path slew and delay of \p sample ([P,1] each), with the
-  /// model's trace spans and finite guards. Throws std::invalid_argument on
-  /// a sample whose shapes do not match the model.
+  /// model's trace spans and finite guards: heads(embed(sample)). When
+  /// \p embedding is set it also receives the pooled path embeddings,
+  /// [P, d] row-major, for a later run_heads(). Throws std::invalid_argument
+  /// on a sample whose shapes do not match the model.
   [[nodiscard]] WirePrediction run(const GraphSample& sample,
-                                   Workspace& workspace) const;
+                                   Workspace& workspace,
+                                   std::vector<float>* embedding = nullptr) const;
+
+  /// Eq. (5)-(6) alone: the slew and delay run() would give for a sample
+  /// whose pooled embeddings are \p embedding ([P, d], as run() stored them)
+  /// and whose standardized path features are \p h ([P, dh]), bit for bit.
+  /// Throws std::invalid_argument when the shapes do not match the model.
+  [[nodiscard]] WirePrediction run_heads(std::span<const float> embedding,
+                                         const tensor::Tensor& h,
+                                         Workspace& workspace) const;
 
  private:
   GnnTransPlan() = default;
 
-  /// run() past its checks, at W groups of 4 float lanes (plan.cpp).
+  /// run() past its checks, at W groups of 4 float lanes (plan.cpp): embed
+  /// runs Eq. (1)-(4) into the heads' rows at the start of the slab it
+  /// returns, heads fills the path features and runs Eq. (5)-(6).
   template <int W>
-  friend WirePrediction forward(const GnnTransPlan& plan,
-                                const GraphSample& sample,
-                                Workspace& workspace);
+  friend float* embed(const GnnTransPlan& plan, const GraphSample& sample,
+                      Workspace& workspace);
+  template <int W>
+  friend WirePrediction heads(const GnnTransPlan& plan, std::size_t p,
+                              float* slab, const tensor::Tensor& h);
+
+  /// Floats per row of the heads' input: [pooled | h | slew when cascaded].
+  [[nodiscard]] std::size_t repr_ld() const noexcept;
+  /// Slab floats the heads use for \p paths rows: the input rows, then two
+  /// hidden buffers, each on a 16-float boundary.
+  [[nodiscard]] std::size_t heads_floats(std::size_t paths) const noexcept;
 
   std::size_t node_dim_ = 0;    ///< dx
   std::size_t path_dim_ = 0;    ///< dh (0 without path features)

@@ -182,6 +182,48 @@ TEST(CacheUnit, EvictionUnderPressureIsDeterministicAndByteBounded) {
   }
 }
 
+TEST(CacheUnit, EmbeddingIsStoredFromTheSecondContext) {
+  EstimateCache cache(EstimateCacheConfig{.capacity_bytes = 1 << 20,
+                                          .shards = 2});
+  const auto paths = make_paths(4, 2);
+  core::NetEmbedding embedding;
+  embedding.pooled.assign(2 * 8, 0.5f);
+  embedding.net_columns = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  std::vector<PathEstimate> out;
+  core::NetEmbedding got;
+
+  // First context: a plain entry, the size a net served once keeps.
+  cache.insert(EstimateCache::make_key(42, 1), paths);
+  const std::uint64_t plain = cache.stats().resident_bytes;
+  EXPECT_EQ(cache.lookup(EstimateCache::make_key(42, 2), &out, &got),
+            core::CacheLookup::kOtherContext);
+  EXPECT_TRUE(out.empty() && got.pooled.empty());
+
+  // Second context: the entry takes it over and grows by the embedding.
+  cache.insert(EstimateCache::make_key(42, 2), paths, embedding);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes, plain + (16 + 6) * sizeof(float));
+  EXPECT_FALSE(cache.lookup(EstimateCache::make_key(42, 1), &out));
+  ASSERT_EQ(cache.lookup(EstimateCache::make_key(42, 3), &out, &got),
+            core::CacheLookup::kEmbedding);
+  EXPECT_EQ(got.pooled, embedding.pooled);
+  EXPECT_EQ(got.net_columns, embedding.net_columns);
+  EXPECT_TRUE(out.empty());
+
+  // A third context replaces the estimates and keeps the embedding.
+  cache.insert(EstimateCache::make_key(42, 3), make_paths(5, 2));
+  ASSERT_EQ(cache.lookup(EstimateCache::make_key(42, 3), &out, &got),
+            core::CacheLookup::kHit);
+  expect_same_values(out, make_paths(5, 2));
+  stats = cache.stats();
+  EXPECT_EQ(stats.resident_bytes, plain + (16 + 6) * sizeof(float));
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.reused, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.insertions, 3u);
+}
+
 TEST(CacheConcurrency, SingleShardHammerKeepsExactCounters) {
   // Force contention: pick keys that all route to shard 0 of a multi-shard
   // cache (shard_index is exposed exactly for this), then hammer them from
@@ -646,6 +688,78 @@ TEST_F(CacheServingTest, TracingRunsAtItsConfiguredRateOnCacheHits) {
   recorder.disable();
   recorder.configure(telemetry::TraceConfig{});
   recorder.clear();
+}
+
+// One batch holds every net under four contexts, twice over, on four
+// workers, twice: nets met under a second context store their embedding and
+// later contexts run only the heads, in whatever order the workers race.
+// Every result must equal a one-thread pass without a cache, bitwise.
+TEST_F(CacheServingTest, ContextOnlyMissesRunTheHeadsBitwiseOnFourWorkers) {
+  std::mt19937_64 rng(77);
+  std::vector<std::vector<features::NetContext>> contexts(4);
+  for (auto& ctx : contexts)
+    for (const rcnet::RcNet& net : nets_)
+      ctx.push_back(features::random_context(*library_, net, rng));
+  std::vector<core::NetBatchItem> batch;
+  for (int copy = 0; copy < 2; ++copy)
+    for (const auto& ctx : contexts)
+      for (std::size_t i = 0; i < nets_.size(); ++i)
+        batch.push_back({&nets_[i], &ctx[i]});
+  const auto reference = estimator_->estimate_batch(batch, {.threads = 1});
+
+  EstimateCache cache;
+  core::BatchOptions opts;
+  opts.threads = 4;
+  opts.cache = &cache;
+  for (int pass = 0; pass < 2; ++pass) {
+    core::InferenceStats stats;
+    const auto got = estimator_->estimate_batch(batch, opts, &stats);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      expect_same_values(got[i], reference[i]);
+    expect_identity(stats);
+    EXPECT_EQ(stats.model_nets + stats.cached_nets, batch.size());
+  }
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.reused, 0u);
+  EXPECT_LE(stats.reused, stats.hits);
+  EXPECT_EQ(stats.hits + stats.misses, 2 * batch.size());
+  EXPECT_EQ(stats.entries, nets_.size());
+}
+
+TEST_F(CacheServingTest, ReusedCounterIsExported) {
+  EstimateCache cache;
+  core::BatchOptions opts;
+  opts.threads = 1;
+  opts.cache = &cache;
+
+  auto& registry = telemetry::MetricsRegistry::global();
+  const telemetry::Counter hits = registry.counter("gnntrans_cache_hits_total");
+  const telemetry::Counter reused =
+      registry.counter("gnntrans_cache_reused_total");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t reused_before = reused.value();
+
+  // The first context inserts, the second stores the embeddings, the third
+  // runs only the heads: one reuse per net, each also a hit.
+  std::mt19937_64 rng(55);
+  for (int k = 0; k < 3; ++k) {
+    std::vector<features::NetContext> ctx;
+    for (const rcnet::RcNet& net : nets_)
+      ctx.push_back(features::random_context(*library_, net, rng));
+    std::vector<core::NetBatchItem> batch(nets_.size());
+    for (std::size_t i = 0; i < nets_.size(); ++i) batch[i] = {&nets_[i], &ctx[i]};
+    core::InferenceStats stats;
+    (void)estimator_->estimate_batch(batch, opts, &stats);
+    EXPECT_EQ(stats.cached_nets, k == 2 ? nets_.size() : 0u);
+  }
+  EXPECT_EQ(cache.stats().reused, nets_.size());
+  EXPECT_EQ(cache.stats().hits, nets_.size());
+  EXPECT_GE(reused.value() - reused_before, nets_.size());
+  EXPECT_GE(hits.value() - hits_before, nets_.size());
+
+  const std::string prom = registry.prometheus_text();
+  EXPECT_NE(prom.find("gnntrans_cache_reused_total"), std::string::npos);
 }
 
 TEST_F(CacheServingTest, CacheMetricsAreExported) {

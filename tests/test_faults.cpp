@@ -14,6 +14,7 @@
 #include <string>
 
 #include "cell/library.hpp"
+#include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
 #include "core/status.hpp"
@@ -537,6 +538,106 @@ TEST_F(FaultServingTest, NoInjectionMeansAllModelNets) {
     EXPECT_EQ(outcomes[i].provenance, EstimateProvenance::kModel);
     for (const core::PathEstimate& pe : results[i])
       EXPECT_EQ(pe.provenance, EstimateProvenance::kModel);
+  }
+}
+
+// A heads-only pass (a cached net under a new context) consults kForward and
+// then kNonFinite, as a full pass does: the same faults fire, with the same
+// counts and ErrorCodes, the net degrades down the same ladder, and the
+// cache entry stays as it was.
+TEST_F(FaultServingTest, HeadsOnlyPassConsultsForwardSitesInFullPassOrder) {
+  InjectorGuard guard;
+  std::mt19937_64 rng(404);
+  std::vector<std::vector<features::NetContext>> contexts(3);
+  for (auto& ctx : contexts)
+    for (const rcnet::RcNet& net : nets_)
+      ctx.push_back(features::random_context(*library_, net, rng));
+  const auto batch = [&](std::size_t k) {
+    std::vector<core::NetBatchItem> out(nets_.size());
+    for (std::size_t i = 0; i < nets_.size(); ++i)
+      out[i] = {&nets_[i], &contexts[k][i]};
+    return out;
+  };
+
+  // Two contexts store every net's embedding; the third reuses it.
+  core::EstimateCache cache;
+  core::BatchOptions cached;
+  cached.threads = 1;
+  cached.cache = &cache;
+  (void)estimator_->estimate_batch(batch(0), cached);
+  (void)estimator_->estimate_batch(batch(1), cached);
+  ASSERT_EQ(cache.stats().entries, nets_.size());
+  const std::vector<core::NetBatchItem> third = batch(2);
+  const auto reference = estimator_->estimate_batch(third, {.threads = 1});
+
+  const std::uint32_t forward = core::site_bit(FaultSite::kForward);
+  const std::uint32_t non_finite = core::site_bit(FaultSite::kNonFinite);
+  for (const std::uint32_t mask : {forward, non_finite, forward | non_finite}) {
+    FaultInjector::Config cfg;
+    cfg.seed = 99;
+    cfg.probability = 0.5;
+    cfg.site_mask = mask;
+    // The full pass without the cache, then the heads-only pass.
+    std::vector<core::NetOutcome> full, heads;
+    std::uint64_t full_at[2], heads_at[2];
+    core::BatchOptions plain;
+    plain.threads = 1;
+    plain.outcomes = &full;
+    FaultInjector::global().configure(cfg);
+    const auto full_results = estimator_->estimate_batch(third, plain);
+    full_at[0] = FaultInjector::global().injected_at(FaultSite::kForward);
+    full_at[1] = FaultInjector::global().injected_at(FaultSite::kNonFinite);
+
+    const core::EstimateCacheStats before = cache.stats();
+    cached.outcomes = &heads;
+    FaultInjector::global().configure(cfg);
+    const auto heads_results = estimator_->estimate_batch(third, cached);
+    heads_at[0] = FaultInjector::global().injected_at(FaultSite::kForward);
+    heads_at[1] = FaultInjector::global().injected_at(FaultSite::kNonFinite);
+    const core::EstimateCacheStats after = cache.stats();
+    cached.outcomes = nullptr;
+
+    EXPECT_GT(full_at[0] + full_at[1], 0u) << "mask " << mask;
+    EXPECT_EQ(heads_at[0], full_at[0]) << "mask " << mask;
+    EXPECT_EQ(heads_at[1], full_at[1]) << "mask " << mask;
+    EXPECT_EQ(after.reused - before.reused, nets_.size()) << "mask " << mask;
+    std::size_t degraded = 0;
+    for (std::size_t i = 0; i < nets_.size(); ++i) {
+      EXPECT_EQ(heads[i].error, full[i].error) << "net " << i;
+      ASSERT_EQ(heads_results[i].size(), full_results[i].size());
+      if (is_degraded(full[i].provenance)) {
+        ++degraded;
+        EXPECT_EQ(heads[i].provenance, EstimateProvenance::kBaselineFallback);
+        EXPECT_EQ(full[i].provenance, EstimateProvenance::kBaselineFallback);
+      } else {
+        EXPECT_EQ(heads[i].provenance, EstimateProvenance::kCached);
+      }
+      for (std::size_t q = 0; q < full_results[i].size(); ++q) {
+        EXPECT_EQ(heads_results[i][q].slew, full_results[i][q].slew);
+        EXPECT_EQ(heads_results[i][q].delay, full_results[i][q].delay);
+      }
+    }
+    // Only the nets the heads served replaced their entry's context.
+    EXPECT_EQ(after.insertions - before.insertions, nets_.size() - degraded);
+    EXPECT_EQ(after.entries, nets_.size());
+
+    // The degraded nets' entries were left untouched: still under the second
+    // context, with their embedding, the next clean pass reuses them.
+    FaultInjector::global().disarm();
+    std::vector<core::NetOutcome> clean;
+    cached.outcomes = &clean;
+    const auto again = estimator_->estimate_batch(third, cached);
+    cached.outcomes = nullptr;
+    for (std::size_t i = 0; i < nets_.size(); ++i) {
+      EXPECT_EQ(clean[i].provenance, EstimateProvenance::kCached) << "net " << i;
+      for (std::size_t q = 0; q < again[i].size(); ++q) {
+        EXPECT_EQ(again[i][q].slew, reference[i][q].slew);
+        EXPECT_EQ(again[i][q].delay, reference[i][q].delay);
+      }
+    }
+    EXPECT_EQ(cache.stats().reused - after.reused, degraded);
+    // Back to the second context for the next mask.
+    (void)estimator_->estimate_batch(batch(1), cached);
   }
 }
 

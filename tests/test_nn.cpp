@@ -21,6 +21,8 @@
 #include "nn/plan.hpp"
 #include "rcnet/generate.hpp"
 
+#include "differential_nets.hpp"
+
 namespace {
 
 using namespace gnntrans;
@@ -583,6 +585,96 @@ TEST(GnnTransPlan, LiveRowsMatchEveryRowBitwise) {
       }
     }
   }
+}
+
+TEST(GnnTransPlan, HeadsFromStoredEmbeddingMatchFullPassBitwise) {
+  // Every differential_nets net under five random contexts, at every width:
+  // run() under the first context stores the pooled embedding and the net's
+  // own raw path columns; under each context, run_heads() from them, with h
+  // rebuilt by path_features() and standardize_path_features(), must give
+  // the full pass's slew and delay bit for bit. The ablations change what
+  // the heads read: no path features, and no slew column for the delay head.
+  static const cell::CellLibrary library = cell::CellLibrary::make_default();
+  features::Standardizer standardizer;
+  (void)rcgen_samples(rcnet::NetGenConfig{}, 24, 11, standardizer);
+  std::vector<ModelConfig> configs(3, served_config());
+  configs[1].use_path_features = false;
+  configs[2].cascade_delay_head = false;
+  constexpr int kContexts = 5;
+  std::size_t compared = 0;
+  for (const ModelConfig& config : configs) {
+    const auto model = make_model(ModelKind::kGnnTrans, config);
+    for (const std::size_t l : runnable_lanes()) {
+      const auto plan = GnnTransPlan::compile(*model, l);
+      Workspace ws;
+      std::mt19937_64 rng(31);  // the same nets and contexts at every width
+      for (const differential_nets::NetSet& set : differential_nets::sets()) {
+        for (int i = 0; i < set.nets; ++i) {
+          const rcnet::RcNet net = rcnet::generate_net(set.cfg, rng, set.name);
+          ASSERT_TRUE(net.validate().empty()) << set.name << " net " << i;
+          std::vector<float> embedding, net_columns;
+          for (int c = 0; c < kContexts; ++c) {
+            const features::NetContext ctx =
+                features::random_context(library, net, rng);
+            const features::RawFeatures raw = features::extract_features(net, ctx);
+            const GraphSample sample = standardizer.make_sample(net, raw);
+            const WirePrediction full =
+                plan->run(sample, ws, c == 0 ? &embedding : nullptr);
+            if (c == 0) {
+              ASSERT_EQ(embedding.size(), sample.path_count * config.hidden_dim);
+              for (std::size_t q = 0; q < sample.path_count; ++q)
+                for (std::size_t j = 0; j < features::kNetPathFeatureCount; ++j)
+                  net_columns.push_back(raw.h[q * features::kPathFeatureCount +
+                                              features::kNetPathFeatureBase + j]);
+            }
+            const WirePrediction heads = plan->run_heads(
+                embedding,
+                standardizer.standardize_path_features(
+                    features::path_features(ctx, net_columns)),
+                ws);
+            ASSERT_EQ(heads.slew.rows(), sample.path_count);
+            for (std::size_t q = 0; q < sample.path_count; ++q) {
+              EXPECT_EQ(std::bit_cast<std::uint32_t>(heads.slew(q, 0)),
+                        std::bit_cast<std::uint32_t>(full.slew(q, 0)))
+                  << l << " lanes, " << set.name << " net " << i
+                  << " context " << c << " path " << q;
+              EXPECT_EQ(std::bit_cast<std::uint32_t>(heads.delay(q, 0)),
+                        std::bit_cast<std::uint32_t>(full.delay(q, 0)))
+                  << l << " lanes, " << set.name << " net " << i
+                  << " context " << c << " path " << q;
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 3u * 40u * kContexts);
+  if (runnable_lanes().back() < 16)
+    GTEST_SKIP() << "this CPU runs only " << runnable_lanes().back()
+                 << "-lane kernels; wider widths untested";
+}
+
+TEST(GnnTransPlan, RunHeadsRejectsMisshapenInputs) {
+  features::Standardizer standardizer;
+  const std::vector<GraphSample> samples =
+      rcgen_samples(rcnet::NetGenConfig{}, 1, 11, standardizer);
+  const GraphSample& s = samples.front();
+  const auto model = make_model(ModelKind::kGnnTrans, served_config());
+  model->compile_inference();
+  std::vector<float> embedding;
+  Workspace ws;
+  (void)model->forward(s, &ws, &embedding);
+  std::vector<float> ragged = embedding;
+  ragged.pop_back();
+  EXPECT_THROW((void)model->forward_heads(ragged, s.h, &ws),
+               std::invalid_argument);
+  const std::vector<float> more_paths(embedding.size() + 16, 0.0f);
+  EXPECT_THROW((void)model->forward_heads(more_paths, s.h, &ws),
+               std::invalid_argument);
+  model->discard_inference();
+  EXPECT_THROW((void)model->forward_heads(embedding, s.h, &ws),
+               std::logic_error);
 }
 
 /// The Cephes expf sequence of the attention kernel, one float at a time.
