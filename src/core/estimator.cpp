@@ -172,6 +172,19 @@ std::string human_bytes(std::size_t bytes) {
 
 }  // namespace
 
+telemetry::FlightRecord to_flight_record(std::string_view net_name,
+                                         const NetOutcome& outcome) noexcept {
+  telemetry::FlightRecord fr;
+  fr.set_net(net_name);
+  fr.set_outcome(to_string(outcome.provenance));
+  if (outcome.error != ErrorCode::kOk) fr.set_error(to_string(outcome.error));
+  fr.set_stages(outcome.stages);
+  fr.total_us = static_cast<float>(outcome.net_seconds * 1e6);
+  fr.slow = outcome.slow ? 1 : 0;
+  fr.degraded = is_degraded(outcome.provenance) ? 1 : 0;
+  return fr;
+}
+
 void InferenceStats::merge(const InferenceStats& other) {
   nets += other.nets;
   paths += other.paths;
@@ -282,20 +295,22 @@ WireTimingEstimator WireTimingEstimator::train(
 
 Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
     const rcnet::RcNet& net, const features::NetContext& context,
-    nn::Workspace* workspace, StageSeconds* stages,
+    nn::Workspace* workspace, telemetry::StageTimes* stages,
     NetEmbedding* embedding) const {
+  using telemetry::Stage;
   tensor::NoGradGuard no_grad;
   FaultInjector& inject = FaultInjector::global();
   // A stored embedding leaves only the heads to run: no featurization, no
   // Sage or attention layers.
   const bool reuse = embedding && !embedding->pooled.empty();
+  telemetry::StageClock clock(stages);
 
   // Any exception in path enumeration / feature extraction is a per-net
   // failure, not a batch abort.
   features::RawFeatures raw;
   if (!reuse) {
-    const auto t0 = Clock::now();
-    const telemetry::TraceSpan span("featurize", "serving");
+    const telemetry::TraceSpan span(telemetry::stage_name(Stage::kExtract),
+                                    "serving");
     try {
       if (inject.armed() && inject.should_fail(FaultSite::kFeaturize, net.name))
         throw std::runtime_error("injected featurization fault");
@@ -305,14 +320,14 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
       // loads/sinks misalignment case is pre-gated by estimate_batch with a
       // typed kInvalidArgument; this catch covers the single-net estimate()
       // entry and any future preconditions extract_features grows.)
-      if (stages) stages->featurize += seconds_since(t0);
+      clock.lap(Stage::kExtract);
       return Status(ErrorCode::kInvalidNet, net.name + ": " + e.what());
     } catch (const std::exception& e) {
-      if (stages) stages->featurize += seconds_since(t0);
+      clock.lap(Stage::kExtract);
       return Status(ErrorCode::kPathExtractionFailed,
                     net.name + ": " + e.what());
     }
-    if (stages) stages->featurize += seconds_since(t0);
+    clock.lap(Stage::kExtract);
     if (raw.analysis.paths.size() != net.sinks.size())
       return Status(ErrorCode::kPathExtractionFailed,
                     net.name + ": enumerated " +
@@ -322,18 +337,22 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   }
 
   // The same fault sites, in the same order, for a full and a heads-only
-  // pass.
-  const auto t0 = Clock::now();
+  // pass. A heads-only pass charges its path-feature rows to its own stage.
+  Stage running = reuse ? Stage::kForwardHeads : Stage::kMakeSample;
   nn::WirePrediction pred;
   try {
     nn::GraphSample sample;
     tensor::Tensor h;
-    if (reuse)
+    if (reuse) {
       h = standardizer_.standardize_path_features(
           features::path_features(context, embedding->net_columns));
-    else
+    } else {
       sample = standardizer_.make_sample(net, raw);
-    const telemetry::TraceSpan forward_span("forward", "serving");
+      clock.lap(Stage::kMakeSample);
+      running = Stage::kForward;
+    }
+    const telemetry::TraceSpan forward_span(telemetry::stage_name(running),
+                                            "serving");
     if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
       throw std::runtime_error("injected forward fault");
     pred = reuse ? model_->forward_heads(embedding->pooled, h, workspace)
@@ -342,13 +361,13 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
     if (inject.armed() && inject.should_fail(FaultSite::kNonFinite, net.name))
       throw nn::NonFiniteActivationError("injected", 0, 0);
   } catch (const nn::NonFiniteActivationError& e) {
-    if (stages) stages->forward += seconds_since(t0);
+    clock.lap(running);
     return Status(ErrorCode::kNonFiniteActivation, net.name + ": " + e.what());
   } catch (const std::exception& e) {
-    if (stages) stages->forward += seconds_since(t0);
+    clock.lap(running);
     return Status(ErrorCode::kInternal, net.name + ": " + e.what());
   }
-  if (stages) stages->forward += seconds_since(t0);
+  clock.lap(running);
 
   const std::size_t p = net.sinks.size();
   if (embedding && !reuse && !embedding->pooled.empty()) {
@@ -423,7 +442,6 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     const features::NetContext& context = *items[i].context;
     NetOutcome& outcome = outcomes[i];
     FaultInjector& inject = FaultInjector::global();
-    StageSeconds stages;
 
     // Head-sampled requests get their model work recorded as a span tagged
     // with the trace_id (bypassing the 1-in-N span sampler) plus a flow step
@@ -497,7 +515,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
 
     if (failure.ok() && found != CacheLookup::kHit) {
       auto model_result = run_model_path(
-          net, context, &workspaces[worker], &stages,
+          net, context, &workspaces[worker], &outcome.stages,
           found == CacheLookup::kMiss ? nullptr : &embedding);
       if (model_result) {
         results[i] = std::move(*model_result);
@@ -524,7 +542,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
       bool fell_back = false;
       if (options.fallback == FallbackPolicy::kAnalytic && structurally_valid &&
           context_valid) {
-        const auto fb0 = Clock::now();
+        telemetry::StageClock clock(&outcome.stages);
         try {
           results[i] = analytic_fallback(net, context);
           fell_back = true;
@@ -532,7 +550,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
           outcome.message += "; fallback: ";
           outcome.message += e.what();
         }
-        stages.fallback += seconds_since(fb0);
+        clock.lap(telemetry::Stage::kFallback);
       }
       if (!fell_back) results[i] = failed_estimates(net);
       outcome.provenance = fell_back ? EstimateProvenance::kBaselineFallback
@@ -541,9 +559,6 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
 
     latency[i] = seconds_since(t0);
     outcome.net_seconds = latency[i];
-    outcome.featurize_seconds = stages.featurize;
-    outcome.forward_seconds = stages.forward;
-    outcome.fallback_seconds = stages.fallback;
 
     // Shadow scoring: deterministic pure-hash sample of model-served nets,
     // re-timed against the analytic baseline. Runs after latency[i] is taken
@@ -560,31 +575,30 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     if (options.slow_net_warn_seconds > 0.0 &&
         latency[i] > options.slow_net_warn_seconds) {
       outcome.slow = true;
-      GNNTRANS_LOG_WARN(
-          "serving",
-          "slow net '%s': %.1f us total (budget %.1f us) — featurize %.1f us, "
-          "forward %.1f us, fallback %.1f us [%s]",
-          net.name.c_str(), latency[i] * 1e6,
-          options.slow_net_warn_seconds * 1e6, stages.featurize * 1e6,
-          stages.forward * 1e6, stages.fallback * 1e6,
-          to_string(outcome.provenance));
+      std::string breakdown;
+      for (std::size_t s = 0; s < telemetry::kNetStageCount; ++s) {
+        if (!(outcome.stages.seconds[s] > 0.0)) continue;
+        char part[64];
+        std::snprintf(part, sizeof(part), "%s%s %.1f us",
+                      breakdown.empty() ? "" : ", ", telemetry::kStageNames[s],
+                      outcome.stages.seconds[s] * 1e6);
+        breakdown += part;
+      }
+      GNNTRANS_LOG_WARN("serving",
+                        "slow net '%s': %.1f us total (budget %.1f us) — %s "
+                        "[%s]",
+                        net.name.c_str(), latency[i] * 1e6,
+                        options.slow_net_warn_seconds * 1e6, breakdown.c_str(),
+                        to_string(outcome.provenance));
     }
 
     telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
     if (flight.enabled()) {
-      telemetry::FlightRecord fr;
-      fr.set_net(net.name);
-      fr.set_outcome(to_string(outcome.provenance));
-      if (outcome.error != ErrorCode::kOk)
-        fr.set_error(to_string(outcome.error));
-      fr.featurize_us = static_cast<float>(stages.featurize * 1e6);
-      fr.forward_us = static_cast<float>(stages.forward * 1e6);
-      fr.fallback_us = static_cast<float>(stages.fallback * 1e6);
-      fr.total_us = static_cast<float>(latency[i] * 1e6);
+      telemetry::FlightRecord fr = to_flight_record(net.name, outcome);
+      fr.trace_id = trace.trace_id;
+      fr.batch_size = static_cast<std::uint32_t>(items.size());
       fr.arena_peak_bytes = static_cast<std::uint32_t>(std::min<std::size_t>(
           workspaces[worker].stats().peak_bytes, UINT32_MAX));
-      fr.slow = outcome.slow ? 1 : 0;
-      fr.degraded = is_degraded(outcome.provenance) ? 1 : 0;
       flight.record(fr);
     }
   };

@@ -40,8 +40,10 @@
 #include <vector>
 
 #include "core/status.hpp"
+#include "core/telemetry/flight_recorder.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/quality.hpp"
+#include "core/telemetry/stage.hpp"
 #include "core/telemetry/trace.hpp"
 #include "core/thread_pool.hpp"
 #include "core/trainer.hpp"
@@ -100,15 +102,21 @@ struct NetOutcome {
   ErrorCode error = ErrorCode::kOk;
   std::string message;
   bool slow = false;  ///< exceeded BatchOptions::slow_net_warn_seconds
-  /// This net's wall time inside the batch and its stage shares, in seconds.
-  /// Always filled; callers building per-request stage clocks (the network
-  /// server's tail-latency attribution) read the model share from here so
-  /// the estimator's internal stage breakdown stays private.
+  /// This net's wall time inside the batch, in seconds. Always filled; the
+  /// network server's per-request stage clock reads it as core.estimate.
   double net_seconds = 0.0;
-  double featurize_seconds = 0.0;
-  double forward_seconds = 0.0;
-  double fallback_seconds = 0.0;
+  /// Its per-net stages (telemetry/stage.hpp): extract, make_sample and
+  /// forward for a model pass, forward_heads alone for a heads-only pass,
+  /// fallback when it degraded; all zero for a stored-bytes cache hit.
+  telemetry::StageTimes stages;
 };
+
+/// \p outcome as the flight record of net \p net_name: provenance, error,
+/// per-net stages, slow/degraded flags and the net's wall time. The one
+/// conversion behind estimate_batch's per-net records and NetServer's
+/// per-request ones.
+[[nodiscard]] telemetry::FlightRecord to_flight_record(
+    std::string_view net_name, const NetOutcome& outcome) noexcept;
 
 /// Observability counters for batched inference. Per-net wall latencies are
 /// tallied into a telemetry::HistogramData (fixed 1-2-5 buckets, 1 us..1 s);
@@ -300,22 +308,16 @@ class WireTimingEstimator {
  private:
   WireTimingEstimator() = default;
 
-  /// Wall seconds spent per stage of one net (slow-query log breakdown).
-  struct StageSeconds {
-    double featurize = 0.0;
-    double forward = 0.0;
-    double fallback = 0.0;
-  };
-
   /// Model path for one *structurally valid* net: feature extraction +
   /// forward + unstandardize, with every failure mode (including injected
-  /// ones) converted into a Status instead of escaping. With a stored
+  /// ones) converted into a Status instead of escaping. Adds each stage's
+  /// time to \p stages when set. With a stored
   /// \p embedding (pooled non-empty) it runs only the heads from it and tags
   /// the result kCached; with an empty one it fills it from the full pass
   /// when the compiled plan serves.
   [[nodiscard]] Expected<std::vector<PathEstimate>> run_model_path(
       const rcnet::RcNet& net, const features::NetContext& context,
-      nn::Workspace* workspace, StageSeconds* stages,
+      nn::Workspace* workspace, telemetry::StageTimes* stages,
       NetEmbedding* embedding = nullptr) const;
 
   std::unique_ptr<nn::WireModel> model_;

@@ -52,6 +52,8 @@ using detail::FlightSlot;
 
 constexpr std::size_t kPinnedSlots = 64;   ///< per-thread pinned-ring capacity
 constexpr std::size_t kMaxRings = 256;     ///< recording-thread hard cap
+constexpr std::size_t kRequestSlots = 64;  ///< slowest sampled requests kept
+constexpr std::size_t kRecordBytes = 1024;  ///< one formatted record, bounded
 
 std::atomic<std::uint64_t> g_next_flight_recorder_id{1};
 
@@ -74,6 +76,14 @@ char* append_u64(char* p, char* end, std::uint64_t v) noexcept {
     v /= 10;
   } while (v != 0);
   while (n > 0 && p < end) *p++ = digits[--n];
+  return p;
+}
+
+/// Trace ids as the 0x%016llx handles the /metrics exemplars carry.
+char* append_hex64(char* p, char* end, std::uint64_t v) noexcept {
+  p = append_raw(p, end, "0x");
+  for (int shift = 60; shift >= 0 && p < end; shift -= 4)
+    *p++ = "0123456789abcdef"[(v >> shift) & 0xf];
   return p;
 }
 
@@ -107,7 +117,9 @@ void write_all(int fd, const char* data, std::size_t size) noexcept {
   }
 }
 
-/// One record as a JSON object into \p buf; returns the byte count.
+/// One record as a JSON object into \p buf; returns the byte count. The
+/// request fields appear only on traced records and a stage only when it
+/// was timed; stage keys are the stage table's names.
 std::size_t format_record(const FlightRecord& r, char* buf,
                           std::size_t cap) noexcept {
   char* p = buf;
@@ -122,22 +134,58 @@ std::size_t format_record(const FlightRecord& r, char* buf,
   p = append_sanitized(p, end, r.error, sizeof(r.error));
   p = append_raw(p, end, "\",\"thread\":");
   p = append_u64(p, end, r.thread_id);
+  if (r.trace_id != 0) {
+    p = append_raw(p, end, ",\"trace_id\":\"");
+    p = append_hex64(p, end, r.trace_id);
+    p = append_raw(p, end, "\",\"request_id\":");
+    p = append_u64(p, end, r.request_id);
+    p = append_raw(p, end, ",\"attempt\":");
+    p = append_u64(p, end, r.attempt);
+  }
+  if (r.batch_size != 0) {
+    p = append_raw(p, end, ",\"batch_size\":");
+    p = append_u64(p, end, r.batch_size);
+  }
   p = append_raw(p, end, ",\"total_us\":");
   p = append_us(p, end, r.total_us);
-  p = append_raw(p, end, ",\"featurize_us\":");
-  p = append_us(p, end, r.featurize_us);
-  p = append_raw(p, end, ",\"forward_us\":");
-  p = append_us(p, end, r.forward_us);
-  p = append_raw(p, end, ",\"fallback_us\":");
-  p = append_us(p, end, r.fallback_us);
-  p = append_raw(p, end, ",\"arena_peak_bytes\":");
+  p = append_raw(p, end, ",\"stages_us\":{");
+  bool first = true;
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    if (!(r.stage_us[s] > 0.0f)) continue;
+    p = append_raw(p, end, first ? "\"" : ",\"");
+    first = false;
+    p = append_raw(p, end, kStageNames[s]);
+    p = append_raw(p, end, "\":");
+    p = append_us(p, end, r.stage_us[s]);
+  }
+  p = append_raw(p, end, "},\"arena_peak_bytes\":");
   p = append_u64(p, end, r.arena_peak_bytes);
   p = append_raw(p, end, ",\"slow\":");
   p = append_raw(p, end, r.slow ? "true" : "false");
+  p = append_raw(p, end, ",\"degraded\":");
+  p = append_raw(p, end, r.degraded ? "true" : "false");
   p = append_raw(p, end, ",\"pinned\":");
   p = append_raw(p, end, r.pinned ? "true" : "false");
   p = append_raw(p, end, "}");
   return static_cast<std::size_t>(p - buf);
+}
+
+/// Appends every stable record of \p slots to \p out.
+template <typename Slots>
+void read_all(const Slots& slots, std::vector<FlightRecord>* out) {
+  FlightRecord rec;
+  for (const FlightSlot& slot : slots)
+    if (detail::read_slot(slot, &rec)) out->push_back(rec);
+}
+
+/// The records as comma-separated JSON objects.
+void emit_records(std::ostream& out, const std::vector<FlightRecord>& records) {
+  char buf[kRecordBytes];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i > 0) out << ",";
+    const std::size_t n = format_record(records[i], buf, sizeof(buf));
+    out.write(buf, static_cast<std::streamsize>(n));
+  }
 }
 
 }  // namespace
@@ -168,6 +216,21 @@ struct FlightRecorder::Impl {
   std::mutex register_mutex;
   std::atomic<std::size_t> ring_count{0};
   std::array<std::atomic<Ring*>, kMaxRings> rings{};
+
+  // Slowest sampled requests. request_mutex serializes writers, keeping each
+  // seqlock slot single-writer; readers go through read_slot without it.
+  std::mutex request_mutex;
+  std::atomic<std::uint64_t> requests_recorded{0};
+  std::array<FlightSlot, kRequestSlots> requests;
+
+  /// Calls \p fn on every registered ring; lock-free, so signal-safe.
+  template <typename Fn>
+  void each_ring(Fn&& fn) const {
+    const std::size_t count =
+        std::min(ring_count.load(std::memory_order_acquire), kMaxRings);
+    for (std::size_t r = 0; r < count; ++r)
+      if (Ring* ring = rings[r].load(std::memory_order_acquire)) fn(*ring);
+  }
 };
 
 FlightRecorder::Impl& FlightRecorder::impl() const noexcept {
@@ -185,10 +248,7 @@ FlightRecorder::FlightRecorder() = default;
 FlightRecorder::~FlightRecorder() {
   Impl* im = impl_.load(std::memory_order_acquire);
   if (!im) return;
-  const std::size_t count =
-      std::min(im->ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r)
-    delete im->rings[r].load(std::memory_order_acquire);
+  im->each_ring([](Ring& ring) { delete &ring; });
   delete im;
 }
 
@@ -250,27 +310,75 @@ void FlightRecorder::record(const FlightRecord& record) noexcept {
   }
 }
 
+void FlightRecorder::record_request(const FlightRecord& record) noexcept {
+  if (!enabled()) return;
+  Impl& im = impl();
+  FlightRecord rec = record;
+  rec.seq = im.next_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  rec.thread_id = this_thread_id();
+  rec.pinned = 0;
+  im.requests_recorded.fetch_add(1, std::memory_order_relaxed);
+  try {
+    // Writers are serialized, so each slot reads back stable on the first try.
+    const std::lock_guard<std::mutex> lock(im.request_mutex);
+    FlightSlot* fastest = nullptr;
+    float fastest_us = 0.0f;
+    FlightRecord held;
+    for (FlightSlot& slot : im.requests) {
+      const float us = detail::read_slot(slot, &held) ? held.total_us : -1.0f;
+      if (!fastest || us < fastest_us) {
+        fastest = &slot;
+        fastest_us = us;
+      }
+    }
+    if (fastest_us < rec.total_us) detail::write_slot(*fastest, rec);
+  } catch (...) {
+    // A failed lock drops the record; telemetry never throws into serving.
+  }
+}
+
+std::vector<FlightRecord> FlightRecorder::slowest_requests(
+    std::size_t limit) const {
+  std::vector<FlightRecord> out;
+  read_all(impl().requests, &out);
+  std::sort(out.begin(), out.end(),
+            [](const FlightRecord& a, const FlightRecord& b) {
+              return a.total_us > b.total_us;
+            });
+  if (limit > 0 && out.size() > limit) out.resize(limit);
+  return out;
+}
+
+bool FlightRecorder::find_request(std::uint64_t trace_id,
+                                  FlightRecord* out) const {
+  FlightRecord rec;
+  for (const FlightSlot& slot : impl().requests) {
+    if (!detail::read_slot(slot, &rec) || rec.trace_id != trace_id) continue;
+    if (out) *out = rec;
+    return true;
+  }
+  return false;
+}
+
+std::uint64_t FlightRecorder::requests_recorded() const noexcept {
+  return impl().requests_recorded.load(std::memory_order_relaxed);
+}
+
 void FlightRecorder::write_json(std::ostream& out,
                                 const JsonFilter& filter) const {
   Impl& im = impl();
-  std::vector<FlightRecord> recent, pinned;
-  const std::size_t count =
-      std::min(im.ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r) {
-    const Ring* ring = im.rings[r].load(std::memory_order_acquire);
-    if (!ring) continue;
-    FlightRecord rec;
-    for (const FlightSlot& slot : ring->recent)
-      if (detail::read_slot(slot, &rec)) recent.push_back(rec);
-    for (const FlightSlot& slot : ring->pinned)
-      if (detail::read_slot(slot, &rec)) pinned.push_back(rec);
-  }
-  const auto by_seq = [](const FlightRecord& a, const FlightRecord& b) {
-    return a.seq < b.seq;
-  };
-  std::sort(recent.begin(), recent.end(), by_seq);
-  std::sort(pinned.begin(), pinned.end(), by_seq);
+  std::vector<FlightRecord> recent, pinned, requests;
+  im.each_ring([&](const Ring& ring) {
+    read_all(ring.recent, &recent);
+    read_all(ring.pinned, &pinned);
+  });
+  read_all(im.requests, &requests);
+  // Oldest first by seq; the net filter, then the newest \p limit.
   const auto apply_filter = [&filter](std::vector<FlightRecord>& records) {
+    std::sort(records.begin(), records.end(),
+              [](const FlightRecord& a, const FlightRecord& b) {
+                return a.seq < b.seq;
+              });
     if (!filter.net.empty())
       records.erase(std::remove_if(records.begin(), records.end(),
                                    [&filter](const FlightRecord& r) {
@@ -283,24 +391,26 @@ void FlightRecorder::write_json(std::ostream& out,
   };
   apply_filter(recent);
   apply_filter(pinned);
+  apply_filter(requests);
 
-  // Both dump paths share format_record, so /flight and the crash dump have
-  // one shape; its sanitizer keeps hostile name bytes out of the JSON.
-  const auto emit = [&out](const std::vector<FlightRecord>& records) {
-    bool first = true;
-    char buf[512];
-    for (const FlightRecord& r : records) {
-      if (!first) out << ",";
-      first = false;
-      const std::size_t n = format_record(r, buf, sizeof(buf));
-      out.write(buf, static_cast<std::streamsize>(n));
-    }
-  };
+  // Every dump path shares format_record, so /flight, /tracez and the crash
+  // dump have one shape; its sanitizer keeps hostile name bytes out of the
+  // JSON.
   out << "{\"recorded\":" << recorded_total()
       << ",\"dropped\":" << dropped_total() << ",\"records\":[";
-  emit(recent);
+  emit_records(out, recent);
   out << "],\"pinned\":[";
-  emit(pinned);
+  emit_records(out, pinned);
+  out << "],\"requests\":[";
+  emit_records(out, requests);
+  out << "]}";
+}
+
+void FlightRecorder::write_tracez_json(std::ostream& out,
+                                       std::size_t limit) const {
+  const std::vector<FlightRecord> requests = slowest_requests(limit);
+  out << "{\"retained\":" << requests.size() << ",\"traces\":[";
+  emit_records(out, requests);
   out << "]}";
 }
 
@@ -315,73 +425,58 @@ void FlightRecorder::write_json_fd(int fd) const noexcept {
   p = append_raw(p, buf + sizeof(buf), ",\"records\":[");
   write_all(fd, buf, static_cast<std::size_t>(p - buf));
 
-  const std::size_t count =
-      std::min(im.ring_count.load(std::memory_order_acquire), kMaxRings);
-  const auto emit_ring = [&](const FlightSlot* slots, std::size_t n,
-                             bool* first) {
+  bool first = true;
+  const auto emit_slots = [&](const auto& slots) {
     FlightRecord rec;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!detail::read_slot(slots[s], &rec)) continue;
-      char line[512];
+    for (const FlightSlot& slot : slots) {
+      if (!detail::read_slot(slot, &rec)) continue;
+      char line[kRecordBytes];
       std::size_t len = 0;
-      if (!*first) line[len++] = ',';
-      *first = false;
+      if (!first) line[len++] = ',';
+      first = false;
       len += format_record(rec, line + len, sizeof(line) - len);
       write_all(fd, line, len);
     }
   };
-  bool first = true;
-  for (std::size_t r = 0; r < count; ++r) {
-    const Ring* ring = im.rings[r].load(std::memory_order_acquire);
-    if (ring) emit_ring(ring->recent.data(), ring->recent.size(), &first);
-  }
+  im.each_ring([&](const Ring& ring) { emit_slots(ring.recent); });
   write_all(fd, "],\"pinned\":[", 12);
   first = true;
-  for (std::size_t r = 0; r < count; ++r) {
-    const Ring* ring = im.rings[r].load(std::memory_order_acquire);
-    if (ring) emit_ring(ring->pinned.data(), kPinnedSlots, &first);
-  }
+  im.each_ring([&](const Ring& ring) { emit_slots(ring.pinned); });
+  write_all(fd, "],\"requests\":[", 14);
+  first = true;
+  emit_slots(im.requests);
   write_all(fd, "]}\n", 3);
 }
 
 std::uint64_t FlightRecorder::recorded_total() const noexcept {
-  Impl& im = impl();
   std::uint64_t total = 0;
-  const std::size_t count =
-      std::min(im.ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r)
-    if (const Ring* ring = im.rings[r].load(std::memory_order_acquire))
-      total += ring->head.load(std::memory_order_relaxed);
+  impl().each_ring([&](const Ring& ring) {
+    total += ring.head.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 std::uint64_t FlightRecorder::dropped_total() const noexcept {
   Impl& im = impl();
   std::uint64_t dropped = im.overflow_dropped.load(std::memory_order_relaxed);
-  const std::size_t count =
-      std::min(im.ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r) {
-    const Ring* ring = im.rings[r].load(std::memory_order_acquire);
-    if (!ring) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    if (head > ring->recent.size()) dropped += head - ring->recent.size();
-  }
+  im.each_ring([&](const Ring& ring) {
+    const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
+    if (head > ring.recent.size()) dropped += head - ring.recent.size();
+  });
   return dropped;
 }
 
 void FlightRecorder::clear() noexcept {
   Impl& im = impl();
   const FlightRecord empty;
-  const std::size_t count =
-      std::min(im.ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r) {
-    Ring* ring = im.rings[r].load(std::memory_order_acquire);
-    if (!ring) continue;
-    for (FlightSlot& slot : ring->recent) detail::write_slot(slot, empty);
-    for (FlightSlot& slot : ring->pinned) detail::write_slot(slot, empty);
-    ring->head.store(0, std::memory_order_relaxed);
-    ring->pinned_head.store(0, std::memory_order_relaxed);
-  }
+  im.each_ring([&](Ring& ring) {
+    for (FlightSlot& slot : ring.recent) detail::write_slot(slot, empty);
+    for (FlightSlot& slot : ring.pinned) detail::write_slot(slot, empty);
+    ring.head.store(0, std::memory_order_relaxed);
+    ring.pinned_head.store(0, std::memory_order_relaxed);
+  });
+  for (FlightSlot& slot : im.requests) detail::write_slot(slot, empty);
+  im.requests_recorded.store(0, std::memory_order_relaxed);
   im.next_seq.store(0, std::memory_order_relaxed);
   im.overflow_dropped.store(0, std::memory_order_relaxed);
 }

@@ -1,22 +1,27 @@
 /// \file flight_recorder.hpp
-/// Per-net flight recorder: a black box of the most recent serving decisions.
+/// Per-net flight recorder: a black box of the most recent serving decisions
+/// and of the slowest sampled requests.
 ///
 /// Every net served by estimate_batch (and every training epoch) appends one
-/// fixed-size FlightRecord — net name, stage breakdown, provenance, outcome,
-/// slab peak — to a per-thread ring. Slow and degraded nets are additionally
-/// *pinned* into a separate per-thread ring that wraps far more slowly, so
-/// the interesting records survive long after the main ring has cycled
-/// through healthy traffic.
+/// fixed-size FlightRecord — net name, per-stage times from the stage table
+/// (stage.hpp), provenance, outcome, slab peak — to a per-thread ring. Slow
+/// and degraded nets are additionally *pinned* into a separate per-thread
+/// ring that wraps far more slowly, so the interesting records survive long
+/// after the main ring has cycled through healthy traffic. The slowest 64
+/// head-sampled requests (NetServer's per-request stage clock) are kept in
+/// one fixed set of slots that backs /tracez and exemplar resolution.
 ///
 /// Concurrency: rings are written only by their owner thread, but may be read
-/// at any moment by the /flight HTTP handler, by --flight-out at exit, or by
-/// the fatal-signal dumper. Each slot is therefore an all-atomic seqlock
-/// (version word + relaxed word-wise payload copies, Boehm's recipe): writers
-/// never block, readers retry a bounded number of times and skip slots that
-/// are mid-write. No mutex is ever taken on the record path, reads are
-/// TSan-clean, and — because lock-free atomics are async-signal-safe — the
-/// same slot protocol serves the signal-handler dump (write_json_fd, which
-/// also avoids allocation and stdio).
+/// at any moment by the /flight and /tracez HTTP handlers, by --flight-out at
+/// exit, or by the fatal-signal dumper. Each slot is therefore an all-atomic
+/// seqlock (version word + relaxed word-wise payload copies, Boehm's recipe):
+/// writers never block, readers retry a bounded number of times and skip
+/// slots that are mid-write. Request slots take one mutex between writers
+/// only (one write per sampled request) and are read through the same
+/// lock-free slot protocol. Reads are TSan-clean, and — because lock-free
+/// atomics are async-signal-safe — the same slot protocol serves the
+/// signal-handler dump (write_json_fd, which also avoids allocation and
+/// stdio).
 #pragma once
 
 #include <array>
@@ -27,26 +32,44 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
+
+#include "core/telemetry/stage.hpp"
 
 namespace gnntrans::telemetry {
 
-/// One serving decision. Trivially copyable and a whole number of 64-bit
-/// words, so a slot can shuttle it through atomic word copies.
+/// One serving decision: a net, or a whole sampled request. Trivially
+/// copyable and a whole number of 64-bit words, so a slot can shuttle it
+/// through atomic word copies.
 struct FlightRecord {
   char net[48] = {};      ///< net name (or "train_epoch_N"), truncated
   char outcome[24] = {};  ///< "model" | "baseline_fallback" | "failed" | ...
   char error[24] = {};    ///< ErrorCode name when degraded, "" otherwise
   std::uint64_t seq = 0;  ///< global append order, 1-based; 0 = empty slot
-  float featurize_us = 0.0f;
-  float forward_us = 0.0f;
-  float fallback_us = 0.0f;
-  float total_us = 0.0f;
+  std::uint64_t trace_id = 0;    ///< request trace id; 0 when untraced
+  std::uint64_t request_id = 0;  ///< wire request id (request records)
+  /// Microseconds per stage, indexed by Stage; uncovered stages stay 0.
+  std::array<float, kStageCount> stage_us{};
+  float total_us = 0.0f;  ///< the net's (or the request's) wall time
   std::uint32_t arena_peak_bytes = 0;
   std::uint32_t thread_id = 0;
+  std::uint32_t attempt = 0;     ///< client attempt (request records)
+  std::uint32_t batch_size = 0;  ///< nets in the estimate_batch call
   std::uint8_t slow = 0;      ///< exceeded the slow-net latency budget
   std::uint8_t degraded = 0;  ///< core::is_degraded(provenance): fallback/failed
   std::uint8_t pinned = 0;    ///< record copy lives in the pinned ring
-  std::uint8_t pad[5] = {};
+  std::uint8_t pad[1] = {};
+
+  [[nodiscard]] float& stage(Stage s) noexcept {
+    return stage_us[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] float stage(Stage s) const noexcept {
+    return stage_us[static_cast<std::size_t>(s)];
+  }
+  void set_stages(const StageTimes& times) noexcept {
+    for (std::size_t s = 0; s < kStageCount; ++s)
+      stage_us[s] = static_cast<float>(times.seconds[s] * 1e6);
+  }
 
   void set_net(std::string_view s) noexcept { copy_field(net, sizeof(net), s); }
   void set_outcome(std::string_view s) noexcept {
@@ -66,6 +89,8 @@ struct FlightRecord {
 static_assert(std::is_trivially_copyable_v<FlightRecord>);
 static_assert(sizeof(FlightRecord) % sizeof(std::uint64_t) == 0,
               "FlightRecord must be a whole number of seqlock words");
+static_assert(sizeof(FlightRecord) <= 192,
+              "FlightRecord is stored in 320 slots per recording thread");
 
 namespace detail {
 
@@ -101,7 +126,7 @@ class FlightRecorder {
 
   [[nodiscard]] static FlightRecorder& global();
 
-  /// Recording defaults to on (a record costs one ~136-byte seqlock store).
+  /// Recording defaults to on (a record costs one ~184-byte seqlock store).
   void set_enabled(bool enabled) noexcept {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -118,6 +143,24 @@ class FlightRecorder {
   /// caller set record.pinned itself (quality drift/outlier events).
   void record(const FlightRecord& record) noexcept;
 
+  /// Keeps \p record (a completed head-sampled request, ranked by total_us)
+  /// among the slowest 64: it takes an empty slot or replaces the fastest
+  /// retained one when slower. Registers no per-thread ring, so connection
+  /// threads may call it freely.
+  void record_request(const FlightRecord& record) noexcept;
+
+  /// Retained requests, slowest first; the slowest \p limit (0 = all).
+  [[nodiscard]] std::vector<FlightRecord> slowest_requests(
+      std::size_t limit = 0) const;
+
+  /// Looks up a retained request by trace id (exemplar resolution). False if
+  /// it was never retained or has been displaced by slower requests.
+  [[nodiscard]] bool find_request(std::uint64_t trace_id,
+                                  FlightRecord* out) const;
+
+  /// record_request() calls since the last clear, retained or not.
+  [[nodiscard]] std::uint64_t requests_recorded() const noexcept;
+
   /// /flight query filters: keep only records whose net field equals \p net
   /// (empty = all), then the newest \p limit of each list (0 = all).
   struct JsonFilter {
@@ -125,11 +168,16 @@ class FlightRecorder {
     std::string net;
   };
 
-  /// {"recorded":N,"dropped":N,"records":[...],"pinned":[...]} — records
-  /// sorted oldest-first by seq; bytes that could break the JSON string
-  /// (quotes, backslashes, control chars) are replaced with '_'.
+  /// {"recorded":N,"dropped":N,"records":[...],"pinned":[...],
+  /// "requests":[...]} — each list sorted oldest-first by seq; bytes that
+  /// could break the JSON string (quotes, backslashes, control chars) are
+  /// replaced with '_'.
   void write_json(std::ostream& out) const { write_json(out, JsonFilter{}); }
   void write_json(std::ostream& out, const JsonFilter& filter) const;
+
+  /// /tracez: {"retained":N,"traces":[...]}, the slowest \p limit retained
+  /// requests (0 = all), slowest first, in the same record shape.
+  void write_tracez_json(std::ostream& out, std::size_t limit = 0) const;
 
   /// Async-signal-safe dump to a file descriptor: no allocation, no locks,
   /// no stdio; hand-rolled formatting; non-printable name bytes become '_'.
@@ -139,7 +187,7 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded_total() const noexcept;
   [[nodiscard]] std::uint64_t dropped_total() const noexcept;
 
-  /// Empties every ring. Not for concurrent use with active writers (tests
+  /// Empties every ring and the request slots. Not for concurrent use with active writers (tests
   /// and bench isolation, like MetricsRegistry::reset).
   void clear() noexcept;
 

@@ -379,8 +379,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.push_back({state.name, state.help, Gauge(&state).value()});
   snap.histograms.reserve(im.histograms.size());
   for (detail::HistogramState& state : im.histograms) {
-    MetricsSnapshot::HistogramValue value{state.name, state.help,
-                                          Histogram(&state).snapshot()};
+    MetricsSnapshot::HistogramValue value;
+    value.name = state.name;
+    value.help = state.help;
+    value.data = Histogram(&state).snapshot();
     {
       const std::lock_guard<std::mutex> exemplar_lock(state.exemplar_mutex);
       if (state.exemplar_value >= 0.0) {

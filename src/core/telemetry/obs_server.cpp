@@ -20,7 +20,6 @@
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/net_io.hpp"
 #include "core/telemetry/quality.hpp"
-#include "core/telemetry/tracez.hpp"
 
 namespace gnntrans::telemetry {
 
@@ -300,7 +299,7 @@ void ObsServer::handle_connection(int fd) {
     if (const std::string n = query_param(query_string, "n"); !n.empty())
       limit = static_cast<std::size_t>(std::strtoull(n.c_str(), nullptr, 10));
     std::ostringstream out;
-    RequestTraceStore::global().write_json(out, limit);
+    FlightRecorder::global().write_tracez_json(out, limit);
     return respond(200, "application/json", out.str());
   }
   respond(404, "text/plain", "unknown path\n");

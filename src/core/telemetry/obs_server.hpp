@@ -17,10 +17,10 @@
 ///                  filters to one net
 ///   /quality       model-quality state (QualityMonitor JSON: shadow residual
 ///                  quantiles, per-feature PSI, degradation verdict)
-///   /tracez        slowest retained request traces with their full stage
-///                  breakdown (RequestTraceStore JSON); ?n=<limit> caps the
-///                  list — resolves the trace_ids exported as /metrics
-///                  histogram exemplars
+///   /tracez        the slowest retained sampled requests with their full
+///                  stage breakdown (the flight recorder's request slots,
+///                  slowest first); ?n=<limit> caps the list — resolves the
+///                  trace_ids exported as /metrics histogram exemplars
 ///
 /// One background thread accepts and answers sequentially — a scrape every
 /// few seconds, not a web service. Requests are bounded in size and time;

@@ -102,7 +102,7 @@ TrainReport train_model(nn::WireModel& model,
     TrainMetrics::get().loss.set(mean_loss);
 
     // One flight record per epoch: the black box shows training progress the
-    // same way it shows serving decisions (outcome "train", forward = epoch
+    // same way it shows serving decisions (outcome "train", total = epoch
     // wall time).
     telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
     if (flight.enabled()) {
@@ -113,8 +113,7 @@ TrainReport train_model(nn::WireModel& model,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         epoch_start)
               .count();
-      fr.forward_us = static_cast<float>(epoch_seconds * 1e6);
-      fr.total_us = fr.forward_us;
+      fr.total_us = static_cast<float>(epoch_seconds * 1e6);
       flight.record(fr);
     }
 

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 
 #include "core/estimate_cache.hpp"
@@ -21,6 +20,7 @@
 #include "core/telemetry/log.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/net_io.hpp"
+#include "core/telemetry/stage.hpp"
 #include "core/telemetry/trace.hpp"
 
 namespace gnntrans::serve {
@@ -28,6 +28,7 @@ namespace gnntrans::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using telemetry::Stage;
 
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
@@ -120,7 +121,9 @@ struct NetMetrics {
           telemetry::HistogramData::default_latency_bounds(),
           "Admission-to-delivery latency of served requests");
   // Per-request stage clock (observed for every served request; the stages
-  // telescope to request_seconds up to clock-read noise).
+  // telescope to request_seconds up to clock-read noise). One histogram per
+  // request stage of the stage table: serve.queue, serve.batch_wait,
+  // core.estimate, serve.encode, serve.write.
   telemetry::Histogram stage_queue = telemetry::MetricsRegistry::global().histogram(
       "gnntrans_net_stage_queue_seconds",
       telemetry::HistogramData::default_latency_bounds(),
@@ -134,7 +137,7 @@ struct NetMetrics {
   telemetry::Histogram stage_model = telemetry::MetricsRegistry::global().histogram(
       "gnntrans_net_stage_model_seconds",
       telemetry::HistogramData::default_latency_bounds(),
-      "Stage clock: this net's featurize+forward+fallback time");
+      "Stage clock: core.estimate, this net's wall time in estimate_batch");
   telemetry::Histogram stage_serialize =
       telemetry::MetricsRegistry::global().histogram(
           "gnntrans_net_stage_serialize_seconds",
@@ -204,14 +207,14 @@ void peek_ids(std::string_view payload, std::uint64_t* id,
 /// without flushing the outbox, so the peer observes a dropped connection.
 struct NetServer::Connection {
   /// One outbound frame plus its stage-clock context. `ready` starts the
-  /// write stage (the serialize stage's closing clock read for served
+  /// write stage (the encode stage's closing clock read for served
   /// responses, outbox entry for rejects); `admitted` is the request's
   /// admission time (set for served responses, not rejects); `trace`
-  /// carries the partially-filled stage breakdown of a head-sampled request
+  /// carries the partially-filled request record of a head-sampled request
   /// for the connection thread to finalize at write completion.
   struct Outgoing {
     std::string frame;
-    std::unique_ptr<telemetry::RequestTrace> trace;
+    std::unique_ptr<telemetry::FlightRecord> trace;
     Clock::time_point admitted{};
     Clock::time_point ready{};
   };
@@ -431,50 +434,30 @@ void NetServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   // Write-completion bookkeeping, run after a successful send. The write
   // stage covers outbox-ready to send completion; served responses (admitted
   // stamp set) observe it into the stage histogram, and head-sampled requests
-  // additionally close their stage clock: wall time from admission, a "write"
-  // span on the request's flow lane, the request_seconds p99 exemplar, a
-  // retained /tracez record, and — when slow or degraded — a pinned flight
-  // entry whose error field carries the trace id.
+  // additionally close their stage clock: wall time from admission, a
+  // serve.write span on the request's flow lane, the request_seconds p99
+  // exemplar, and the flight recorder's slowest-request slots (/tracez).
   const auto finish_delivery = [&metrics](Connection::Outgoing& msg) {
     const Clock::time_point sent = Clock::now();  // closes write and wall
     const double write_s =
         std::chrono::duration<double>(sent - msg.ready).count();
     if (msg.admitted != Clock::time_point{}) metrics.stage_write.observe(write_s);
     if (!msg.trace) return;
-    telemetry::RequestTrace& rt = *msg.trace;
-    rt.write_seconds = write_s;
-    rt.wall_seconds = std::chrono::duration<double>(sent - msg.admitted).count();
+    telemetry::FlightRecord& rec = *msg.trace;
+    const double wall_s =
+        std::chrono::duration<double>(sent - msg.admitted).count();
+    rec.stage(Stage::kWrite) = static_cast<float>(write_s * 1e6);
+    rec.total_us = static_cast<float>(wall_s * 1e6);
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
     if (recorder.enabled()) {
       const std::int64_t now_ns = recorder.now_ns();
       recorder.record_event(
-          "write", "request",
+          telemetry::stage_name(Stage::kWrite), "request",
           now_ns - static_cast<std::int64_t>(write_s * 1e9), now_ns,
-          telemetry::TracePhase::kComplete, rt.trace_id);
+          telemetry::TracePhase::kComplete, rec.trace_id);
     }
-    metrics.request_seconds.annotate_exemplar(rt.wall_seconds, rt.trace_id,
-                                              rt.net);
-    telemetry::RequestTraceStore::global().record(rt);
-    if (rt.slow || rt.degraded) {
-      telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
-      if (flight.enabled()) {
-        telemetry::FlightRecord fr;
-        fr.set_net(rt.net);
-        fr.set_outcome("request");
-        char detail[24];
-        std::snprintf(detail, sizeof(detail), "t:%016llx",
-                      static_cast<unsigned long long>(rt.trace_id));
-        fr.set_error(detail);
-        fr.featurize_us = static_cast<float>(rt.featurize_seconds * 1e6);
-        fr.forward_us = static_cast<float>(rt.forward_seconds * 1e6);
-        fr.fallback_us = static_cast<float>(rt.fallback_seconds * 1e6);
-        fr.total_us = static_cast<float>(rt.wall_seconds * 1e6);
-        fr.slow = rt.slow ? 1 : 0;
-        fr.degraded = rt.degraded ? 1 : 0;
-        fr.pinned = 1;
-        flight.record(fr);
-      }
-    }
+    metrics.request_seconds.annotate_exemplar(wall_s, rec.trace_id, rec.net);
+    telemetry::FlightRecorder::global().record_request(rec);
   };
 
   for (;;) {
@@ -669,7 +652,6 @@ bool NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
       metrics.rejected.inc();
       send_reject(conn, request.request_id, request.attempt,
                   core::ErrorCode::kOverloaded, "admission queue full");
-      record_flight("net_admission", "overloaded", "queue full");
       return true;
     }
     queue_.push_back(Pending{conn, std::move(request), Clock::now()});
@@ -693,7 +675,7 @@ void NetServer::send_reject(const std::shared_ptr<Connection>& conn,
 
 bool NetServer::enqueue_response(
     const std::shared_ptr<Connection>& conn, std::string frame,
-    std::unique_ptr<telemetry::RequestTrace> trace,
+    std::unique_ptr<telemetry::FlightRecord> trace,
     std::chrono::steady_clock::time_point admitted,
     std::chrono::steady_clock::time_point ready) {
   Connection::Outgoing msg;
@@ -778,7 +760,7 @@ void NetServer::batch_loop() {
         if (recorder.enabled()) {
           const std::int64_t now_ns = recorder.now_ns();
           recorder.record_event(
-              "queue", "request",
+              telemetry::stage_name(Stage::kQueue), "request",
               now_ns - static_cast<std::int64_t>(waited * 1e9), now_ns,
               telemetry::TracePhase::kComplete, pending.request.trace.trace_id);
         }
@@ -851,10 +833,10 @@ void NetServer::batch_loop() {
         pending.conn->wake_up();
         continue;
       }
-      // Stage clock: batch wall minus this net's own model time is the wait
-      // on peer nets; the split telescopes (queue + batch_wait + model +
-      // serialize + write = wall) because adjacent stage boundaries share
-      // clock reads: batch_start, batch_done, encoded, and the send.
+      // Stage clock: batch wall minus this net's own core.estimate time is
+      // the wait on peer nets; the split telescopes (queue + batch_wait +
+      // estimate + encode + write = wall) because adjacent stage boundaries
+      // share clock reads: batch_start, batch_done, encoded, and the send.
       const Clock::time_point batch_done = Clock::now();
       const double batch_elapsed =
           std::chrono::duration<double>(batch_done - batch_start).count();
@@ -869,33 +851,29 @@ void NetServer::batch_loop() {
       response.paths = results[i];
       std::string frame = encode_response(response);
       const Clock::time_point encoded = Clock::now();
-      const double serialize =
+      const double encode =
           std::chrono::duration<double>(encoded - batch_done).count();
       metrics.stage_batch_wait.observe(batch_wait);
       metrics.stage_model.observe(outcomes[i].net_seconds);
-      metrics.stage_serialize.observe(serialize);
+      metrics.stage_serialize.observe(encode);
 
-      std::unique_ptr<telemetry::RequestTrace> trace;
+      std::unique_ptr<telemetry::FlightRecord> trace;
       if (pending.request.trace.sampled) {
         metrics.stage_model.annotate_exemplar(outcomes[i].net_seconds,
                                               pending.request.trace.trace_id,
                                               pending.request.net.name);
-        trace = std::make_unique<telemetry::RequestTrace>();
+        trace = std::make_unique<telemetry::FlightRecord>(
+            core::to_flight_record(pending.request.net.name, outcomes[i]));
         trace->trace_id = pending.request.trace.trace_id;
         trace->request_id = pending.request.request_id;
         trace->attempt = pending.request.attempt;
         trace->batch_size = static_cast<std::uint32_t>(kept.size());
-        trace->set_net(pending.request.net.name);
-        trace->set_provenance(core::to_string(outcomes[i].provenance));
-        trace->queue_seconds = pending.queue_wait;
-        trace->batch_wait_seconds = batch_wait;
-        trace->model_seconds = outcomes[i].net_seconds;
-        trace->featurize_seconds = outcomes[i].featurize_seconds;
-        trace->forward_seconds = outcomes[i].forward_seconds;
-        trace->fallback_seconds = outcomes[i].fallback_seconds;
-        trace->serialize_seconds = serialize;
-        trace->slow = outcomes[i].slow;
-        trace->degraded = core::is_degraded(outcomes[i].provenance);
+        for (const auto& [stage, seconds] :
+             {std::pair{Stage::kQueue, pending.queue_wait},
+              std::pair{Stage::kBatchWait, batch_wait},
+              std::pair{Stage::kEstimate, outcomes[i].net_seconds},
+              std::pair{Stage::kEncode, encode}})
+          trace->stage(stage) = static_cast<float>(seconds * 1e6);
       }
       if (enqueue_response(pending.conn, std::move(frame), std::move(trace),
                            pending.enqueued, encoded)) {

@@ -41,16 +41,20 @@
 /// only kNetworkSiteMask: the model path stays fault-free and served
 /// responses stay bitwise-identical to a direct estimate_batch call.
 ///
-/// Request tracing: every request carries a per-request stage clock —
-/// admission, queue wait, batch-formation wait, model share (from
-/// NetOutcome), response serialization, socket write — observed into the
-/// gnntrans_net_stage_* histograms for all requests. Head-sampled requests
-/// (protocol v2 trace block, TraceContext::sampled) additionally get
-/// request-tagged trace spans + flow steps on every thread they cross, a
-/// retained stage breakdown in telemetry::RequestTraceStore (/tracez), a
-/// p99 exemplar on gnntrans_net_request_seconds, and — when slow or
-/// degraded — a pinned flight-recorder entry. All of it is telemetry-only:
-/// traced and untraced runs produce bitwise-identical estimates.
+/// Request tracing: every request carries a per-request stage clock named
+/// from the stage table (telemetry/stage.hpp) — serve.queue,
+/// serve.batch_wait, core.estimate (NetOutcome::net_seconds), serve.encode,
+/// serve.write — observed into the gnntrans_net_stage_* histograms for all
+/// requests. Head-sampled requests (protocol v2 trace block,
+/// TraceContext::sampled) additionally get request-tagged trace spans + flow
+/// steps on every thread they cross, a p99 exemplar on
+/// gnntrans_net_request_seconds, and one request FlightRecord (the stages
+/// above plus the net's own per-net stages) offered to the flight
+/// recorder's slowest-64 slots behind /tracez. A slow or degraded net is
+/// pinned by estimate_batch's own per-net record, which carries the trace
+/// id. Connection threads register no flight ring. All of it is
+/// telemetry-only: traced and untraced runs produce bitwise-identical
+/// estimates.
 #pragma once
 
 #include <atomic>
@@ -65,7 +69,7 @@
 #include <vector>
 
 #include "core/estimator.hpp"
-#include "core/telemetry/tracez.hpp"
+#include "core/telemetry/flight_recorder.hpp"
 #include "core/thread_pool.hpp"
 #include "serve/protocol.hpp"
 
@@ -103,7 +107,7 @@ struct NetServerConfig {
   /// Byte budget of the server-owned content-addressed estimate cache; 0
   /// disables caching. Repeat traffic (identical parasitics + context) is
   /// served from stored model results — bitwise-identical values, tagged
-  /// kCached — without touching featurize/forward.
+  /// kCached — without touching features.extract / nn.forward.
   std::size_t cache_bytes = 0;
   /// Worker count of the server-owned inference pool, fixed at start().
   std::size_t threads = 1;
@@ -200,14 +204,14 @@ class NetServer {
 
   /// Queues an encoded frame on \p conn's outbox and wakes its thread.
   /// Returns false when the connection is already closing. \p trace, when
-  /// set, is the partially-filled stage breakdown of a head-sampled request;
-  /// the connection thread finalizes it (write stage from \p ready, wall
+  /// set, is the partially-filled request record of a head-sampled request;
+  /// the connection thread finalizes it (serve.write from \p ready, wall
   /// from \p admitted) after the socket write succeeds. \p ready is the
-  /// clock read that ended the serialize stage (now when unset), so the
+  /// clock read that ended the serve.encode stage (now when unset), so the
   /// stages share their boundaries.
   bool enqueue_response(
       const std::shared_ptr<Connection>& conn, std::string frame,
-      std::unique_ptr<telemetry::RequestTrace> trace = nullptr,
+      std::unique_ptr<telemetry::FlightRecord> trace = nullptr,
       std::chrono::steady_clock::time_point admitted = {},
       std::chrono::steady_clock::time_point ready = {});
 

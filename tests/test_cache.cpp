@@ -7,6 +7,7 @@
 // rejection before the key is even formed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -725,6 +726,56 @@ TEST_F(CacheServingTest, ContextOnlyMissesRunTheHeadsBitwiseOnFourWorkers) {
   EXPECT_LE(stats.reused, stats.hits);
   EXPECT_EQ(stats.hits + stats.misses, 2 * batch.size());
   EXPECT_EQ(stats.entries, nets_.size());
+}
+
+// NetOutcome's stages name the pass that served the net: a model pass times
+// features.extract, features.make_sample and nn.forward; a heads-only pass
+// times nn.forward_heads alone; a stored-bytes hit times none of them.
+TEST_F(CacheServingTest, OutcomeStagesNameTheirPass) {
+  using telemetry::Stage;
+  EstimateCache cache;
+  std::vector<core::NetOutcome> outcomes;
+  core::BatchOptions opts;
+  opts.threads = 1;
+  opts.cache = &cache;
+  opts.outcomes = &outcomes;
+
+  // The first context runs the model, the second stores the embedding, the
+  // third runs only the heads; the third again hits the stored bytes.
+  std::mt19937_64 rng(91);
+  std::vector<std::vector<features::NetContext>> contexts(3);
+  for (auto& ctx : contexts)
+    for (const rcnet::RcNet& net : nets_)
+      ctx.push_back(features::random_context(*library_, net, rng));
+  for (int k = 0; k < 4; ++k) {
+    const auto& ctx = contexts[std::min(k, 2)];
+    std::vector<core::NetBatchItem> batch(nets_.size());
+    for (std::size_t i = 0; i < nets_.size(); ++i) batch[i] = {&nets_[i], &ctx[i]};
+    (void)estimator_->estimate_batch(batch, opts);
+    ASSERT_EQ(outcomes.size(), nets_.size());
+    for (const core::NetOutcome& o : outcomes) {
+      const telemetry::StageTimes& t = o.stages;
+      EXPECT_GT(o.net_seconds, 0.0);
+      EXPECT_EQ(t[Stage::kFallback], 0.0);
+      if (k < 2) {
+        ASSERT_EQ(o.provenance, core::EstimateProvenance::kModel);
+        EXPECT_GT(t[Stage::kExtract], 0.0);
+        EXPECT_GT(t[Stage::kMakeSample], 0.0);
+        EXPECT_GT(t[Stage::kForward], 0.0);
+        EXPECT_EQ(t[Stage::kForwardHeads], 0.0);
+      } else {
+        ASSERT_EQ(o.provenance, core::EstimateProvenance::kCached);
+        EXPECT_EQ(t[Stage::kExtract], 0.0);
+        EXPECT_EQ(t[Stage::kMakeSample], 0.0);
+        EXPECT_EQ(t[Stage::kForward], 0.0);
+        if (k == 2)
+          EXPECT_GT(t[Stage::kForwardHeads], 0.0);
+        else
+          EXPECT_EQ(t[Stage::kForwardHeads], 0.0);
+      }
+    }
+  }
+  EXPECT_EQ(cache.stats().reused, nets_.size());
 }
 
 TEST_F(CacheServingTest, ReusedCounterIsExported) {

@@ -315,10 +315,11 @@ TEST(EcoValidation, InsertBufferRejectsBadArguments) {
                                  make_rc(2)),
                std::invalid_argument);
   // A sequential cell is not a buffer.
-  if (have_ff)
+  if (have_ff) {
     EXPECT_THROW(inc.insert_buffer(net_idx, ff_cell, first_sink,
                                    make_rc(fanout), make_rc(1)),
                  std::invalid_argument);
+  }
   // Wrong rerouted/new sink counts.
   EXPECT_THROW(inc.insert_buffer(net_idx, buf_cell, first_sink,
                                  make_rc(fanout + 5), make_rc(1)),

@@ -114,18 +114,25 @@ TEST(EndToEnd, InferenceFasterThanGoldenTiming) {
       core::WireTimingEstimator::train(recs, options(nn::ModelKind::kGnnTrans, 5));
 
   sim::GoldenTimer timer{sim::TransientConfig{}};
+  // Both loops count the sinks they time, so neither result is discarded.
+  std::size_t golden_sinks = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& rec : recs) timer.time_net(rec.net, rec.context.input_slew,
-                                              rec.context.driver_resistance);
+  for (const auto& rec : recs)
+    golden_sinks += timer.time_net(rec.net, rec.context.input_slew,
+                                   rec.context.driver_resistance)
+                        .sinks.size();
   const double golden_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
+  std::size_t estimated_sinks = 0;
   const auto t1 = std::chrono::steady_clock::now();
-  for (const auto& rec : recs) est.estimate(rec.net, rec.context);
+  for (const auto& rec : recs)
+    estimated_sinks += est.estimate(rec.net, rec.context).size();
   const double inference_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
 
   EXPECT_LT(inference_s, golden_s);
+  EXPECT_EQ(estimated_sinks, golden_sinks);
 }
 
 // Arrival-time composition (Table V mechanics): STA with golden wire timing

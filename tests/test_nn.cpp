@@ -662,9 +662,11 @@ TEST(GnnTransPlan, RunHeadsRejectsMisshapenInputs) {
   const GraphSample& s = samples.front();
   const auto model = make_model(ModelKind::kGnnTrans, served_config());
   model->compile_inference();
+  const tensor::NoGradGuard no_grad;  // the plan, not autograd, fills it
   std::vector<float> embedding;
   Workspace ws;
   (void)model->forward(s, &ws, &embedding);
+  ASSERT_FALSE(embedding.empty());
   std::vector<float> ragged = embedding;
   ragged.pop_back();
   EXPECT_THROW((void)model->forward_heads(ragged, s.h, &ws),

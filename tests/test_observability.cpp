@@ -269,8 +269,8 @@ FlightRecord make_record(const std::string& net, bool slow, bool degraded) {
   rec.set_net(net);
   rec.set_outcome(degraded ? "baseline_fallback" : "model");
   if (degraded) rec.set_error("invalid_net");
-  rec.featurize_us = 1.5f;
-  rec.forward_us = 20.0f;
+  rec.stage(Stage::kExtract) = 1.5f;
+  rec.stage(Stage::kForward) = 20.0f;
   rec.total_us = 21.5f;
   rec.slow = slow ? 1 : 0;
   rec.degraded = degraded ? 1 : 0;
@@ -291,7 +291,7 @@ TEST(FlightRecorder, SlotRoundTrip) {
   EXPECT_EQ(out.seq, 42u);
   EXPECT_EQ(out.thread_id, 7u);
   EXPECT_EQ(out.slow, 1);
-  EXPECT_FLOAT_EQ(out.forward_us, 20.0f);
+  EXPECT_FLOAT_EQ(out.stage(Stage::kForward), 20.0f);
 }
 
 TEST(FlightRecorder, RecordRoundTripJson) {
@@ -365,6 +365,34 @@ TEST(FlightRecorder, WriteJsonFdIsWellFormed) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("fd_dump_net"), std::string::npos);
   EXPECT_NE(json.find("invalid_net"), std::string::npos);
+}
+
+TEST(FlightRecorder, RequestSlotsKeepTheSlowest64) {
+  FlightRecorder& flight = FlightRecorder::global();
+  flight.clear();
+  const std::uint64_t rings_recorded = flight.recorded_total();
+  for (std::uint64_t id = 1; id <= 100; ++id) {
+    FlightRecord rec;
+    rec.trace_id = id;
+    rec.total_us = static_cast<float>(id);  // trace id k took k us
+    rec.set_net("req" + std::to_string(id));
+    flight.record_request(rec);
+  }
+  EXPECT_EQ(flight.requests_recorded(), 100u);
+  EXPECT_EQ(flight.recorded_total(), rings_recorded);  // no ring written
+
+  const std::vector<FlightRecord> kept = flight.slowest_requests();
+  ASSERT_EQ(kept.size(), 64u);
+  EXPECT_EQ(kept.front().trace_id, 100u);
+  EXPECT_EQ(kept.back().trace_id, 37u);
+  EXPECT_EQ(flight.slowest_requests(3).back().trace_id, 98u);
+
+  FlightRecord found;
+  EXPECT_TRUE(flight.find_request(90, &found));
+  EXPECT_STREQ(found.net, "req90");
+  EXPECT_FALSE(flight.find_request(10, &found));  // displaced by slower ones
+  flight.clear();
+  EXPECT_TRUE(flight.slowest_requests().empty());
 }
 
 TEST(FlightRecorder, JsonFilterByNetAndNewestN) {
@@ -621,23 +649,23 @@ TEST(ObsServer, FlightEndpointHonorsCountAndNetFilters) {
 }
 
 TEST(ObsServer, TracezListsRetainedTracesSlowestFirst) {
-  RequestTraceStore& store = RequestTraceStore::global();
-  store.clear();
+  FlightRecorder& flight = FlightRecorder::global();
+  flight.clear();
   const auto make = [](std::uint64_t id, double wall, const char* net) {
-    RequestTrace t;
+    FlightRecord t;
     t.trace_id = id;
     t.request_id = id * 10;
     t.batch_size = 4;
-    t.wall_seconds = wall;
-    t.queue_seconds = wall / 2;
-    t.model_seconds = wall / 2;
+    t.total_us = static_cast<float>(wall * 1e6);
+    t.stage(Stage::kQueue) = static_cast<float>(wall / 2 * 1e6);
+    t.stage(Stage::kEstimate) = static_cast<float>(wall / 2 * 1e6);
     t.set_net(net);
-    t.set_provenance("model");
+    t.set_outcome("model");
     return t;
   };
-  store.record(make(0xAA, 0.004, "tz_fast"));
-  store.record(make(0xBB, 0.040, "tz_slow"));
-  store.record(make(0xCC, 0.010, "tz_mid"));
+  flight.record_request(make(0xAA, 0.004, "tz_fast"));
+  flight.record_request(make(0xBB, 0.040, "tz_slow"));
+  flight.record_request(make(0xCC, 0.010, "tz_mid"));
 
   ObsServer server;
   server.start();
@@ -663,7 +691,7 @@ TEST(ObsServer, TracezListsRetainedTracesSlowestFirst) {
   EXPECT_EQ(top.body.find("tz_mid"), std::string::npos);
 
   server.stop();
-  store.clear();
+  flight.clear();
 }
 
 // ---------------------------------------------------------------------------

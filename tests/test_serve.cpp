@@ -24,7 +24,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <random>
 #include <sstream>
@@ -40,8 +42,8 @@
 #include "core/telemetry/flight_recorder.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/net_io.hpp"
+#include "core/telemetry/stage.hpp"
 #include "core/telemetry/trace.hpp"
-#include "core/telemetry/tracez.hpp"
 #include "features/dataset.hpp"
 #include "rcnet/generate.hpp"
 #include "serve/client.hpp"
@@ -64,8 +66,10 @@ struct InjectorGuard {
 
 /// Enables request head sampling at the given rate for the test's scope and
 /// restores the recorder to its defaults (disabled, default config, empty
-/// rings) plus a clean RequestTraceStore on exit, so tracing state never
-/// leaks into later tests even when assertions fail.
+/// rings) plus a clean flight recorder (its retained requests included) and
+/// zeroed metrics (the keep-max exemplars resolve against those requests) on
+/// exit, so tracing state never leaks into later tests even when assertions
+/// fail.
 struct TraceGuard {
   explicit TraceGuard(double head_rate) {
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
@@ -74,14 +78,15 @@ struct TraceGuard {
     recorder.clear();
     recorder.configure(cfg);
     recorder.enable();
-    telemetry::RequestTraceStore::global().clear();
+    telemetry::FlightRecorder::global().clear();
   }
   ~TraceGuard() {
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
     recorder.disable();
     recorder.configure(telemetry::TraceConfig{});
     recorder.clear();
-    telemetry::RequestTraceStore::global().clear();
+    telemetry::FlightRecorder::global().clear();
+    telemetry::MetricsRegistry::global().reset();
   }
 };
 
@@ -92,6 +97,24 @@ std::uint64_t global_counter(std::string_view name) {
   for (const telemetry::MetricsSnapshot::CounterValue& c : snap.counters)
     if (c.name == name) return c.value;
   return 0;
+}
+
+/// A request record's stage, in seconds.
+double stage_seconds(const telemetry::FlightRecord& r, telemetry::Stage s) {
+  return static_cast<double>(r.stage(s)) * 1e-6;
+}
+
+/// The request stages, which telescope to the request's wall time (the
+/// net's own stages are shares of core.estimate).
+constexpr telemetry::Stage kRequestStages[] = {
+    telemetry::Stage::kQueue, telemetry::Stage::kBatchWait,
+    telemetry::Stage::kEstimate, telemetry::Stage::kEncode,
+    telemetry::Stage::kWrite};
+
+double request_stage_sum_seconds(const telemetry::FlightRecord& r) {
+  double sum = 0.0;
+  for (const telemetry::Stage s : kRequestStages) sum += stage_seconds(r, s);
+  return sum;
 }
 
 bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
@@ -629,29 +652,31 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
   }
   server.stop();  // joins the delivery threads: every stage clock is closed
 
-  telemetry::RequestTraceStore& store = telemetry::RequestTraceStore::global();
-  EXPECT_EQ(store.recorded_count(), eval.items.size());
-  const std::vector<telemetry::RequestTrace> traces = store.snapshot();
+  telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
+  EXPECT_EQ(flight.requests_recorded(), eval.items.size());
+  const std::vector<telemetry::FlightRecord> traces = flight.slowest_requests();
   ASSERT_EQ(traces.size(), eval.items.size());  // 32 requests fit 64 slots
-  for (const telemetry::RequestTrace& t : traces) {
+  for (const telemetry::FlightRecord& t : traces) {
     EXPECT_NE(t.trace_id, 0u);
     EXPECT_GE(t.batch_size, 1u);
-    EXPECT_STREQ(t.provenance, "model");
-    EXPECT_GT(t.wall_seconds, 0.0);
+    EXPECT_STREQ(t.outcome, "model");
+    const double wall = static_cast<double>(t.total_us) * 1e-6;
+    EXPECT_GT(wall, 0.0);
     // Every stage is non-negative and bounded by the wall clock.
-    for (const double stage :
-         {t.queue_seconds, t.batch_wait_seconds, t.model_seconds,
-          t.serialize_seconds, t.write_seconds}) {
-      EXPECT_GE(stage, 0.0);
-      EXPECT_LE(stage, t.wall_seconds + 1e-4);
+    for (const telemetry::Stage s : kRequestStages) {
+      EXPECT_GE(stage_seconds(t, s), 0.0);
+      EXPECT_LE(stage_seconds(t, s), wall + 1e-4);
     }
-    // The model shares sum into the model stage.
-    EXPECT_LE(t.featurize_seconds + t.forward_seconds + t.fallback_seconds,
-              t.model_seconds + 1e-6);
+    // The net's own stages sum into the core.estimate stage.
+    double net_stages = 0.0;
+    for (std::size_t s = 0; s < telemetry::kNetStageCount; ++s)
+      net_stages += stage_seconds(t, static_cast<telemetry::Stage>(s));
+    EXPECT_LE(net_stages,
+              stage_seconds(t, telemetry::Stage::kEstimate) + 1e-6);
     // The stage clock telescopes: adjacent boundaries share clock reads, so
     // the sum tracks the wall within 5% (plus a floor for scheduler noise).
-    const double slack = std::max(0.05 * t.wall_seconds, 2e-4);
-    EXPECT_NEAR(t.stage_sum_seconds(), t.wall_seconds, slack)
+    const double slack = std::max(0.05 * wall, 2e-4);
+    EXPECT_NEAR(request_stage_sum_seconds(t), wall, slack)
         << "trace 0x" << std::hex << t.trace_id;
   }
 
@@ -664,8 +689,8 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
     if (h.name != "gnntrans_net_request_seconds") continue;
     ASSERT_TRUE(h.has_exemplar);
     EXPECT_NE(h.exemplar_trace_id, 0u);
-    telemetry::RequestTrace resolved;
-    EXPECT_TRUE(store.find(h.exemplar_trace_id, &resolved));
+    telemetry::FlightRecord resolved;
+    EXPECT_TRUE(flight.find_request(h.exemplar_trace_id, &resolved));
     EXPECT_EQ(std::string(resolved.net), h.exemplar_label);
     exemplar_checked = true;
   }
@@ -730,10 +755,9 @@ TEST(NetServe, CacheHitTraceIsNotDegraded) {
   EXPECT_EQ(first.provenance, core::EstimateProvenance::kModel);
   ASSERT_EQ(second.provenance, core::EstimateProvenance::kCached);
 
-  telemetry::RequestTrace trace;
-  ASSERT_TRUE(
-      telemetry::RequestTraceStore::global().find(second.trace_id, &trace));
-  EXPECT_STREQ(trace.provenance, "cached");
+  telemetry::FlightRecord trace;
+  ASSERT_TRUE(flight.find_request(second.trace_id, &trace));
+  EXPECT_STREQ(trace.outcome, "cached");
   EXPECT_FALSE(trace.degraded);
   EXPECT_FALSE(trace.slow);
 
@@ -747,6 +771,91 @@ TEST(NetServe, CacheHitTraceIsNotDegraded) {
   ASSERT_NE(pinned_at, std::string::npos) << json;
   EXPECT_EQ(json.find("\"outcome\":\"request\"", pinned_at), std::string::npos)
       << json;
+  flight.clear();
+}
+
+// A slow sampled request's record, trace id and all, reaches the fatal-signal
+// dump through the flight recorder's request slots.
+TEST(NetServe, SlowSampledRequestReachesTheCrashDump) {
+  const EvalData& eval = shared_eval();
+  TraceGuard tracing(/*head_rate=*/1.0);
+
+  serve::NetServerConfig scfg;
+  scfg.flush_age_seconds = 1e-3;
+  scfg.batch.slow_net_warn_seconds = 1e-9;  // every net is slow
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+  serve::NetClientConfig ccfg;
+  ccfg.port = server.port();
+  serve::NetClient client(ccfg);
+  const serve::NetClient::Result result =
+      client.estimate(eval.nets[0], eval.contexts[0]);
+  server.stop();  // joins the delivery threads: the request is recorded
+  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
+  ASSERT_NE(result.trace_id, 0u);
+
+  telemetry::FlightRecord record;
+  ASSERT_TRUE(telemetry::FlightRecorder::global().find_request(result.trace_id,
+                                                               &record));
+  EXPECT_EQ(record.slow, 1);
+
+  char path[] = "/tmp/gnntrans_serve_flight_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  telemetry::FlightRecorder::global().write_json_fd(fd);
+  ::close(fd);
+  std::ifstream in(path);
+  std::stringstream content;
+  content << in.rdbuf();
+  ::unlink(path);
+  const std::string json = content.str();
+
+  char trace_id[40];
+  std::snprintf(trace_id, sizeof(trace_id), "\"trace_id\":\"0x%016llx\"",
+                static_cast<unsigned long long>(result.trace_id));
+  const std::size_t requests_at = json.find("\"requests\":[");
+  ASSERT_NE(requests_at, std::string::npos) << json;
+  const std::size_t record_at = json.find(trace_id, requests_at);
+  ASSERT_NE(record_at, std::string::npos) << json;
+  EXPECT_NE(json.find(eval.nets[0].name, requests_at), std::string::npos);
+  EXPECT_NE(json.find("\"serve.write\":", record_at), std::string::npos);
+}
+
+// Connection threads register no flight ring: every ring is permanent and
+// the recorder holds at most 256, so a record per connection would drop the
+// records of every thread past the cap. 300 sequential connections, each
+// load-shed at a full admission queue, must leave nothing dropped.
+TEST(NetServe, ConnectionThreadsRegisterNoFlightRing) {
+  telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
+  flight.clear();
+
+  serve::NetServerConfig scfg;
+  scfg.queue_capacity = 1;
+  scfg.flush_age_seconds = 10.0;  // the one queued request waits for stop()
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+
+  RawConn holder;
+  ASSERT_TRUE(holder.connect_to(server.port()));
+  ASSERT_TRUE(holder.send_bytes(make_request_bytes(1, 0)));
+  ASSERT_TRUE(wait_until(
+      [&] { return server.ledger().requests_decoded.load() == 1; }, 5000));
+
+  constexpr std::uint64_t kConnections = 300;
+  for (std::uint64_t c = 0; c < kConnections; ++c) {
+    RawConn conn;  // one open at a time
+    ASSERT_TRUE(conn.connect_to(server.port()));
+    ASSERT_TRUE(conn.send_bytes(make_request_bytes(100 + c, c)));
+    const std::vector<serve::ResponseFrame> responses =
+        conn.read_responses(1, 5000);
+    ASSERT_EQ(responses.size(), 1u) << "connection " << c;
+    EXPECT_EQ(responses[0].status, ErrorCode::kOverloaded);
+  }
+  server.stop();
+
+  EXPECT_EQ(server.ledger().rejected_overload.load(), kConnections);
+  EXPECT_EQ(server.ledger().served.load(), 1u);
+  EXPECT_EQ(flight.dropped_total(), 0u);
   flight.clear();
 }
 
@@ -1071,10 +1180,13 @@ TEST(NetServe, DrainDeliversServedResponsesPastUnreadInput) {
   EXPECT_TRUE(wait_until([&] { return server.draining(); }, 5000));
   // Keep sending on the same connection, reading nothing, until a request
   // goes unread: the server has stopped reading, so the drain closes this
-  // connection with that input pending.
+  // connection with that input pending. The loop is bounded by wall time,
+  // not by a frame count: a slow (sanitized) build's flush of the queued
+  // nets can outlast any fixed number of frames.
   std::uint64_t sent = kQueued;
   bool unread = false;
-  while (!unread && sent < kQueued + 200) {
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(10);
+  while (!unread && Clock::now() < give_up) {
     if (!conn.send_bytes(make_request_bytes(1000 + sent, sent))) break;
     ++sent;
     unread = !wait_until(
@@ -1268,17 +1380,16 @@ TEST(NetServeSoak, SurvivesInjectedNetworkFaults) {
   // Head sampling at 1/64 over 10k requests: a healthy population of stage
   // breakdowns was retained, and every one of them — assembled under faults,
   // retries and 8-way concurrency — satisfies the stage-clock invariants.
-  telemetry::RequestTraceStore& store = telemetry::RequestTraceStore::global();
-  EXPECT_GT(store.recorded_count(), 0u);
-  for (const telemetry::RequestTrace& t : store.snapshot()) {
+  telemetry::FlightRecorder& flight = telemetry::FlightRecorder::global();
+  EXPECT_GT(flight.requests_recorded(), 0u);
+  for (const telemetry::FlightRecord& t : flight.slowest_requests()) {
     EXPECT_NE(t.trace_id, 0u);
-    EXPECT_GT(t.wall_seconds, 0.0);
-    for (const double stage :
-         {t.queue_seconds, t.batch_wait_seconds, t.model_seconds,
-          t.serialize_seconds, t.write_seconds})
-      EXPECT_GE(stage, 0.0);
-    const double slack = std::max(0.05 * t.wall_seconds, 2e-4);
-    EXPECT_NEAR(t.stage_sum_seconds(), t.wall_seconds, slack)
+    const double wall = static_cast<double>(t.total_us) * 1e-6;
+    EXPECT_GT(wall, 0.0);
+    for (const telemetry::Stage s : kRequestStages)
+      EXPECT_GE(stage_seconds(t, s), 0.0);
+    const double slack = std::max(0.05 * wall, 2e-4);
+    EXPECT_NEAR(request_stage_sum_seconds(t), wall, slack)
         << "trace 0x" << std::hex << t.trace_id;
   }
 }

@@ -264,7 +264,7 @@ TEST_F(ServingTest, EstimateBatchPublishesMetricsAndSpans) {
   recorder.write_chrome_json(trace);
   const std::string json = trace.str();
   EXPECT_NE(json.find("\"name\":\"estimate_batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"featurize\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"features.extract\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"gnn_forward\""), std::string::npos);
   recorder.clear();
 }

@@ -402,8 +402,8 @@ TEST(WireAnalysis, StageDelaysSumToPathElmoreOnTree) {
 TEST(GoldenTimer, AccumulatesStats) {
   sim::GoldenTimer timer(quiet_config());
   const RcNet net = chain(5, 50.0, 3e-15);
-  timer.time_net(net, 3e-11);
-  timer.time_net(net, 3e-11);
+  EXPECT_EQ(timer.time_net(net, 3e-11).sinks.size(), net.sinks.size());
+  EXPECT_EQ(timer.time_net(net, 3e-11).sinks.size(), net.sinks.size());
   EXPECT_EQ(timer.stats().nets_timed, 2u);
   EXPECT_GT(timer.stats().solver_steps, 0u);
   EXPECT_GT(timer.stats().wall_seconds, 0.0);
