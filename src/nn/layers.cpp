@@ -108,7 +108,8 @@ SageConv::SageConv(std::size_t in_dim, std::size_t out_dim, std::mt19937_64& rng
     : w_self_(tensor::xavier_uniform(in_dim, out_dim, rng)),
       w_neigh_(tensor::xavier_uniform(in_dim, out_dim, rng)) {}
 
-Tensor SageConv::forward(const Tensor& x, const tensor::GraphMatrix& agg) const {
+Tensor SageConv::forward(const Tensor& x,
+                         const std::shared_ptr<const tensor::GraphMatrix>& agg) const {
   const Tensor own = tensor::matmul(x, w_self_);
   const Tensor neigh = tensor::matmul(tensor::spmm(agg, x), w_neigh_);
   return tensor::relu(tensor::add(own, neigh));

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -62,13 +63,15 @@ class Mlp {
 ///
 /// The aggregation matrix carries the resistance weights a_iu (or plain mean
 /// weights for the unweighted ablation); it comes from the sample, not the layer.
+/// Every layer of a forward pass shares the one matrix with the tape.
 class SageConv {
  public:
   SageConv() = default;
   SageConv(std::size_t in_dim, std::size_t out_dim, std::mt19937_64& rng);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& x,
-                                       const tensor::GraphMatrix& agg) const;
+  [[nodiscard]] tensor::Tensor forward(
+      const tensor::Tensor& x,
+      const std::shared_ptr<const tensor::GraphMatrix>& agg) const;
   void collect_parameters(std::vector<tensor::Tensor>& out) const;
   void save(std::ostream& out) const;
   void load(std::istream& in);

@@ -1,5 +1,6 @@
 #include "nn/models.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include "core/telemetry/trace.hpp"
@@ -126,9 +127,11 @@ class GnnTransModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
-    const tensor::GraphMatrix agg = config_.use_edge_weights
-                                        ? sample.weighted_adj
-                                        : mean_adjacency(sample.weighted_adj);
+    // One matrix for every layer, shared with the tape: the backward pass
+    // runs after this function returns.
+    const auto agg = std::make_shared<const tensor::GraphMatrix>(
+        config_.use_edge_weights ? sample.weighted_adj
+                                 : mean_adjacency(sample.weighted_adj));
     Tensor x = sample.x;
     guard_finite(x, "input");
     {
@@ -192,7 +195,8 @@ class GraphSageModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
-    const tensor::GraphMatrix mean = mean_adjacency(sample.weighted_adj);
+    const auto mean =
+        std::make_shared<const tensor::GraphMatrix>(mean_adjacency(sample.weighted_adj));
     Tensor x = sample.x;
     for (const SageConv& layer : layers_) x = layer.forward(x, mean);
     return heads_.predict(tensor::spmm(sample.path_pool, x));

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,53 +15,25 @@
 #include "core/telemetry/trace.hpp"
 #include "nn/guard.hpp"
 #include "nn/models.hpp"
+#include "tensor/simd.hpp"
 
 namespace gnntrans::nn {
 
 namespace {
 
-// ---- Vector lanes (GCC/Clang vector extensions) ----
+// ---- Vector lanes (tensor/simd.hpp) ----
 //
-// Every kernel runs at the plan's width: Vec<1> is SSE2, Vec<2> AVX2 and
-// Vec<4> AVX-512. The dense products and the aggregation take 4W columns
-// per vector; the attention kernel serves W heads side by side, one 4-lane
-// group per head. Wide vectors never appear by value in the signature of a
-// function without a target attribute (that would change its ABI), so the
-// helpers below take them by reference and are always inlined into one
-// target-specific forward pass per width.
+// Every kernel runs at the plan's width: the dense products and the
+// aggregation take 4W columns per vector; the attention kernel serves W heads
+// side by side, one 4-lane group per head.
 
-template <int W>
-struct Vec {
-  typedef float f __attribute__((vector_size(16 * W)));
-  typedef std::int32_t i __attribute__((vector_size(16 * W)));
-};
-using v4sf = Vec<1>::f;
+using tensor::simd::fill;
+using tensor::simd::load;
+using tensor::simd::store;
+using tensor::simd::v4sf;
+using tensor::simd::Vec;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-// Unaligned loads/stores: correctness never depends on buffer alignment.
-// V is a float or a vector of them.
-template <class V>
-[[gnu::always_inline]] inline void load(V& v, const float* p) {
-  std::memcpy(&v, p, sizeof(V));
-}
-template <class V>
-[[gnu::always_inline]] inline void store(float* p, const V& v) {
-  std::memcpy(p, &v, sizeof(V));
-}
-/// v := x in every lane. GCC turns the lane loop into one broadcast at AVX2
-/// and AVX-512, but into one insert per lane at SSE2, where the four-lane
-/// literal becomes one shuffle instead.
-template <class V>
-[[gnu::always_inline]] inline void fill(V& v, float x) {
-  if constexpr (std::is_same_v<V, float>) {
-    v = x;
-  } else if constexpr (sizeof(V) == 16) {
-    v = V{x, x, x, x};
-  } else {
-    for (std::size_t l = 0; l < sizeof(V) / sizeof(float); ++l) v[l] = x;
-  }
-}
 
 /// Within every 4-lane group: kSwap1 swaps lanes 0<->1 and 2<->3, kSwap2
 /// swaps lanes 0,1 <-> 2,3, kFirst copies lane 0 to all four.
@@ -737,10 +707,7 @@ class WeightReader {
 
 std::size_t GnnTransPlan::widest_lanes() {
   static const std::size_t lanes = [] {
-    __builtin_cpu_init();
-    const std::size_t widest = __builtin_cpu_supports("avx512f") ? 16
-                               : __builtin_cpu_supports("avx2")  ? 8
-                                                                 : 4;
+    const std::size_t widest = tensor::simd::widest_lanes();
     GNNTRANS_LOG_INFO("nn", "plan kernels: %s, %zu float lanes",
                       kKernels[widest / 8].isa, widest);
     return widest;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -47,9 +48,28 @@ struct GraphMatrix {
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 /// C = A @ B^T (used by attention scores).
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
+/// matmul and matmul_nt, forward and backward, run at the widest vector
+/// width the CPU has (16, 8 or 4 float lanes), with the bits of their scalar
+/// loops at every width. While alive, this runs them on the calling thread at
+/// \p lanes instead, so tests can pin each width; throws
+/// std::invalid_argument unless \p lanes is 4, 8 or 16 and the CPU runs it.
+class ProductLanesForTesting {
+ public:
+  explicit ProductLanesForTesting(std::size_t lanes);
+  ~ProductLanesForTesting();
+  ProductLanesForTesting(const ProductLanesForTesting&) = delete;
+  ProductLanesForTesting& operator=(const ProductLanesForTesting&) = delete;
+
+ private:
+  std::size_t previous_;
+};
 /// Transposed copy.
 [[nodiscard]] Tensor transpose(const Tensor& a);
-/// Y = M X for a fixed sparse M; backward propagates through X only.
+/// Y = M X for a fixed sparse M; backward propagates through X only. The
+/// tape shares \p m, so products over one matrix hold it once.
+[[nodiscard]] Tensor spmm(std::shared_ptr<const GraphMatrix> m, const Tensor& x);
+/// As above; the tape holds a copy of \p m, made only when the product is
+/// recorded.
 [[nodiscard]] Tensor spmm(const GraphMatrix& m, const Tensor& x);
 
 // ---- Elementwise / broadcast ----

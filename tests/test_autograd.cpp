@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <random>
+#include <span>
+#include <string>
 
+#include "autograd_oracle.hpp"
 #include "nn/layers.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/optim.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
@@ -245,7 +251,7 @@ TEST(GradCheck, SageConv) {
   conv.collect_parameters(params);
   check_gradients(
       [&] {
-        const Tensor y = conv.forward(x, agg);
+        const Tensor y = conv.forward(x, std::make_shared<const GraphMatrix>(agg));
         return sum_all(mul(y, y));
       },
       params, 1e-2f, 3e-2f);
@@ -319,6 +325,261 @@ TEST(GradCheck, FeedForward) {
         return sum_all(mul(y, y));
       },
       params, 1e-2f, 3e-2f);
+}
+
+
+// ---- The vector kernels against their scalar oracle, bit for bit ----
+//
+// matmul and matmul_nt run at every width the CPU has (4, 8 or 16 lanes);
+// softmax, scale, add, sub, relu, leaky_relu and Adam::step at 4. Each must
+// give the forward values and add the input gradients exactly as the loops
+// in autograd_oracle.hpp do, at the attention's head widths and the served
+// nets' sizes, with every row and column tail of the blocking.
+
+using autograd_oracle::Floats;
+
+constexpr std::size_t kHeadDims[] = {1, 2, 3, 4, 8, 16};
+constexpr std::size_t kNodeCounts[] = {1, 7, 45, 80, 320};
+
+/// Uniform in [-range, range], with every other entry relu-zeroed (so the
+/// products' zero skip runs) and every seventh a negative zero.
+Floats oracle_input(std::size_t size, std::mt19937_64& rng, float range = 1.0f) {
+  std::uniform_real_distribution<float> dist(-range, range);
+  Floats v(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const float x = dist(rng);
+    v[i] = i % 7 == 3 ? -0.0f : i % 2 == 0 && x <= 0.0f ? 0.0f : x;
+  }
+  return v;
+}
+
+Tensor leaf(const Floats& v, std::size_t rows, std::size_t cols) {
+  return Tensor::from_data(v, rows, cols, /*requires_grad=*/true);
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs \p out's own backward step with output gradient \p dy.
+void backward_step(const Tensor& out, const Floats& dy) {
+  out.impl()->grad = dy;
+  out.impl()->backward_fn(*out.impl());
+}
+
+std::string shape(std::size_t n, std::size_t k, std::size_t m) {
+  return std::to_string(n) + "x" + std::to_string(k) + "x" + std::to_string(m);
+}
+
+/// matmul of a [n, k] and b [k, m]; the gradients start at non-zero values.
+void expect_matmul_matches(std::size_t n, std::size_t k, std::size_t m,
+                           std::mt19937_64& rng) {
+  const Floats av = oracle_input(n * k, rng), bv = oracle_input(k * m, rng),
+               dy = oracle_input(n * m, rng);
+  Floats da = oracle_input(n * k, rng), db = oracle_input(k * m, rng);
+  const Tensor a = leaf(av, n, k), b = leaf(bv, k, m);
+  const Tensor out = matmul(a, b);
+  EXPECT_TRUE(same_bits(out.values(), autograd_oracle::matmul(av, bv, n, k, m)))
+      << shape(n, k, m);
+  a.impl()->grad = da;
+  b.impl()->grad = db;
+  backward_step(out, dy);
+  autograd_oracle::matmul_backward(av, bv, dy, n, k, m, da, db);
+  EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, k, m);
+  EXPECT_TRUE(same_bits(b.grad(), db)) << shape(n, k, m);
+}
+
+/// matmul_nt of a [n, k] and b [m, k].
+void expect_matmul_nt_matches(std::size_t n, std::size_t k, std::size_t m,
+                              std::mt19937_64& rng) {
+  const Floats av = oracle_input(n * k, rng), bv = oracle_input(m * k, rng),
+               dy = oracle_input(n * m, rng);
+  Floats da = oracle_input(n * k, rng), db = oracle_input(m * k, rng);
+  const Tensor a = leaf(av, n, k), b = leaf(bv, m, k);
+  const Tensor out = matmul_nt(a, b);
+  EXPECT_TRUE(
+      same_bits(out.values(), autograd_oracle::matmul_nt(av, bv, n, k, m)))
+      << shape(n, k, m);
+  a.impl()->grad = da;
+  b.impl()->grad = db;
+  backward_step(out, dy);
+  autograd_oracle::matmul_nt_backward(av, bv, dy, n, k, m, da, db);
+  EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, k, m);
+  EXPECT_TRUE(same_bits(b.grad(), db)) << shape(n, k, m);
+}
+
+/// Float lanes of every product width this CPU runs.
+std::vector<std::size_t> runnable_lanes() {
+  std::vector<std::size_t> lanes;
+  for (const std::size_t l : {4u, 8u, 16u})
+    if (l <= gnntrans::tensor::simd::widest_lanes()) lanes.push_back(l);
+  return lanes;
+}
+
+TEST(KernelOracle, MatmulMatchesScalarLoopsBitwiseAtEveryWidth) {
+  for (const std::size_t lanes : runnable_lanes()) {
+    const ProductLanesForTesting width(lanes);
+    std::mt19937_64 rng(40);
+    for (const std::size_t n : kNodeCounts)
+      for (const std::size_t dk : kHeadDims) {
+        SCOPED_TRACE(std::to_string(lanes) + " lanes");
+        expect_matmul_matches(n, 16, dk, rng);  // the head projections
+        expect_matmul_matches(n, n, dk, rng);   // attention @ values
+        expect_matmul_matches(n, dk, n, rng);   // wide output, short sum
+        expect_matmul_matches(n, dk, 16, rng);
+      }
+  }
+}
+
+TEST(KernelOracle, MatmulNtMatchesScalarLoopsBitwiseAtEveryWidth) {
+  for (const std::size_t lanes : runnable_lanes()) {
+    const ProductLanesForTesting width(lanes);
+    std::mt19937_64 rng(41);
+    for (const std::size_t n : kNodeCounts)
+      for (const std::size_t dk : kHeadDims) {
+        SCOPED_TRACE(std::to_string(lanes) + " lanes");
+        expect_matmul_nt_matches(n, dk, n, rng);  // attention scores
+        expect_matmul_nt_matches(n, 16, dk, rng);
+        expect_matmul_nt_matches(n, n, dk, rng);
+      }
+  }
+}
+
+TEST(KernelOracle, MatmulSkipsZeroTermsBesideInfinitiesAtEveryWidth) {
+  // 0 * inf is NaN: only a kernel that drops a zero a(r, c)'s terms, as the
+  // scalar loop does, keeps these outputs finite. Rows 0, 2, ... skip b's
+  // infinite row 0; 18 rows fill the four-column kernel's blocks.
+  for (const std::size_t lanes : runnable_lanes()) {
+    const ProductLanesForTesting width(lanes);
+    for (const std::size_t m : {1u, 3u, 4u, 8u, 13u}) {
+      Floats av(18 * 3);
+      for (std::size_t r = 0; r < 18; ++r) {
+        av[r * 3] = r % 2 ? 0.0f : -0.0f;
+        av[r * 3 + 1] = 2.0f;
+        av[r * 3 + 2] = r % 3 ? 0.5f : 0.0f;
+      }
+      Floats bv(3 * m, 1.5f);
+      for (std::size_t j = 0; j < m; ++j) bv[j] = j % 2 ? INFINITY : -INFINITY;
+      const Tensor out = matmul(leaf(av, 18, 3), leaf(bv, 3, m));
+      EXPECT_TRUE(same_bits(out.values(), autograd_oracle::matmul(av, bv, 18, 3, m)))
+          << m << " columns, " << lanes << " lanes";
+      for (const float v : out.values()) EXPECT_TRUE(std::isfinite(v)) << m;
+    }
+  }
+}
+
+TEST(KernelOracle, ProductLanesRejectWidthsTheCpuLacks) {
+  EXPECT_THROW(ProductLanesForTesting(5), std::invalid_argument);
+  EXPECT_THROW(ProductLanesForTesting(32), std::invalid_argument);
+  if (gnntrans::tensor::simd::widest_lanes() < 16) {
+    EXPECT_THROW(ProductLanesForTesting(16), std::invalid_argument);
+  }
+}
+
+TEST(KernelOracle, SoftmaxMatchesScalarLoopsBitwise) {
+  std::mt19937_64 rng(42);
+  for (const std::size_t n : kNodeCounts)
+    for (const bool masked : {false, true}) {
+      const Floats x = oracle_input(n * n, rng, 4.0f), dy = oracle_input(n * n, rng);
+      Floats dx = oracle_input(n * n, rng);
+      std::vector<std::uint8_t> mask;
+      if (masked) {
+        // About a third kept; row 1 fully masked.
+        mask.resize(n * n);
+        for (std::size_t i = 0; i < n * n; ++i)
+          mask[i] = (i / n != 1) && rng() % 3 == 0;
+      }
+      const Tensor a = leaf(x, n, n);
+      const Tensor y = masked ? masked_softmax_rows(a, mask) : softmax_rows(a);
+      const Floats expected = autograd_oracle::softmax(x, n, n, mask);
+      EXPECT_TRUE(same_bits(y.values(), expected)) << n << " masked " << masked;
+      a.impl()->grad = dx;
+      backward_step(y, dy);
+      autograd_oracle::softmax_backward(expected, dy, n, n, mask, dx);
+      EXPECT_TRUE(same_bits(a.grad(), dx)) << n << " masked " << masked;
+    }
+}
+
+TEST(KernelOracle, ScaleMatchesScalarLoopsBitwise) {
+  std::mt19937_64 rng(43);
+  for (const std::size_t n : kNodeCounts)
+    for (const std::size_t dk : kHeadDims) {
+      const Floats x = oracle_input(n * dk, rng), dy = oracle_input(n * dk, rng);
+      Floats dx = oracle_input(n * dk, rng);
+      const Tensor a = leaf(x, n, dk);
+      const Tensor y = scale(a, 0.37f);
+      EXPECT_TRUE(same_bits(y.values(), autograd_oracle::scale(x, 0.37f)));
+      a.impl()->grad = dx;
+      backward_step(y, dy);
+      autograd_oracle::scale_backward(dy, 0.37f, dx);
+      EXPECT_TRUE(same_bits(a.grad(), dx)) << shape(n, dk, 1);
+    }
+}
+
+TEST(KernelOracle, ElementwiseOpsMatchScalarLoopsBitwise) {
+  std::mt19937_64 rng(45);
+  for (const std::size_t n : kNodeCounts)
+    for (const std::size_t dk : kHeadDims) {
+      const std::size_t size = n * dk;
+      const Floats x = oracle_input(size, rng), z = oracle_input(size, rng),
+                   dy = oracle_input(size, rng);
+      for (const bool is_relu : {true, false}) {
+        Floats dx = oracle_input(size, rng);
+        const Tensor a = leaf(x, n, dk);
+        const Tensor y = is_relu ? relu(a) : leaky_relu(a, 0.2f);
+        EXPECT_TRUE(
+            same_bits(y.values(), autograd_oracle::leaky_relu(x, 0.2f, is_relu)))
+            << shape(n, dk, 1) << " relu " << is_relu;
+        a.impl()->grad = dx;
+        backward_step(y, dy);
+        autograd_oracle::leaky_relu_backward(x, 0.2f, is_relu, dy, dx);
+        EXPECT_TRUE(same_bits(a.grad(), dx)) << shape(n, dk, 1) << " relu " << is_relu;
+      }
+      for (const float cb : {1.0f, -1.0f}) {
+        Floats da = oracle_input(size, rng), db = oracle_input(size, rng);
+        const Tensor a = leaf(x, n, dk), b = leaf(z, n, dk);
+        const Tensor y = cb > 0.0f ? add(a, b) : sub(a, b);
+        EXPECT_TRUE(same_bits(y.values(), autograd_oracle::combine(x, z, 1.0f, cb)))
+            << shape(n, dk, 1);
+        a.impl()->grad = da;
+        b.impl()->grad = db;
+        backward_step(y, dy);
+        autograd_oracle::scale_backward(dy, 1.0f, da);
+        autograd_oracle::scale_backward(dy, cb, db);
+        EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, dk, 1);
+        EXPECT_TRUE(same_bits(b.grad(), db)) << shape(n, dk, 1);
+      }
+    }
+}
+
+TEST(KernelOracle, AdamStepMatchesScalarLoopsBitwise) {
+  std::mt19937_64 rng(44);
+  for (const float weight_decay : {0.0f, 1e-2f}) {
+    const Adam::Config config{2e-3f, 0.9f, 0.999f, 1e-8f, weight_decay};
+    const autograd_oracle::AdamConfig oracle_config{
+        config.learning_rate, config.beta1, config.beta2, config.epsilon,
+        config.weight_decay};
+    std::vector<Tensor> params;
+    std::vector<Floats> values, m, v;
+    for (const std::size_t size : kNodeCounts) {
+      values.push_back(oracle_input(size, rng));
+      m.emplace_back(size, 0.0f);
+      v.emplace_back(size, 0.0f);
+      params.push_back(leaf(values.back(), 1, size));
+    }
+    Adam adam(params, config);
+    for (long step = 1; step <= 3; ++step)
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        const Floats grads = oracle_input(params[i].size(), rng);
+        params[i].impl()->grad = grads;
+        autograd_oracle::adam_step(values[i], grads, m[i], v[i], oracle_config, step);
+        if (i + 1 == params.size()) adam.step();
+      }
+    for (std::size_t i = 0; i < params.size(); ++i)
+      EXPECT_TRUE(same_bits(params[i].values(), values[i]))
+          << "parameter " << i << " weight decay " << weight_decay;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <tuple>
 
 #include "cell/library.hpp"
+#include "core/trainer.hpp"
 #include "features/dataset.hpp"
 #include "nn/guard.hpp"
 #include "nn/layers.hpp"
@@ -766,6 +767,48 @@ TEST(GnnTransPlan, CompileNamesMisshapenWeight) {
     EXPECT_NE(std::string(e.what()).find("gnn[0].w_neigh"), std::string::npos)
         << e.what();
   }
+}
+
+
+/// FNV-1a over the bits of every parameter, in parameters() order.
+std::uint64_t parameter_hash(const WireModel& model) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const tensor::Tensor& p : model.parameters())
+    for (const float v : p.values()) {
+      const auto bits = std::bit_cast<std::uint32_t>(v);
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  return hash;
+}
+
+TEST(GnnTransTraining, TrainedWeightsArePinnedBitwise) {
+  // The served config trained on 32 fixed-seed labelled nets for 2 epochs.
+  // The expected hash is the one this test printed when run against the
+  // autograd whose products, softmax, scale and Adam step were the scalar
+  // loops kept in autograd_oracle.hpp, before they were register blocked:
+  // the vector kernels keep every trained bit. A change that means to alter
+  // the training arithmetic updates it the same way.
+  static const cell::CellLibrary library = cell::CellLibrary::make_default();
+  features::WireDatasetConfig data;
+  data.net_count = 32;
+  data.sim_config.steps = 300;
+  data.seed = 2024;
+  const std::vector<features::WireRecord> records =
+      features::generate_wire_records(data, library);
+  features::Standardizer standardizer;
+  standardizer.fit(records);
+  const std::vector<GraphSample> samples = features::make_samples(records, standardizer);
+  ASSERT_EQ(samples.size(), 32u);
+  const auto model = make_model(ModelKind::kGnnTrans, served_config());
+  core::TrainConfig train;
+  train.epochs = 2;
+  const core::TrainReport report = core::train_model(*model, samples, train);
+  ASSERT_EQ(report.epoch_loss.size(), 2u);
+  const std::uint64_t hash = parameter_hash(*model);
+  EXPECT_EQ(hash, 0x91be74a4abca1166ull) << "trained parameter hash 0x" << std::hex << hash;
 }
 
 }  // namespace

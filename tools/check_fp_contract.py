@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Fail if the compiled inference plan contains a fused multiply-add.
+"""Fail if an object file of a static library contains a fused multiply-add.
 
-    check_fp_contract.py ARCHIVE [--objdump PATH]
+    check_fp_contract.py ARCHIVE MEMBER [--objdump PATH]
 
-src/nn/plan.cpp is built with -ffp-contract=off: each width of its kernels
-must round every product and every sum on its own, or the AVX-512 forward
-pass would differ in the last bits from the SSE2 one, which has no FMA. This
-disassembles the plan.cpp.o member of the static library ARCHIVE
-(libgnntrans_nn.a) and exits 1 if any vfmadd, vfmsub, vfnmadd or vfnmsub
-instruction appears in it, naming the functions that hold them; also when
-the member is missing or has no code. It exits 77, which ctest reports as
-skipped, when no objdump is found.
+The files whose float kernels must give the same bits at every vector width
+and build type are built with -ffp-contract=off: each must round every
+product and every sum on its own, or, say, the AVX-512 forward pass of the
+inference plan would differ in the last bits from the SSE2 one, which has no
+FMA. This disassembles the object MEMBER of the static library ARCHIVE and
+exits 1 if any vfmadd, vfmsub, vfnmadd or vfnmsub instruction appears in it,
+naming the functions that hold them; also when the member is missing or has
+no code. It exits 77, which ctest reports as skipped, when no objdump is
+found.
 
-Registered as ctest ``plan_fp_contract_lint`` (label ``quality``).
+Registered as ctest ``plan_fp_contract_lint`` (plan.cpp.o in
+libgnntrans_nn.a) and ``tensor_fp_contract_lint`` (ops.cpp.o in
+libgnntrans_tensor.a), label ``quality``.
 """
 
 import argparse
@@ -25,7 +28,6 @@ import sys
 
 FUSED = ("vfmadd", "vfmsub", "vfnmadd", "vfnmsub")
 SKIP = 77
-MEMBER = "plan.cpp.o"
 
 MEMBER_RE = re.compile(r"^(\S+):\s+file format ")
 FUNCTION_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
@@ -64,33 +66,34 @@ def scan(listing, member):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("archive")
+    parser.add_argument("member", help="object file inside ARCHIVE, e.g. plan.cpp.o")
     parser.add_argument("--objdump")
     args = parser.parse_args()
+    member = args.member
 
     objdump = find_objdump(args.objdump)
     if objdump is None:
-        print("plan_fp_contract_lint: SKIPPED, no objdump on this host")
+        print("fp_contract_lint: SKIPPED, no objdump on this host")
         return SKIP
     proc = subprocess.run(
         [objdump, "-d", "-C", "--no-show-raw-insn", args.archive],
         capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        print(f"plan_fp_contract_lint: objdump failed: {proc.stderr.strip()}")
+        print(f"fp_contract_lint: objdump failed: {proc.stderr.strip()}")
         return 1
-    count, fused = scan(proc.stdout, MEMBER)
+    count, fused = scan(proc.stdout, member)
     if count == 0:
-        print(f"plan_fp_contract_lint: no code for {MEMBER} in "
-              f"{args.archive}")
+        print(f"fp_contract_lint: no code for {member} in {args.archive}")
         return 1
     if fused:
-        print(f"plan_fp_contract_lint: {sum(fused.values())} fused "
-              f"multiply-adds in {MEMBER}; is -ffp-contract=off lost?")
+        print(f"fp_contract_lint: {sum(fused.values())} fused "
+              f"multiply-adds in {member}; is -ffp-contract=off lost?")
         for function, n in fused.most_common():
             print(f"  {n:4d}  {function}")
         return 1
-    print(f"plan_fp_contract_lint: {count} instructions in {MEMBER}, "
+    print(f"fp_contract_lint: {count} instructions in {member}, "
           "no fused multiply-add")
     return 0
 
