@@ -811,4 +811,68 @@ TEST(GnnTransTraining, TrainedWeightsArePinnedBitwise) {
   EXPECT_EQ(hash, 0x91be74a4abca1166ull) << "trained parameter hash 0x" << std::hex << hash;
 }
 
+/// 16 fixed-seed labelled nets, shared by the zoo's pins.
+const std::vector<GraphSample>& zoo_training_samples() {
+  static const std::vector<GraphSample> samples = [] {
+    static const cell::CellLibrary library = cell::CellLibrary::make_default();
+    features::WireDatasetConfig data;
+    data.net_count = 16;
+    data.sim_config.steps = 300;
+    data.seed = 2025;
+    const std::vector<features::WireRecord> records =
+        features::generate_wire_records(data, library);
+    features::Standardizer standardizer;
+    standardizer.fit(records);
+    return features::make_samples(records, standardizer);
+  }();
+  return samples;
+}
+
+struct ZooPin {
+  ModelKind kind;
+  bool global_attention;
+  std::uint64_t hash;
+};
+
+/// Names the pin, so the printed test names do not hold padding bytes.
+void PrintTo(const ZooPin& pin, std::ostream* out) {
+  *out << to_string(pin.kind) << (pin.global_attention ? "" : " neighbor attention");
+}
+
+class ZooTraining : public ::testing::TestWithParam<ZooPin> {};
+
+TEST_P(ZooTraining, TrainedWeightsArePinnedBitwise) {
+  // Every kind trains through ops GNNTrans's pin does not reach: masked
+  // softmax, outer_sum, leaky_relu, concat_cols over heads and GCNII's
+  // propagation. The hashes are the ones this test printed against the
+  // autograd whose tape node held a heap closure per op, before the
+  // reusable tape: the tape keeps every trained bit.
+  const ZooPin pin = GetParam();
+  ModelConfig config = served_config();
+  config.gnn_layers = 3;
+  config.transformer_layers = 1;
+  config.global_attention = pin.global_attention;
+  const auto model = make_model(pin.kind, config);
+  core::TrainConfig train;
+  train.epochs = 2;
+  const core::TrainReport report =
+      core::train_model(*model, zoo_training_samples(), train);
+  ASSERT_EQ(report.epoch_loss.size(), 2u);
+  const std::uint64_t hash = parameter_hash(*model);
+  EXPECT_EQ(hash, pin.hash) << model->name() << " trained parameter hash 0x"
+                            << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, ZooTraining,
+    ::testing::Values(ZooPin{ModelKind::kGraphSage, true, 0xc1d94b61f6de8ad1ull},
+                      ZooPin{ModelKind::kGcnii, true, 0x92276f1aa6c660adull},
+                      ZooPin{ModelKind::kGat, true, 0x8f1e2f0093173215ull},
+                      ZooPin{ModelKind::kGraphTransformer, true, 0xf7992bc61e3ce8b0ull},
+                      ZooPin{ModelKind::kGnnTrans, false, 0x0b296f95df5797cfull}),
+    [](const ::testing::TestParamInfo<ZooPin>& info) {
+      return to_string(info.param.kind) +
+             (info.param.global_attention ? "" : "NeighborAttention");
+    });
+
 }  // namespace
