@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
@@ -33,12 +34,30 @@ struct TrainMetrics {
   }
 };
 
+/// Hands this thread's tape slab back when training returns or throws.
+struct TapeRelease {
+  TapeRelease() = default;
+  TapeRelease(const TapeRelease&) = delete;
+  TapeRelease& operator=(const TapeRelease&) = delete;
+  ~TapeRelease() { tensor::release_tape(); }
+};
+
 }  // namespace
+
+NonFiniteGradientError::NonFiniteGradientError(std::size_t epoch,
+                                               std::size_t sample,
+                                               const std::string& net_name)
+    : std::runtime_error("train_model: non-finite gradient in epoch " +
+                         std::to_string(epoch) + " at sample " +
+                         std::to_string(sample) + " (net '" + net_name + "')"),
+      epoch_(epoch),
+      sample_(sample) {}
 
 TrainReport train_model(nn::WireModel& model,
                         const std::vector<nn::GraphSample>& samples,
                         const TrainConfig& config) {
   const telemetry::TraceSpan train_span("train_model", "train");
+  const TapeRelease tape_release;
   const auto start = std::chrono::steady_clock::now();
   TrainReport report;
   // A compiled plan holds copies of the weights this loop is about to change.
@@ -91,7 +110,10 @@ TrainReport train_model(nn::WireModel& model,
       const nn::WirePrediction pred = model.forward(sample);
       tensor::Tensor loss = sample_loss(sample, pred);
       loss.backward();
-      clip_grad_norm(params, config.grad_clip);
+      // A NaN norm fails clip_grad_norm's comparison, so it would reach
+      // every weight through the Adam step.
+      if (!std::isfinite(clip_grad_norm(params, config.grad_clip)))
+        throw NonFiniteGradientError(epoch, idx, sample.net_name);
       optimizer.step();
       loss_sum += loss.item();
     }

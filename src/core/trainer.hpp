@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/graph_sample.hpp"
@@ -40,7 +42,26 @@ struct TrainReport {
   double wall_seconds = 0.0;
 };
 
-/// Trains \p model in place over \p samples.
+/// Thrown by train_model when a step's gradient is not finite, before the
+/// optimizer would write it into every weight.
+class NonFiniteGradientError : public std::runtime_error {
+ public:
+  NonFiniteGradientError(std::size_t epoch, std::size_t sample,
+                         const std::string& net_name);
+
+  [[nodiscard]] std::size_t epoch() const noexcept { return epoch_; }
+  /// Index of the sample in train_model's \p samples.
+  [[nodiscard]] std::size_t sample() const noexcept { return sample_; }
+
+ private:
+  std::size_t epoch_;
+  std::size_t sample_;
+};
+
+/// Trains \p model in place over \p samples. Throws NonFiniteGradientError
+/// when a step's gradient norm is NaN or infinite (a NaN label, an
+/// overflowing activation); the weights then hold the previous step's
+/// values.
 TrainReport train_model(nn::WireModel& model,
                         const std::vector<nn::GraphSample>& samples,
                         const TrainConfig& config);

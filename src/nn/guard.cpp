@@ -31,6 +31,17 @@ void guard_finite(const tensor::Tensor& t, const char* stage) {
   if (t.defined()) guard_finite(t.values(), t.cols(), stage);
 }
 
+void guard_finite(const tensor::Tensor& t, const char* stage,
+                  std::span<const std::uint32_t> rows) {
+  if (rows.empty()) return guard_finite(t, stage);
+  if (!t.defined() || !finite_guard_enabled()) return;
+  const std::size_t d = t.cols();
+  for (const std::uint32_t r : rows)
+    for (std::size_t c = 0; c < d; ++c)
+      if (!std::isfinite(t.values()[r * d + c])) [[unlikely]]
+        throw NonFiniteActivationError(stage, r, c);
+}
+
 void guard_finite(std::span<const float> values, std::size_t cols,
                   const char* stage) {
   if (!finite_guard_enabled()) return;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -56,6 +57,10 @@ class FiniteGuardScope {
 /// Throws NonFiniteActivationError if the guard is enabled and \p t contains
 /// a NaN/Inf. No-op on undefined tensors and when the guard is off.
 void guard_finite(const tensor::Tensor& t, const char* stage);
+
+/// The same scan over \p rows of \p t only (every row when empty).
+void guard_finite(const tensor::Tensor& t, const char* stage,
+                  std::span<const std::uint32_t> rows);
 
 /// The same scan over a raw row-major buffer of \p cols columns (the
 /// inference plan's slab activations).

@@ -108,8 +108,7 @@ SageConv::SageConv(std::size_t in_dim, std::size_t out_dim, std::mt19937_64& rng
     : w_self_(tensor::xavier_uniform(in_dim, out_dim, rng)),
       w_neigh_(tensor::xavier_uniform(in_dim, out_dim, rng)) {}
 
-Tensor SageConv::forward(const Tensor& x,
-                         const std::shared_ptr<const tensor::GraphMatrix>& agg) const {
+Tensor SageConv::forward(const Tensor& x, const tensor::GraphMatrix& agg) const {
   const Tensor own = tensor::matmul(x, w_self_);
   const Tensor neigh = tensor::matmul(tensor::spmm(agg, x), w_neigh_);
   return tensor::relu(tensor::add(own, neigh));
@@ -234,22 +233,25 @@ SelfAttentionLayer::SelfAttentionLayer(std::size_t dim, std::size_t heads,
 }
 
 Tensor SelfAttentionLayer::forward(const Tensor& x,
-                                   const std::vector<std::uint8_t>& mask) const {
+                                   const std::vector<std::uint8_t>& mask,
+                                   tensor::Rows rows) const {
   std::vector<Tensor> outputs;
   outputs.reserve(heads_.size());
   for (const Head& head : heads_) {
-    const Tensor q = tensor::matmul(x, head.wq);  // [N, dk]
-    const Tensor k = tensor::matmul(x, head.wk);  // [N, dk]
-    const Tensor v = tensor::matmul(x, head.wv);  // [N, dk]
+    const Tensor q = tensor::matmul(x, head.wq, rows);  // [N, dk]
+    const Tensor k = tensor::matmul(x, head.wk);        // [N, dk]
+    const Tensor v = tensor::matmul(x, head.wv);        // [N, dk]
     // Eq. (2): scaled dot-product attention map.
-    const Tensor scores = tensor::scale(tensor::matmul_nt(q, k), inv_sqrt_dk_);
-    const Tensor attn = mask.empty() ? tensor::softmax_rows(scores)
-                                     : tensor::masked_softmax_rows(scores, mask);
-    outputs.push_back(tensor::matmul(attn, v));
+    const Tensor scores =
+        tensor::scale(tensor::matmul_nt(q, k, rows), inv_sqrt_dk_, rows);
+    const Tensor attn = mask.empty() ? tensor::softmax_rows(scores, rows)
+                                     : tensor::masked_softmax_rows(scores, mask, rows);
+    outputs.push_back(tensor::matmul(attn, v, rows));
   }
   // Eq. (3): residual + W3 over the concatenated heads.
-  const Tensor cat = outputs.size() == 1 ? outputs.front() : tensor::concat_cols(outputs);
-  return tensor::add(x, tensor::matmul(cat, w3_));
+  const Tensor cat =
+      outputs.size() == 1 ? outputs.front() : tensor::concat_cols(outputs, rows);
+  return tensor::add(x, tensor::matmul(cat, w3_, rows), rows);
 }
 
 void SelfAttentionLayer::collect_parameters(std::vector<Tensor>& out) const {

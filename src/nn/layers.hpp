@@ -63,15 +63,13 @@ class Mlp {
 ///
 /// The aggregation matrix carries the resistance weights a_iu (or plain mean
 /// weights for the unweighted ablation); it comes from the sample, not the layer.
-/// Every layer of a forward pass shares the one matrix with the tape.
 class SageConv {
  public:
   SageConv() = default;
   SageConv(std::size_t in_dim, std::size_t out_dim, std::mt19937_64& rng);
 
-  [[nodiscard]] tensor::Tensor forward(
-      const tensor::Tensor& x,
-      const std::shared_ptr<const tensor::GraphMatrix>& agg) const;
+  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& x,
+                                       const tensor::GraphMatrix& agg) const;
   void collect_parameters(std::vector<tensor::Tensor>& out) const;
   void save(std::ostream& out) const;
   void load(std::istream& in);
@@ -136,9 +134,12 @@ class SelfAttentionLayer {
   SelfAttentionLayer(std::size_t dim, std::size_t heads, std::mt19937_64& rng);
 
   /// \p mask empty = global attention over all nodes (GNNTrans Eq. 2-3);
-  /// otherwise an N*N neighbor mask (graph transformer baseline).
+  /// otherwise an N*N neighbor mask (graph transformer baseline). \p rows,
+  /// when not empty, are the only query rows computed (tensor::Rows): keys
+  /// and values still cover every node.
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& x,
-                                       const std::vector<std::uint8_t>& mask) const;
+                                       const std::vector<std::uint8_t>& mask,
+                                       tensor::Rows rows = {}) const;
   void collect_parameters(std::vector<tensor::Tensor>& out) const;
   void save(std::ostream& out) const;
   void load(std::istream& in);

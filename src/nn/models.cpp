@@ -127,11 +127,10 @@ class GnnTransModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
-    // One matrix for every layer, shared with the tape: the backward pass
-    // runs after this function returns.
-    const auto agg = std::make_shared<const tensor::GraphMatrix>(
-        config_.use_edge_weights ? sample.weighted_adj
-                                 : mean_adjacency(sample.weighted_adj));
+    tensor::GraphMatrix mean;
+    if (!config_.use_edge_weights) mean = mean_adjacency(sample.weighted_adj);
+    const tensor::GraphMatrix& agg =
+        config_.use_edge_weights ? sample.weighted_adj : mean;
     Tensor x = sample.x;
     guard_finite(x, "input");
     {
@@ -144,8 +143,16 @@ class GnnTransModel final : public WireModel {
                                  : neighbor_mask(sample.weighted_adj);
     {
       const telemetry::TraceSpan span("attention", "model");
-      for (const SelfAttentionLayer& layer : attention_) x = layer.forward(x, mask);
-      guard_finite(x, "attention");
+      // Only the rows the path pooling reads reach the heads, so the last
+      // layer computes just those, as the inference plan serves them.
+      // Per thread, so a warm trainer allocates no list per step.
+      thread_local std::vector<std::uint32_t> live;
+      tensor::columns_read(sample.path_pool, live);
+      for (std::size_t l = 0; l < attention_.size(); ++l)
+        x = attention_[l].forward(x, mask, l + 1 == attention_.size()
+                                               ? tensor::Rows(live)
+                                               : tensor::Rows());
+      guard_finite(x, "attention", attention_.empty() ? tensor::Rows() : live);
     }
     const telemetry::TraceSpan span("heads", "model");
     Tensor pooled = tensor::spmm(sample.path_pool, x);  // Eq. (4) mean part
@@ -195,8 +202,7 @@ class GraphSageModel final : public WireModel {
   }
 
   [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
-    const auto mean =
-        std::make_shared<const tensor::GraphMatrix>(mean_adjacency(sample.weighted_adj));
+    const tensor::GraphMatrix mean = mean_adjacency(sample.weighted_adj);
     Tensor x = sample.x;
     for (const SageConv& layer : layers_) x = layer.forward(x, mean);
     return heads_.predict(tensor::spmm(sample.path_pool, x));

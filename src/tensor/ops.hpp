@@ -4,10 +4,17 @@
 /// Every function returns a fresh tensor recorded on the tape (unless autograd
 /// is disabled via NoGradGuard). Shapes are validated with exceptions so model
 /// wiring errors fail loudly at construction time, not as silent corruption.
+///
+/// The ops that take \c rows compute only those rows of their result (given
+/// ascending; empty means every row). The other rows hold unspecified values,
+/// and backward treats their gradient as zero: it drops exactly the terms a
+/// zero gradient makes zero, so every computed row and every gradient keeps
+/// the bits of the full op.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -42,12 +49,15 @@ struct GraphMatrix {
   void row_normalize();
 };
 
+/// Rows of an op's result to compute, ascending; empty: every row.
+using Rows = std::span<const std::uint32_t>;
+
 // ---- Linear algebra ----
 
 /// C = A @ B.
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
+[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b, Rows rows = {});
 /// C = A @ B^T (used by attention scores).
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
+[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b, Rows rows = {});
 /// matmul and matmul_nt, forward and backward, run at the widest vector
 /// width the CPU has (16, 8 or 4 float lanes), with the bits of their scalar
 /// loops at every width. While alive, this runs them on the calling thread at
@@ -65,23 +75,23 @@ class ProductLanesForTesting {
 };
 /// Transposed copy.
 [[nodiscard]] Tensor transpose(const Tensor& a);
-/// Y = M X for a fixed sparse M; backward propagates through X only. The
-/// tape shares \p m, so products over one matrix hold it once.
-[[nodiscard]] Tensor spmm(std::shared_ptr<const GraphMatrix> m, const Tensor& x);
-/// As above; the tape holds a copy of \p m, made only when the product is
-/// recorded.
+/// Y = M X for a fixed sparse M; backward propagates through X only. A
+/// recorded product copies \p m's entries onto the tape.
 [[nodiscard]] Tensor spmm(const GraphMatrix& m, const Tensor& x);
+/// The ascending distinct columns of \p m, that is, the rows of X that
+/// spmm(m, X) reads, into \p out.
+void columns_read(const GraphMatrix& m, std::vector<std::uint32_t>& out);
 
 // ---- Elementwise / broadcast ----
 
 /// C = A + B (same shape).
-[[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);
+[[nodiscard]] Tensor add(const Tensor& a, const Tensor& b, Rows rows = {});
 /// C = A - B (same shape).
 [[nodiscard]] Tensor sub(const Tensor& a, const Tensor& b);
 /// C = A * B elementwise (same shape).
 [[nodiscard]] Tensor mul(const Tensor& a, const Tensor& b);
 /// C = A * s.
-[[nodiscard]] Tensor scale(const Tensor& a, float s);
+[[nodiscard]] Tensor scale(const Tensor& a, float s, Rows rows = {});
 /// C[r, :] = A[r, :] + bias[0, :] for every row r.
 [[nodiscard]] Tensor add_row_broadcast(const Tensor& a, const Tensor& bias);
 /// E[i, j] = s[i, 0] + t[j, 0]; s is [N,1], t is [M,1], result [N,M].
@@ -97,16 +107,21 @@ class ProductLanesForTesting {
 // ---- Softmax ----
 
 /// Row-wise softmax.
-[[nodiscard]] Tensor softmax_rows(const Tensor& a);
+[[nodiscard]] Tensor softmax_rows(const Tensor& a, Rows rows = {});
 /// Row-wise softmax over entries where mask[r*cols+c] != 0; masked entries
 /// output 0. Rows that are fully masked output all zeros.
 [[nodiscard]] Tensor masked_softmax_rows(const Tensor& a,
-                                         const std::vector<std::uint8_t>& mask);
+                                         const std::vector<std::uint8_t>& mask,
+                                         Rows rows = {});
 
 // ---- Shape ----
 
 /// Column-wise concatenation (all inputs share the row count).
-[[nodiscard]] Tensor concat_cols(const std::vector<Tensor>& parts);
+[[nodiscard]] Tensor concat_cols(std::span<const Tensor> parts, Rows rows = {});
+[[nodiscard]] inline Tensor concat_cols(std::initializer_list<Tensor> parts,
+                                        Rows rows = {}) {
+  return concat_cols(std::span<const Tensor>(parts.begin(), parts.size()), rows);
+}
 /// Gathers rows by index (duplicates allowed); backward scatters-adds.
 [[nodiscard]] Tensor gather_rows(const Tensor& a,
                                  const std::vector<std::uint32_t>& indices);

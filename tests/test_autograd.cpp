@@ -251,7 +251,7 @@ TEST(GradCheck, SageConv) {
   conv.collect_parameters(params);
   check_gradients(
       [&] {
-        const Tensor y = conv.forward(x, std::make_shared<const GraphMatrix>(agg));
+        const Tensor y = conv.forward(x, agg);
         return sum_all(mul(y, y));
       },
       params, 1e-2f, 3e-2f);
@@ -362,10 +362,16 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/// Sets \p t's gradient to \p g (same size).
+void set_grad(const Tensor& t, const Floats& g) {
+  t.impl()->ensure_grad();
+  std::copy(g.begin(), g.end(), t.impl()->grad.begin());
+}
+
 /// Runs \p out's own backward step with output gradient \p dy.
 void backward_step(const Tensor& out, const Floats& dy) {
-  out.impl()->grad = dy;
-  out.impl()->backward_fn(*out.impl());
+  set_grad(out, dy);
+  backward_step_for_testing(out);
 }
 
 std::string shape(std::size_t n, std::size_t k, std::size_t m) {
@@ -382,8 +388,8 @@ void expect_matmul_matches(std::size_t n, std::size_t k, std::size_t m,
   const Tensor out = matmul(a, b);
   EXPECT_TRUE(same_bits(out.values(), autograd_oracle::matmul(av, bv, n, k, m)))
       << shape(n, k, m);
-  a.impl()->grad = da;
-  b.impl()->grad = db;
+  set_grad(a, da);
+  set_grad(b, db);
   backward_step(out, dy);
   autograd_oracle::matmul_backward(av, bv, dy, n, k, m, da, db);
   EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, k, m);
@@ -401,8 +407,8 @@ void expect_matmul_nt_matches(std::size_t n, std::size_t k, std::size_t m,
   EXPECT_TRUE(
       same_bits(out.values(), autograd_oracle::matmul_nt(av, bv, n, k, m)))
       << shape(n, k, m);
-  a.impl()->grad = da;
-  b.impl()->grad = db;
+  set_grad(a, da);
+  set_grad(b, db);
   backward_step(out, dy);
   autograd_oracle::matmul_nt_backward(av, bv, dy, n, k, m, da, db);
   EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, k, m);
@@ -494,7 +500,7 @@ TEST(KernelOracle, SoftmaxMatchesScalarLoopsBitwise) {
       const Tensor y = masked ? masked_softmax_rows(a, mask) : softmax_rows(a);
       const Floats expected = autograd_oracle::softmax(x, n, n, mask);
       EXPECT_TRUE(same_bits(y.values(), expected)) << n << " masked " << masked;
-      a.impl()->grad = dx;
+      set_grad(a, dx);
       backward_step(y, dy);
       autograd_oracle::softmax_backward(expected, dy, n, n, mask, dx);
       EXPECT_TRUE(same_bits(a.grad(), dx)) << n << " masked " << masked;
@@ -510,7 +516,7 @@ TEST(KernelOracle, ScaleMatchesScalarLoopsBitwise) {
       const Tensor a = leaf(x, n, dk);
       const Tensor y = scale(a, 0.37f);
       EXPECT_TRUE(same_bits(y.values(), autograd_oracle::scale(x, 0.37f)));
-      a.impl()->grad = dx;
+      set_grad(a, dx);
       backward_step(y, dy);
       autograd_oracle::scale_backward(dy, 0.37f, dx);
       EXPECT_TRUE(same_bits(a.grad(), dx)) << shape(n, dk, 1);
@@ -531,7 +537,7 @@ TEST(KernelOracle, ElementwiseOpsMatchScalarLoopsBitwise) {
         EXPECT_TRUE(
             same_bits(y.values(), autograd_oracle::leaky_relu(x, 0.2f, is_relu)))
             << shape(n, dk, 1) << " relu " << is_relu;
-        a.impl()->grad = dx;
+        set_grad(a, dx);
         backward_step(y, dy);
         autograd_oracle::leaky_relu_backward(x, 0.2f, is_relu, dy, dx);
         EXPECT_TRUE(same_bits(a.grad(), dx)) << shape(n, dk, 1) << " relu " << is_relu;
@@ -542,8 +548,8 @@ TEST(KernelOracle, ElementwiseOpsMatchScalarLoopsBitwise) {
         const Tensor y = cb > 0.0f ? add(a, b) : sub(a, b);
         EXPECT_TRUE(same_bits(y.values(), autograd_oracle::combine(x, z, 1.0f, cb)))
             << shape(n, dk, 1);
-        a.impl()->grad = da;
-        b.impl()->grad = db;
+        set_grad(a, da);
+        set_grad(b, db);
         backward_step(y, dy);
         autograd_oracle::scale_backward(dy, 1.0f, da);
         autograd_oracle::scale_backward(dy, cb, db);
@@ -572,7 +578,7 @@ TEST(KernelOracle, AdamStepMatchesScalarLoopsBitwise) {
     for (long step = 1; step <= 3; ++step)
       for (std::size_t i = 0; i < params.size(); ++i) {
         const Floats grads = oracle_input(params[i].size(), rng);
-        params[i].impl()->grad = grads;
+        set_grad(params[i], grads);
         autograd_oracle::adam_step(values[i], grads, m[i], v[i], oracle_config, step);
         if (i + 1 == params.size()) adam.step();
       }

@@ -1,9 +1,12 @@
 // Tests for metrics, the training loop, and the WireTimingEstimator API.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
@@ -169,6 +172,34 @@ TEST(Trainer, DiscardsCompiledInferencePlan) {
   ASSERT_TRUE(model->has_inference_plan());
   train_model(*model, samples, tc);
   EXPECT_FALSE(model->has_inference_plan());
+}
+
+TEST(Trainer, NanLabelThrowsBeforeTheAdamStep) {
+  const auto recs = records(6, 47);
+  features::Standardizer std_;
+  std_.fit(recs);
+  auto samples = features::make_samples(recs, std_);
+  ASSERT_GE(samples.size(), 4u);
+  const std::size_t poisoned = 2;
+  samples[poisoned].delay_label.values()[0] = std::numeric_limits<float>::quiet_NaN();
+  nn::ModelConfig mc = tiny_model();
+  mc.node_feature_dim = features::kNodeFeatureCount;
+  mc.path_feature_dim = features::kPathFeatureCount;
+  auto model = nn::make_model(nn::ModelKind::kGnnTrans, mc);
+  TrainConfig tc;
+  tc.epochs = 2;
+  try {
+    train_model(*model, samples, tc);
+    FAIL() << "expected a non-finite gradient error";
+  } catch (const NonFiniteGradientError& e) {
+    EXPECT_EQ(e.epoch(), 0u);
+    EXPECT_EQ(e.sample(), poisoned);
+    EXPECT_NE(std::string(e.what()).find(samples[poisoned].net_name), std::string::npos)
+        << e.what();
+  }
+  // The steps before it ran, and none wrote the NaN into a weight.
+  for (const tensor::Tensor& p : model->parameters())
+    for (const float v : p.values()) ASSERT_TRUE(std::isfinite(v));
 }
 
 // ---- WireTimingEstimator ----

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if an object file of a static library contains a fused multiply-add.
+"""Fail if an object file of a static library lost its floating-point pins.
 
     check_fp_contract.py ARCHIVE MEMBER [--objdump PATH]
 
@@ -7,11 +7,17 @@ The files whose float kernels must give the same bits at every vector width
 and build type are built with -ffp-contract=off: each must round every
 product and every sum on its own, or, say, the AVX-512 forward pass of the
 inference plan would differ in the last bits from the SSE2 one, which has no
-FMA. This disassembles the object MEMBER of the static library ARCHIVE and
-exits 1 if any vfmadd, vfmsub, vfnmadd or vfnmsub instruction appears in it,
-naming the functions that hold them; also when the member is missing or has
-no code. It exits 77, which ctest reports as skipped, when no objdump is
-found.
+FMA. They are also pinned to -O2, because g++ 12's -O3 (the Release build
+type) runs their wide loops 2-3x slower, and they are built with
+-frecord-gcc-switches, which keeps the compiler's command line in the object.
+
+This disassembles the object MEMBER of the static library ARCHIVE and exits
+1 if any vfmadd, vfmsub, vfnmadd or vfnmsub instruction appears in it, naming
+the functions that hold them; also when the member is missing or has no code.
+It then reads the member's recorded switches and exits 1 when there are none,
+when -ffp-contract=off is not among them, or when their last -O option is
+not -O2 (the build type's comes first; the file's pin must win). It exits
+77, which ctest reports as skipped, when no objdump is found.
 
 Registered as ctest ``plan_fp_contract_lint`` (plan.cpp.o in
 libgnntrans_nn.a) and ``tensor_fp_contract_lint`` (ops.cpp.o in
@@ -30,6 +36,8 @@ FUSED = ("vfmadd", "vfmsub", "vfnmadd", "vfnmsub")
 SKIP = 77
 
 MEMBER_RE = re.compile(r"^(\S+):\s+file format ")
+HEX_ROW_RE = re.compile(r"^ [0-9a-f]+ ((?:[0-9a-f]+ ){1,4})")
+SWITCHES_SECTION = ".GCC.command.line"
 FUNCTION_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
 INSN_RE = re.compile(r"^\s*[0-9a-f]+:\s+([a-z][a-z0-9.]*)")
 
@@ -65,6 +73,37 @@ def scan(listing, member):
     return count, fused
 
 
+def recorded_switches(dump, member):
+    """Switches in member's .GCC.command.line, from an objdump -s listing."""
+    inside = False
+    data = bytearray()
+    for line in dump.splitlines():
+        header = MEMBER_RE.match(line)
+        if header:
+            inside = header.group(1) == member
+            continue
+        row = HEX_ROW_RE.match(line) if inside else None
+        if row:
+            data += bytes.fromhex(row.group(1).replace(" ", ""))
+    # One NUL-terminated string per switch, or all of them in one.
+    return [s for text in data.decode("ascii", "replace").split("\0")
+            for s in text.split() if s.startswith("-")]
+
+
+def switch_problems(switches):
+    """What the recorded switches lack; empty when both pins hold."""
+    if not switches:
+        return [f"no {SWITCHES_SECTION} section; is -frecord-gcc-switches lost?"]
+    problems = []
+    if "-ffp-contract=off" not in switches:
+        problems.append("-ffp-contract=off is not among the recorded switches")
+    levels = [s for s in switches if re.fullmatch(r"-O[0-9sgz]*|-Ofast", s)]
+    if not levels or levels[-1] != "-O2":
+        last = levels[-1] if levels else "none"
+        problems.append(f"the last -O switch is {last}, not -O2")
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("archive")
@@ -93,8 +132,18 @@ def main():
         for function, n in fused.most_common():
             print(f"  {n:4d}  {function}")
         return 1
+    proc = subprocess.run(
+        [objdump, "-s", "-j", SWITCHES_SECTION, args.archive],
+        capture_output=True, text=True, check=False)
+    switches = recorded_switches(proc.stdout, member)
+    problems = switch_problems(switches)
+    if problems:
+        for problem in problems:
+            print(f"fp_contract_lint: {member}: {problem}")
+        print(f"  recorded: {' '.join(switches) or '(nothing)'}")
+        return 1
     print(f"fp_contract_lint: {count} instructions in {member}, "
-          "no fused multiply-add")
+          "no fused multiply-add; built with -ffp-contract=off at -O2")
     return 0
 
 
