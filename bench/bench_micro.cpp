@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrate throughput numbers
 // behind the paper's runtime story: golden transient sim vs analytical
-// metrics vs feature extraction vs model inference.
+// metrics vs feature extraction vs model inference, the forward pass on the
+// compiled plan against autograd, and one training step.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,8 +25,8 @@ using namespace gnntrans;
 
 namespace {
 
-rcnet::RcNet make_net(std::size_t nodes, std::uint64_t seed = 9) {
-  std::mt19937_64 rng(seed);
+rcnet::RcNet make_net(std::size_t nodes) {
+  std::mt19937_64 rng(9);
   rcnet::NetGenConfig cfg;
   cfg.min_nodes = static_cast<std::uint32_t>(nodes);
   cfg.max_nodes = static_cast<std::uint32_t>(nodes);
@@ -86,33 +89,85 @@ const core::WireTimingEstimator& trained_estimator() {
   return estimator;
 }
 
-void BM_GnnTransInference(benchmark::State& state) {
-  const auto& est = trained_estimator();
-  const auto lib = cell::CellLibrary::make_default();
-  const rcnet::RcNet net = make_net(state.range(0), 21);
-  std::mt19937_64 rng(13);
-  const features::NetContext ctx = features::random_context(lib, net, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(est.estimate(net, ctx));
-  state.SetLabel(std::to_string(net.sinks.size()) + " paths");
-}
-BENCHMARK(BM_GnnTransInference)->Arg(16)->Arg(40)->Arg(80)->Arg(160);
-
-/// One training step of the served config (hidden 16, 4 Sage + 2 attention
-/// layers, 4 heads, MLP 32) on one labelled net of \p nodes nodes: forward,
-/// the trainer's loss, backward, gradient clipping and the Adam update.
-/// tests/test_alloc.cpp counts the heap allocations of the same loop.
-class TrainStep {
- public:
-  explicit TrainStep(std::size_t nodes) {
-    const auto lib = cell::CellLibrary::make_default();
+/// The one labelled net of \p nodes nodes (golden slew and delay on every
+/// path, random context) that the inference, forward and training
+/// benchmarks all read, so their ratios compare the same net. Null when the
+/// golden timer dropped it.
+const features::WireRecord* labelled_net(std::size_t nodes) {
+  static std::map<std::size_t, std::vector<features::WireRecord>> nets;
+  auto [it, fresh] = nets.try_emplace(nodes);
+  if (fresh) {
     features::WireDatasetConfig cfg;
     cfg.net_count = 1;
     cfg.net_config.min_nodes = cfg.net_config.max_nodes =
         static_cast<std::uint32_t>(nodes);
     cfg.sim_config.steps = 300;
-    cfg.seed = 14;
-    const auto records = features::generate_wire_records(cfg, lib);
-    if (records.empty()) return;
+    cfg.seed = 21;
+    it->second =
+        features::generate_wire_records(cfg, cell::CellLibrary::make_default());
+  }
+  return it->second.empty() ? nullptr : &it->second.front();
+}
+
+std::string net_label(const features::WireRecord& net) {
+  return std::to_string(net.net.node_count()) + " nodes, " +
+         std::to_string(net.delay_labels.size()) + " paths";
+}
+
+/// estimate(): featurization and the compiled plan's forward pass.
+void BM_GnnTransInference(benchmark::State& state) {
+  const auto& est = trained_estimator();
+  const features::WireRecord* net = labelled_net(state.range(0));
+  if (net == nullptr) {
+    state.SkipWithError("the golden timer dropped the net");
+    return;
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(est.estimate(net->net, net->context));
+  state.SetLabel(net_label(*net));
+}
+BENCHMARK(BM_GnnTransInference)->Arg(16)->Arg(40)->Arg(80)->Arg(160);
+
+/// The forward pass alone on a standardized sample, served by the compiled
+/// plan on one warm Workspace (as a serving worker), or by autograd: a
+/// plan-less copy of the same weights under NoGradGuard, which is how the
+/// model was served before the plan.
+void BM_GnnTransForward(benchmark::State& state, bool autograd) {
+  const auto& est = trained_estimator();
+  const features::WireRecord* net = labelled_net(state.range(0));
+  if (net == nullptr) {
+    state.SkipWithError("the golden timer dropped the net");
+    return;
+  }
+  const nn::GraphSample sample = est.standardizer().make_sample(*net);
+  std::unique_ptr<nn::WireModel> copy;
+  if (autograd) {
+    std::stringstream bytes;
+    nn::save_model(bytes, est.model());
+    copy = nn::load_model(bytes);
+  }
+  const nn::WireModel& model = copy ? *copy : est.model();
+  const tensor::NoGradGuard no_grad;
+  nn::Workspace ws;
+  for (auto _ : state) benchmark::DoNotOptimize(model.forward(sample, &ws));
+  state.SetLabel(net_label(*net));
+}
+BENCHMARK_CAPTURE(BM_GnnTransForward, plan, false)
+    ->Arg(16)->Arg(40)->Arg(80)->Arg(160);
+BENCHMARK_CAPTURE(BM_GnnTransForward, autograd, true)
+    ->Arg(16)->Arg(40)->Arg(80)->Arg(160);
+
+/// One training step of the served config (hidden 16, 4 Sage + 2 attention
+/// layers, 4 heads, MLP 32) on labelled_net(\p nodes): forward, the
+/// trainer's loss, backward, gradient clipping and the Adam update.
+/// tests/test_alloc.cpp counts the heap allocations of the same loop.
+class TrainStep {
+ public:
+  explicit TrainStep(std::size_t nodes) {
+    const features::WireRecord* net = labelled_net(nodes);
+    if (net == nullptr) return;
+    const std::vector<features::WireRecord> records{*net};
+    label_ = net_label(*net);
     features::Standardizer standardizer;
     standardizer.fit(records);
     sample_ = features::make_samples(records, standardizer).front();
@@ -144,12 +199,10 @@ class TrainStep {
     benchmark::DoNotOptimize(loss.item());
   }
 
-  [[nodiscard]] std::string label() const {
-    return std::to_string(sample_.node_count) + " nodes, " +
-           std::to_string(sample_.path_count) + " paths";
-  }
+  [[nodiscard]] const std::string& label() const { return label_; }
 
  private:
+  std::string label_;
   nn::GraphSample sample_;
   std::unique_ptr<nn::WireModel> model_;
   std::vector<tensor::Tensor> params_;

@@ -306,8 +306,8 @@ void NetServer::stop() {
   [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &wake, 1);
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 3. Flush in-flight: the batcher drains the queue (draining_ makes the
-  //    flush predicate immediate) and exits once it is empty.
+  // 3. Flush in-flight: the batcher drains the queue (draining_ ends its
+  //    wait) and exits once it is empty.
   queue_cv_.notify_all();
   if (batch_thread_.joinable()) batch_thread_.join();
 
@@ -700,35 +700,15 @@ void NetServer::batch_loop() {
     std::vector<Pending> batch;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      // Size-or-age coalescing (the COMM_MIN/COMM_DELAY pair): flush a full
-      // batch immediately, otherwise wake exactly when the oldest request
-      // hits the flush age. The deadline is re-armed on every wakeup, so a
-      // request landing in an idle queue flushes flush_age later — not up to
-      // a whole liveness tick later (the 100 ms idle wait is a backstop
-      // only, every arrival notifies the cv).
-      for (;;) {
-        if (draining_.load(std::memory_order_acquire) ||
-            queue_.size() >= config_.batch_max)
-          break;
-        if (queue_.empty()) {
-          metrics.queue_oldest_age.set(0.0);
-          queue_cv_.wait_for(lock, std::chrono::milliseconds(100));
-          continue;
-        }
-        const Clock::time_point flush_at =
-            queue_.front().enqueued +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(config_.flush_age_seconds));
-        if (Clock::now() >= flush_at) break;
-        metrics.queue_oldest_age.set(seconds_since(queue_.front().enqueued));
-        queue_cv_.wait_until(lock, flush_at);
-      }
-      if (queue_.empty()) {
-        // Only reachable when draining: the queue is verifiably flushed.
-        metrics.queue_oldest_age.set(0.0);
-        break;
-      }
-      metrics.queue_oldest_age.set(seconds_since(queue_.front().enqueued));
+      // Work-conserving: a free batcher takes whatever is queued, up to
+      // batch_max, at once. Requests that arrive while estimate_batch runs
+      // form the next batch, so batches grow with load and no timer holds a
+      // lone request. Every admission and stop() notify the cv.
+      queue_cv_.wait(lock, [this] {
+        return draining_.load(std::memory_order_acquire) ||
+               (!held_ && !queue_.empty());
+      });
+      if (queue_.empty()) break;  // draining and verifiably flushed
       const std::size_t take = std::min(queue_.size(), config_.batch_max);
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {

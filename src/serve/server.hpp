@@ -11,12 +11,13 @@
 /// Connection threads reassemble length-prefixed frames, decode them, and run
 /// the admission path: draining → typed kShuttingDown reject; bounded queue
 /// full → typed kOverloaded reject (load is *shed*, never silently dropped);
-/// otherwise the request is queued with its arrival time. The batcher
-/// coalesces requests across clients and flushes on size-or-age (batch_max /
-/// flush_age_seconds — the classic COMM_MIN/COMM_DELAY pair), expires
-/// requests whose own deadline already passed (typed kDeadlineExceeded),
-/// propagates the tightest remaining deadline into
-/// BatchOptions::deadline_seconds, and serves the batch through one
+/// otherwise the request is queued with its arrival time. The batcher is
+/// work-conserving: whenever it is free and the queue is non-empty it takes
+/// up to batch_max requests at once, so requests that arrive during a
+/// running batch form the next one and batches grow with load, with no
+/// timer to tune. It expires requests whose own deadline already passed
+/// (typed kDeadlineExceeded), propagates the tightest remaining deadline
+/// into BatchOptions::deadline_seconds, and serves the batch through one
 /// estimate_batch call — so the estimator's thread pool, workspace slabs,
 /// and degradation ladder are shared by every client. Responses are encoded
 /// and handed back to the owning connection's outbox; the connection thread
@@ -30,8 +31,8 @@
 /// Shutdown is a graceful drain: stop() stops accepting, rejects new
 /// admissions (kShuttingDown), lets the batcher flush everything in flight,
 /// delivers the responses, then closes connections and joins every thread.
-/// Every wait in the server is bounded (poll ticks + timeouts), so stop()
-/// cannot hang on a stuck peer.
+/// Every wait on a peer is bounded (poll ticks + timeouts), so stop() cannot
+/// hang on a stuck peer; the idle batcher waits for an admission or stop().
 ///
 /// Fault injection: when core::FaultInjector::global() is armed with network
 /// sites, the server consults kAccept (keyed "accept/<seq>"), kNetRead /
@@ -88,10 +89,8 @@ struct NetServerConfig {
   /// Admission queue bound: requests beyond this are load-shed with a typed
   /// kOverloaded reject. Never a silent drop.
   std::size_t queue_capacity = 1024;
-  /// Flush the coalescing queue once this many requests are waiting…
+  /// Most requests one batch takes from the queue.
   std::size_t batch_max = 64;
-  /// …or once the oldest waiting request is this old, whichever first.
-  double flush_age_seconds = 2e-3;
 
   /// A connection holding a *partial* frame longer than this is closed as
   /// half-open. Idle connections with no partial frame may stay.
@@ -187,6 +186,7 @@ class NetServer {
  private:
   struct Connection;
   struct Pending;
+  friend struct NetServerTestPeer;  ///< sets held_ (tests/test_serve.cpp)
 
   void accept_loop();
   void connection_loop(const std::shared_ptr<Connection>& conn);
@@ -239,6 +239,10 @@ class NetServer {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
+  /// While set, only a draining batcher takes a batch. Guarded by
+  /// queue_mutex_ and reachable only through NetServerTestPeer, so tests
+  /// can hold requests queued.
+  bool held_ = false;
 
   // Server-owned inference resources (batcher thread only after start).
   std::unique_ptr<core::ThreadPool> pool_;

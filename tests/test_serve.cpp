@@ -50,6 +50,22 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
+namespace gnntrans::serve {
+
+/// Holds a server's batcher before it takes a batch, so a test can keep
+/// requests queued; stop() drains a held queue all the same.
+struct NetServerTestPeer {
+  static void hold(NetServer& server, bool held) {
+    {
+      std::lock_guard<std::mutex> lock(server.queue_mutex_);
+      server.held_ = held;
+    }
+    server.queue_cv_.notify_all();
+  }
+};
+
+}  // namespace gnntrans::serve
+
 namespace {
 
 using namespace gnntrans;
@@ -125,6 +141,17 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// Releases \p server's held batcher once a request was decoded and has
+/// dwelt \p dwell_ms in the queue; the caller joins the returned thread.
+std::thread release_after_dwell(serve::NetServer& server, int dwell_ms) {
+  return std::thread([&server, dwell_ms] {
+    wait_until([&] { return server.ledger().requests_decoded.load() > 0; },
+               5000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(dwell_ms));
+    serve::NetServerTestPeer::hold(server, false);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -593,9 +620,7 @@ TEST(ServeBind, RetriesUntilPortFrees) {
 
 TEST(NetServe, EndToEndBitwiseIdenticalToDirectBatch) {
   const EvalData& eval = shared_eval();
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
   server.start();
 
   serve::NetClientConfig ccfg;
@@ -622,6 +647,41 @@ TEST(NetServe, EndToEndBitwiseIdenticalToDirectBatch) {
   EXPECT_NE(text.find("gnntrans_net_queue_depth"), std::string::npos);
 }
 
+// The batcher is work-conserving: a lone request into an idle server is
+// taken at once, not after some flush timer. One client sends its requests
+// one after another, so each finds the batcher idle; the median of their
+// serve.queue stages stays far below a millisecond.
+TEST(NetServe, IdleServerServesALoneRequestAtOnce) {
+  const EvalData& eval = shared_eval();
+  TraceGuard tracing(/*head_rate=*/1.0);  // every request gets a record
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
+  server.start();
+
+  serve::NetClientConfig ccfg;
+  ccfg.port = server.port();
+  serve::NetClient client(ccfg);
+  constexpr std::size_t kRequests = 21;
+  std::vector<std::uint64_t> trace_ids;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const serve::NetClient::Result result =
+        client.estimate(eval.nets[i], eval.contexts[i]);
+    ASSERT_TRUE(result.status.ok()) << result.status.to_string();
+    trace_ids.push_back(result.trace_id);
+  }
+  server.stop();  // joins the delivery threads: every request is recorded
+  EXPECT_EQ(server.ledger().batches.load(), kRequests);
+
+  std::vector<double> queued;
+  for (const std::uint64_t id : trace_ids) {
+    telemetry::FlightRecord record;
+    ASSERT_TRUE(telemetry::FlightRecorder::global().find_request(id, &record));
+    queued.push_back(stage_seconds(record, telemetry::Stage::kQueue));
+  }
+  std::nth_element(queued.begin(), queued.begin() + kRequests / 2,
+                   queued.end());
+  EXPECT_LT(queued[kRequests / 2], 1e-3);
+}
+
 // ---------------------------------------------------------------------------
 // Request tracing end to end: head-sampled requests get a complete stage
 // breakdown whose clock telescopes to the wall time, the p99 exemplar
@@ -631,9 +691,7 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
   const EvalData& eval = shared_eval();
   TraceGuard tracing(/*head_rate=*/1.0);  // every request head-sampled
 
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
   server.start();
 
   serve::NetClientConfig ccfg;
@@ -703,10 +761,11 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
 
 TEST(NetServe, FailureStatusCarriesTraceId) {
   TraceGuard tracing(/*head_rate=*/1.0);
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 0.05;  // 50 ms queue dwell >> 1 ms budget
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
+  serve::NetServerTestPeer::hold(server, true);
   server.start();
+  std::thread release =
+      release_after_dwell(server, 50);  // 50 ms queue dwell >> 1 ms budget
 
   serve::NetClientConfig ccfg;
   ccfg.port = server.port();
@@ -714,6 +773,7 @@ TEST(NetServe, FailureStatusCarriesTraceId) {
   serve::NetClient client(ccfg);
   const serve::NetClient::Result result = client.estimate(
       shared_eval().nets[0], shared_eval().contexts[0], /*deadline_us=*/1000);
+  release.join();
   server.stop();
 
   EXPECT_EQ(result.status.code(), ErrorCode::kDeadlineExceeded);
@@ -736,7 +796,6 @@ TEST(NetServe, CacheHitTraceIsNotDegraded) {
   flight.clear();
 
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   scfg.cache_bytes = 1ull << 20;
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
@@ -781,7 +840,6 @@ TEST(NetServe, SlowSampledRequestReachesTheCrashDump) {
   TraceGuard tracing(/*head_rate=*/1.0);
 
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   scfg.batch.slow_net_warn_seconds = 1e-9;  // every net is slow
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
@@ -831,9 +889,9 @@ TEST(NetServe, ConnectionThreadsRegisterNoFlightRing) {
 
   serve::NetServerConfig scfg;
   scfg.queue_capacity = 1;
-  scfg.flush_age_seconds = 10.0;  // the one queued request waits for stop()
   serve::NetServer server(shared_estimator(), scfg);
-  server.start();
+  serve::NetServerTestPeer::hold(server, true);  // the one queued request
+  server.start();                                // waits for stop()
 
   RawConn holder;
   ASSERT_TRUE(holder.connect_to(server.port()));
@@ -869,9 +927,7 @@ TEST(NetServe, ClientRetryCountersTrackInjectedFaults) {
   fcfg.site_mask = core::kNetworkSiteMask;
   injector.configure(fcfg);
 
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
   server.start();
 
   const std::uint64_t retries0 = global_counter("gnntrans_client_retries_total");
@@ -937,9 +993,7 @@ TEST(NetServe, ClientRetryCountersTrackInjectedFaults) {
 // crash or a hang.
 
 TEST(NetServe, GarbagePayloadRejectedConnectionSurvives) {
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
   server.start();
 
   RawConn conn;
@@ -1047,8 +1101,8 @@ TEST(NetServe, QueueFullShedsLoadWithTypedReject) {
   serve::NetServerConfig scfg;
   scfg.queue_capacity = 2;
   scfg.batch_max = 1024;
-  scfg.flush_age_seconds = 10.0;  // batcher holds: the queue must fill
   serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServerTestPeer::hold(server, true);  // the queue must fill
   server.start();
 
   RawConn conn;
@@ -1077,10 +1131,11 @@ TEST(NetServe, QueueFullShedsLoadWithTypedReject) {
 }
 
 TEST(NetServe, ExpiredDeadlineRejectedAtTriage) {
-  serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 0.05;  // 50 ms queue dwell >> 1 ms budget
-  serve::NetServer server(shared_estimator(), scfg);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
+  serve::NetServerTestPeer::hold(server, true);
   server.start();
+  std::thread release =
+      release_after_dwell(server, 50);  // 50 ms queue dwell >> 1 ms budget
 
   serve::NetClientConfig ccfg;
   ccfg.port = server.port();
@@ -1088,6 +1143,7 @@ TEST(NetServe, ExpiredDeadlineRejectedAtTriage) {
   serve::NetClient client(ccfg);
   const serve::NetClient::Result result = client.estimate(
       shared_eval().nets[0], shared_eval().contexts[0], /*deadline_us=*/1000);
+  release.join();
   EXPECT_EQ(result.status.code(), ErrorCode::kDeadlineExceeded);
   EXPECT_FALSE(result.served());
   server.stop();
@@ -1099,9 +1155,9 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   serve::NetServerConfig scfg;
   scfg.batch_max = 1024;
   scfg.queue_capacity = 4096;
-  scfg.flush_age_seconds = 10.0;  // nothing flushes until the drain
   serve::NetServer server(shared_estimator(), scfg);
-  server.start();
+  serve::NetServerTestPeer::hold(server, true);  // nothing is served until
+  server.start();                                // the drain
 
   constexpr std::uint64_t kQueued = 120;
   RawConn conn;
@@ -1162,10 +1218,10 @@ TEST(NetServe, DrainDeliversServedResponsesPastUnreadInput) {
   serve::NetServerConfig scfg;
   scfg.batch_max = 1024;
   scfg.queue_capacity = 4096;
-  scfg.flush_age_seconds = 10.0;  // nothing flushes until the drain
-  scfg.read_timeout_ms = 1000;    // bounds the drain's wait for our EOF
+  scfg.read_timeout_ms = 1000;  // bounds the drain's wait for our EOF
   serve::NetServer server(shared_estimator(), scfg);
-  server.start();
+  serve::NetServerTestPeer::hold(server, true);  // nothing is served until
+  server.start();                                // the drain
 
   constexpr std::uint64_t kQueued = 120;
   RawConn conn;
@@ -1230,7 +1286,6 @@ TEST(NetServeSoak, SurvivesInjectedNetworkFaults) {
 
   serve::NetServerConfig scfg;
   scfg.batch_max = 32;
-  scfg.flush_age_seconds = 1e-3;
   scfg.queue_capacity = 4096;
   // Caching on: the soak's 10k requests cycle over 32 distinct nets, so the
   // bulk of the traffic must be served from the content-addressed cache —

@@ -24,14 +24,14 @@
 //       level (identical arrivals for any T). --paths K appends a sign-off
 //       style report of the K worst paths.
 //   serve     --model IN [--port P] [--addr A] [--threads T] [--batch B]
-//             [--flush-ms F] [--queue Q] [--max-conns C] [--duration-s D]
-//             [--max-requests N]
+//             [--queue Q] [--max-conns C] [--duration-s D] [--max-requests N]
 //       Network serving front-end: listen on A:P (default 127.0.0.1, port 0 =
 //       ephemeral, logged) for length-prefixed binary timing requests
-//       (serve/protocol.hpp), coalesce them across clients into batches of up
-//       to B flushed every F ms, and answer through estimate_batch on T
-//       workers. Admission is bounded by Q queued requests (overflow gets a
-//       typed kOverloaded reject) and C concurrent connections. Runs until
+//       (serve/protocol.hpp), and answer through estimate_batch on T
+//       workers. Whenever the batcher is free it takes up to B queued
+//       requests from all clients as one batch. Admission is bounded by Q
+//       queued requests (overflow gets a typed kOverloaded reject) and C
+//       concurrent connections. Runs until
 //       SIGINT/SIGTERM (graceful drain: flush in-flight, answer, close), or
 //       for D seconds, or until N requests were admitted. The serving
 //       robustness flags below apply per batch; --deadline-ms is ignored
@@ -168,7 +168,6 @@ constexpr FlagSpec kFlags[] = {
     // serve.
     {"addr", FlagKind::kText},
     {"port", FlagKind::kInteger},
-    {"flush-ms", FlagKind::kNumber},
     {"queue", FlagKind::kInteger},
     {"max-conns", FlagKind::kInteger},
     {"duration-s", FlagKind::kNumber},
@@ -680,7 +679,6 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(std::max(1L, args.get_long("threads", 1)));
   cfg.batch_max =
       static_cast<std::size_t>(std::max(1L, args.get_long("batch", 64)));
-  cfg.flush_age_seconds = std::max(0.0, args.get_double("flush-ms", 2.0)) * 1e-3;
   cfg.queue_capacity =
       static_cast<std::size_t>(std::max(1L, args.get_long("queue", 1024)));
   cfg.max_connections =
