@@ -4,6 +4,7 @@
 // compiled plan against autograd, and one training step.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -114,6 +115,20 @@ std::string net_label(const features::WireRecord& net) {
          std::to_string(net.delay_labels.size()) + " paths";
 }
 
+/// Quartiles over repetitions, so that a ratio of two benchmarks is read
+/// with its spread: --benchmark_repetitions=20
+/// --benchmark_enable_random_interleaving=true reports _q1 and _q3 rows.
+double quartile(const std::vector<double>& v, double q) {
+  std::vector<double> sorted = v;
+  std::sort(sorted.begin(), sorted.end());
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+double q1(const std::vector<double>& v) { return quartile(v, 0.25); }
+double q3(const std::vector<double>& v) { return quartile(v, 0.75); }
+
 /// estimate(): featurization and the compiled plan's forward pass.
 void BM_GnnTransInference(benchmark::State& state) {
   const auto& est = trained_estimator();
@@ -126,7 +141,10 @@ void BM_GnnTransInference(benchmark::State& state) {
     benchmark::DoNotOptimize(est.estimate(net->net, net->context));
   state.SetLabel(net_label(*net));
 }
-BENCHMARK(BM_GnnTransInference)->Arg(16)->Arg(40)->Arg(80)->Arg(160);
+BENCHMARK(BM_GnnTransInference)
+    ->Arg(16)->Arg(40)->Arg(80)->Arg(160)
+    ->ComputeStatistics("q1", q1)
+    ->ComputeStatistics("q3", q3);
 
 /// The forward pass alone on a standardized sample, served by the compiled
 /// plan on one warm Workspace (as a serving worker), or by autograd: a
@@ -224,7 +242,11 @@ void BM_TrainStep(benchmark::State& state) {
   state.SetLabel(step.label());
 }
 constexpr benchmark::IterationCount kTrainSteps = 500;
-BENCHMARK(BM_TrainStep)->Arg(16)->Arg(40)->Arg(80)->Arg(160)->Iterations(kTrainSteps);
+BENCHMARK(BM_TrainStep)
+    ->Arg(16)->Arg(40)->Arg(80)->Arg(160)
+    ->Iterations(kTrainSteps)
+    ->ComputeStatistics("q1", q1)
+    ->ComputeStatistics("q3", q3);
 
 /// Steps 10,001..10,000+N of a fresh model on the 40-node net of
 /// BM_TrainStep/40 (the first 10,000 untimed): its ratio to BM_TrainStep/40

@@ -145,8 +145,8 @@ class FlightRecorder {
 
   /// Keeps \p record (a completed head-sampled request, ranked by total_us)
   /// among the slowest 64: it takes an empty slot or replaces the fastest
-  /// retained one when slower. Registers no per-thread ring, so connection
-  /// threads may call it freely.
+  /// retained one when slower. Registers no per-thread ring, so any thread
+  /// may call it freely.
   void record_request(const FlightRecord& record) noexcept;
 
   /// Retained requests, slowest first; the slowest \p limit (0 = all).
