@@ -726,8 +726,8 @@ WireTimingEstimator WireTimingEstimator::load(std::istream& in) {
   WireTimingEstimator est;
   if (Status status = est.standardizer_.load(in); !status.ok())
     throw CheckpointError(std::move(status));
-  est.model_ = nn::load_model(in);
   try {
+    est.model_ = nn::load_model(in);
     est.model_->compile_inference();
   } catch (const std::invalid_argument& e) {
     throw CheckpointError(Status(ErrorCode::kParseError, e.what()));

@@ -222,8 +222,8 @@ struct BatchOptions {
 
 /// Thrown by WireTimingEstimator::load on a checkpoint it rejects: a format
 /// version this build does not understand (kUnsupportedFormat, e.g. a file
-/// written by a newer build), a malformed standardizer block, or a GNNTrans
-/// weight whose shape does not match the checkpoint's model config
+/// written by a newer build), a malformed standardizer block, or a weight of
+/// any model kind whose shape does not match the checkpoint's model config
 /// (kParseError, naming the tensor). Carries the typed core::Status so callers can branch on
 /// the failure class instead of matching exception strings.
 class CheckpointError : public std::runtime_error {

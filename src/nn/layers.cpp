@@ -221,63 +221,33 @@ SelfAttentionLayer::SelfAttentionLayer(std::size_t dim, std::size_t heads,
     throw std::invalid_argument("SelfAttentionLayer: dim must divide by heads");
   const std::size_t dk = dim / heads;
   inv_sqrt_dk_ = 1.0f / std::sqrt(static_cast<float>(dk));
-  heads_.reserve(heads);
-  for (std::size_t h = 0; h < heads; ++h) {
-    Head head;
-    head.wq = tensor::xavier_uniform(dim, dk, rng);
-    head.wk = tensor::xavier_uniform(dim, dk, rng);
-    head.wv = tensor::xavier_uniform(dim, dk, rng);
-    heads_.push_back(std::move(head));
-  }
+  qkv_.reserve(3 * heads);
+  for (std::size_t i = 0; i < 3 * heads; ++i)
+    qkv_.push_back(tensor::xavier_uniform(dim, dk, rng));
   w3_ = tensor::xavier_uniform(dim, dim, rng);
 }
 
 Tensor SelfAttentionLayer::forward(const Tensor& x,
                                    const std::vector<std::uint8_t>& mask,
                                    tensor::Rows rows) const {
-  std::vector<Tensor> outputs;
-  outputs.reserve(heads_.size());
-  for (const Head& head : heads_) {
-    const Tensor q = tensor::matmul(x, head.wq, rows);  // [N, dk]
-    const Tensor k = tensor::matmul(x, head.wk);        // [N, dk]
-    const Tensor v = tensor::matmul(x, head.wv);        // [N, dk]
-    // Eq. (2): scaled dot-product attention map.
-    const Tensor scores =
-        tensor::scale(tensor::matmul_nt(q, k, rows), inv_sqrt_dk_, rows);
-    const Tensor attn = mask.empty() ? tensor::softmax_rows(scores, rows)
-                                     : tensor::masked_softmax_rows(scores, mask, rows);
-    outputs.push_back(tensor::matmul(attn, v, rows));
-  }
+  // Eq. (2): every head's scaled dot-product attention map, heads side by side.
+  const Tensor cat = tensor::multi_head_attention(x, qkv_, inv_sqrt_dk_, mask, rows);
   // Eq. (3): residual + W3 over the concatenated heads.
-  const Tensor cat =
-      outputs.size() == 1 ? outputs.front() : tensor::concat_cols(outputs, rows);
   return tensor::add(x, tensor::matmul(cat, w3_, rows), rows);
 }
 
 void SelfAttentionLayer::collect_parameters(std::vector<Tensor>& out) const {
-  for (const Head& h : heads_) {
-    out.push_back(h.wq);
-    out.push_back(h.wk);
-    out.push_back(h.wv);
-  }
+  out.insert(out.end(), qkv_.begin(), qkv_.end());
   out.push_back(w3_);
 }
 
 void SelfAttentionLayer::save(std::ostream& out) const {
-  for (const Head& h : heads_) {
-    tensor::write_tensor(out, h.wq);
-    tensor::write_tensor(out, h.wk);
-    tensor::write_tensor(out, h.wv);
-  }
+  for (const Tensor& w : qkv_) tensor::write_tensor(out, w);
   tensor::write_tensor(out, w3_);
 }
 
 void SelfAttentionLayer::load(std::istream& in) {
-  for (Head& h : heads_) {
-    h.wq = tensor::read_tensor(in);
-    h.wk = tensor::read_tensor(in);
-    h.wv = tensor::read_tensor(in);
-  }
+  for (Tensor& w : qkv_) w = tensor::read_tensor(in);
   w3_ = tensor::read_tensor(in);
 }
 

@@ -145,12 +145,9 @@ class SelfAttentionLayer {
   void load(std::istream& in);
 
  private:
-  struct Head {
-    tensor::Tensor wq;  ///< [dim, dk]
-    tensor::Tensor wk;  ///< [dim, dk]
-    tensor::Tensor wv;  ///< [dim, dk]
-  };
-  std::vector<Head> heads_;
+  /// wq, wk and wv ([dim, dk] each) of head 0, then of head 1, ...: the
+  /// order tensor::multi_head_attention takes them in.
+  std::vector<tensor::Tensor> qkv_;
   tensor::Tensor w3_;  ///< [dim, dim], paper's W3 mixing the concatenated heads
   float inv_sqrt_dk_ = 1.0f;
 };

@@ -390,6 +390,50 @@ class GraphTransformerModel final : public WireModel {
   PredictionHeads heads_;
 };
 
+/// Parameter names in parameters() order: each model's walk over its layers,
+/// with the names of the inference plan's weights for GNNTrans.
+class NameList {
+ public:
+  explicit NameList(std::size_t heads) : heads_(heads) {}
+
+  void add(const std::string& name) { names_.push_back(name); }
+  void linear(const std::string& prefix) {
+    add(prefix + "weight");
+    add(prefix + "bias");
+  }
+  void sage(const std::string& prefix) {
+    add(prefix + "w_self");
+    add(prefix + "w_neigh");
+  }
+  void attention(const std::string& prefix) {
+    for (std::size_t h = 0; h < heads_; ++h)
+      for (const char* part : {"wq", "wk", "wv"})
+        add(prefix + "head[" + std::to_string(h) + "]." + part);
+    add(prefix + "w3");
+  }
+  void gat(const std::string& prefix) {
+    for (std::size_t h = 0; h < heads_; ++h)
+      for (const char* part : {"weight", "attn_l", "attn_r"})
+        add(prefix + "head[" + std::to_string(h) + "]." + part);
+    add(prefix + "out_proj");
+  }
+  /// PredictionHeads: two three-layer MLPs.
+  void heads() {
+    for (const char* head : {"slew_head", "delay_head"})
+      for (std::size_t l = 0; l < 3; ++l)
+        linear(std::string(head) + "[" + std::to_string(l) + "].");
+  }
+  [[nodiscard]] std::vector<std::string> take() { return std::move(names_); }
+
+ private:
+  std::size_t heads_;
+  std::vector<std::string> names_;
+};
+
+std::string indexed(const char* name, std::size_t i) {
+  return std::string(name) + "[" + std::to_string(i) + "].";
+}
+
 constexpr char kModelMagic[] = "GNNTRANS_MODEL";
 constexpr std::uint32_t kModelVersion = 1;
 
@@ -410,6 +454,39 @@ std::unique_ptr<WireModel> make_model(ModelKind kind, const ModelConfig& config)
       return std::make_unique<GraphTransformerModel>(config);
   }
   throw std::invalid_argument("make_model: unknown kind");
+}
+
+std::vector<std::string> parameter_names(const WireModel& model) {
+  const ModelConfig& c = model.config();
+  NameList names(c.heads);
+  switch (model.kind()) {
+    case ModelKind::kGnnTrans:
+      for (std::size_t l = 0; l < c.gnn_layers; ++l) names.sage(indexed("gnn", l));
+      for (std::size_t l = 0; l < c.transformer_layers; ++l)
+        names.attention(indexed("attention", l));
+      break;
+    case ModelKind::kGraphSage:
+      for (std::size_t l = 0; l < c.gnn_layers; ++l) names.sage(indexed("sage", l));
+      break;
+    case ModelKind::kGcnii:
+      names.linear("input.");
+      for (std::size_t l = 0; l < c.gnn_layers; ++l)
+        names.add(indexed("gcnii", l) + "weight");
+      break;
+    case ModelKind::kGat:
+      for (std::size_t l = 0; l < c.gnn_layers; ++l) names.gat(indexed("gat", l));
+      break;
+    case ModelKind::kGraphTransformer:
+      names.linear("input.");
+      for (std::size_t l = 0; l < c.gnn_layers; ++l) {
+        names.attention(indexed("attention", l));
+        names.linear(indexed("ffn", l) + "up.");
+        names.linear(indexed("ffn", l) + "down.");
+      }
+      break;
+  }
+  names.heads();
+  return names.take();
 }
 
 void save_model(std::ostream& out, const WireModel& model) {
@@ -448,7 +525,21 @@ std::unique_ptr<WireModel> load_model(std::istream& in) {
   c.cascade_delay_head = (flags & 8u) != 0;
 
   std::unique_ptr<WireModel> model = make_model(kind, c);
+  // Each loaded weight must have the shape the config gives a fresh model's.
+  const std::vector<Tensor> fresh = model->parameters();
   model->load_parameters(in);
+  const std::vector<Tensor> loaded = model->parameters();
+  const std::vector<std::string> names = parameter_names(*model);
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    const Tensor &want = fresh[i], &got = loaded[i];
+    if (got.rows() == want.rows() && got.cols() == want.cols()) continue;
+    throw std::invalid_argument(
+        model->name() + " weight '" +
+        (i < names.size() ? names[i] : "#" + std::to_string(i)) + "' has shape " +
+        std::to_string(got.rows()) + "x" + std::to_string(got.cols()) +
+        ", the model config expects " + std::to_string(want.rows()) + "x" +
+        std::to_string(want.cols()));
+  }
   return model;
 }
 

@@ -126,7 +126,12 @@ class WireModel {
 void save_model(std::ostream& out, const WireModel& model);
 
 /// Restores a model saved by save_model. Throws std::runtime_error on a
-/// malformed stream.
+/// malformed stream, and std::invalid_argument naming the first weight whose
+/// shape differs from what the stored config gives a fresh model.
 [[nodiscard]] std::unique_ptr<WireModel> load_model(std::istream& in);
+
+/// The names of \p model's parameters, in parameters() order, e.g.
+/// "attention[0].head[1].wk"; GNNTrans's are the inference plan's.
+[[nodiscard]] std::vector<std::string> parameter_names(const WireModel& model);
 
 }  // namespace gnntrans::nn

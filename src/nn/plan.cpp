@@ -245,7 +245,7 @@ struct HeadGroup {
 
 /// Scores of dimensions [c, c + C) for one query row: row[b] (plus the
 /// earlier dimensions unless kFirst) += q_c k_c in ascending c, as
-/// tensor::matmul_nt sums them. kLast also scales, masks the padding of
+/// the autograd's attention sums them. kLast also scales, masks the padding of
 /// the last block to -inf and takes the running maximum.
 template <int W, int C, bool kFirst, bool kLast>
 [[gnu::always_inline]] inline void score_pass(

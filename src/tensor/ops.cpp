@@ -10,6 +10,7 @@
 
 #include "tensor/simd.hpp"
 #include "tensor/tape.hpp"
+#include "tensor/vector_exp.hpp"
 
 namespace gnntrans::tensor {
 
@@ -71,13 +72,18 @@ struct Strided {
 /// Where a product puts its sums: out = sum, or out = out + sum (a gradient).
 enum class Into { kSet, kAdd };
 
-/// acc += x * b. kSkipZero drops the terms whose x is zero: their product
-/// becomes +0, which leaves a sum started at +0 unchanged (such a sum is
-/// never -0), even where b holds an infinity or a NaN.
-template <bool kSkipZero, class V>
+/// Which terms x * b of a product's sums are dropped: kA those whose x is
+/// zero, kB those whose b is. A dropped term becomes +0, which leaves a sum
+/// started at +0 unchanged (such a sum is never -0), even where the other
+/// factor is an infinity or a NaN.
+enum class Skip { kNone, kA, kB };
+
+/// acc += x * b, unless Skip drops the term.
+template <Skip kSkip, class V>
 [[gnu::always_inline]] inline void accumulate(V& acc, const V& x, const V& b) {
   V t = x * b;
-  if constexpr (kSkipZero) t = x != 0.0f ? t : V{};
+  if constexpr (kSkip == Skip::kA) t = x != 0.0f ? t : V{};
+  if constexpr (kSkip == Skip::kB) t = b != 0.0f ? t : V{};
   acc = acc + t;
 }
 
@@ -85,7 +91,7 @@ template <bool kSkipZero, class V>
 /// a[r][c * cs]) and of the output at out[r]: one accumulator per row and
 /// vector, started at zero, summing a(r, c) * b[c, j] over ascending c,
 /// every c < inner or, kListed, each inner_at[i].
-template <Into I, bool kSkipZero, bool kListed, std::size_t R, std::size_t S, class V>
+template <Into I, Skip kSkip, bool kListed, std::size_t R, std::size_t S, class V>
 [[gnu::always_inline]] inline void product_block(
     const float* const (&a)[R], std::size_t cs, const float* b, std::size_t ldb,
     std::size_t inner, const std::uint32_t* inner_at, std::size_t j,
@@ -102,7 +108,7 @@ template <Into I, bool kSkipZero, bool kListed, std::size_t R, std::size_t S, cl
       V x{};
       fill(x, a[r][c * cs]);
 #pragma GCC unroll 4
-      for (std::size_t s = 0; s < S; ++s) accumulate<kSkipZero>(acc[r][s], x, bc[s]);
+      for (std::size_t s = 0; s < S; ++s) accumulate<kSkip>(acc[r][s], x, bc[s]);
     }
   }
 #pragma GCC unroll 4
@@ -120,7 +126,7 @@ template <Into I, bool kSkipZero, bool kListed, std::size_t R, std::size_t S, cl
 }
 
 /// Every column of R rows: 8W at a time, then 4W, 4 and 1.
-template <int W, Into I, bool kSkipZero, bool kListed, std::size_t R>
+template <int W, Into I, Skip kSkip, bool kListed, std::size_t R>
 [[gnu::always_inline]] inline void product_rows(
     const float* const (&a)[R], std::size_t cs, const float* b, std::size_t ldb,
     std::size_t inner, const std::uint32_t* inner_at, std::size_t cols,
@@ -128,13 +134,13 @@ template <int W, Into I, bool kSkipZero, bool kListed, std::size_t R>
   using V = typename Vec<W>::f;
   std::size_t j = 0;
   for (; j + 8 * W <= cols; j += 8 * W)
-    product_block<I, kSkipZero, kListed, R, 2, V>(a, cs, b, ldb, inner, inner_at, j, out);
+    product_block<I, kSkip, kListed, R, 2, V>(a, cs, b, ldb, inner, inner_at, j, out);
   for (; j + 4 * W <= cols; j += 4 * W)
-    product_block<I, kSkipZero, kListed, R, 1, V>(a, cs, b, ldb, inner, inner_at, j, out);
+    product_block<I, kSkip, kListed, R, 1, V>(a, cs, b, ldb, inner, inner_at, j, out);
   for (; j + 4 <= cols; j += 4)
-    product_block<I, kSkipZero, kListed, R, 1, v4sf>(a, cs, b, ldb, inner, inner_at, j, out);
+    product_block<I, kSkip, kListed, R, 1, v4sf>(a, cs, b, ldb, inner, inner_at, j, out);
   for (; j < cols; ++j)
-    product_block<I, kSkipZero, kListed, R, 1, float>(a, cs, b, ldb, inner, inner_at, j, out);
+    product_block<I, kSkip, kListed, R, 1, float>(a, cs, b, ldb, inner, inner_at, j, out);
 }
 
 /// out[r, j] (stride ldo) = or += the sum over ascending c of a(r, c) *
@@ -143,7 +149,7 @@ template <int W, Into I, bool kSkipZero, bool kListed, std::size_t R>
 /// inner_at[0..inner). These are the loops tensor ops always ran, four rows
 /// per pass with every innermost loop over contiguous columns. Every W gives
 /// the same bits.
-template <int W, Into I, bool kSkipZero, bool kListed>
+template <int W, Into I, Skip kSkip, bool kListed>
 [[gnu::always_inline]] inline void product(Strided a, const float* b,
                                            std::size_t ldb, RowSet rows,
                                            std::size_t inner,
@@ -160,13 +166,13 @@ template <int W, Into I, bool kSkipZero, bool kListed>
       ar[k] = a.p + r * a.rs;
       o[k] = out + r * ldo;
     }
-    product_rows<W, I, kSkipZero, kListed, 4>(ar, a.cs, b, ldb, inner, inner_at, cols, o);
+    product_rows<W, I, kSkip, kListed, 4>(ar, a.cs, b, ldb, inner, inner_at, cols, o);
   }
   for (; i < rows.count; ++i) {
     const std::size_t r = rows[i];
     const float* ar[1] = {a.p + r * a.rs};
     float* o[1] = {out + r * ldo};
-    product_rows<W, I, kSkipZero, kListed, 1>(ar, a.cs, b, ldb, inner, inner_at, cols, o);
+    product_rows<W, I, kSkip, kListed, 1>(ar, a.cs, b, ldb, inner, inner_at, cols, o);
   }
 }
 
@@ -176,49 +182,235 @@ using ProductFn = void (*)(Strided, const float*, std::size_t, RowSet,
                            std::size_t, const std::uint32_t*, std::size_t,
                            float*, std::size_t);
 
-template <Into I, bool kSkipZero, bool kListed>
+template <Into I, Skip kSkip, bool kListed>
 void product_sse2(Strided a, const float* b, std::size_t ldb, RowSet rows,
                   std::size_t inner, const std::uint32_t* inner_at,
                   std::size_t cols, float* out, std::size_t ldo) {
-  product<1, I, kSkipZero, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
+  product<1, I, kSkip, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
 }
-template <Into I, bool kSkipZero, bool kListed>
+template <Into I, Skip kSkip, bool kListed>
 __attribute__((target("avx2"))) void product_avx2(
     Strided a, const float* b, std::size_t ldb, RowSet rows, std::size_t inner,
     const std::uint32_t* inner_at, std::size_t cols, float* out,
     std::size_t ldo) {
-  product<2, I, kSkipZero, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
+  product<2, I, kSkip, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
 }
-template <Into I, bool kSkipZero, bool kListed>
+template <Into I, Skip kSkip, bool kListed>
 __attribute__((target("avx512f"))) void product_avx512(
     Strided a, const float* b, std::size_t ldb, RowSet rows, std::size_t inner,
     const std::uint32_t* inner_at, std::size_t cols, float* out,
     std::size_t ldo) {
-  product<4, I, kSkipZero, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
+  product<4, I, kSkip, kListed>(a, b, ldb, rows, inner, inner_at, cols, out, ldo);
 }
 
-/// The products at one width; kProducts[lanes / 8].
-struct Products {
-  ProductFn set_skip_zero;  ///< matmul's forward
-  ProductFn set;            ///< matmul_nt's forward
-  ProductFn add;            ///< every input gradient
-  ProductFn add_listed;     ///< a gradient summed over the computed rows only
+/// The steps of multi_head_attention's softmax over the columns of a
+/// transposed [n, np] panel (column i: query row i's entries, key c at row
+/// c), one column per lane; see ColumnArgs.
+enum class ColumnStep {
+  kShift,      ///< s := scale * s - its column's kept maximum (0 where masked)
+  kNormalize,  ///< s := s / its column's kept sum, after the exp
+  kBackward,   ///< s := the scores' gradient from s, the softmax's gradient
 };
-#define GNNTRANS_PRODUCTS(fn)                                             \
-  {fn<Into::kSet, true, false>, fn<Into::kSet, false, false>,             \
-   fn<Into::kAdd, false, false>, fn<Into::kAdd, false, true>}
-constexpr Products kProducts[] = {GNNTRANS_PRODUCTS(product_sse2),
-                                  GNNTRANS_PRODUCTS(product_avx2),
-                                  GNNTRANS_PRODUCTS(product_avx512)};
+
+struct ColumnArgs {
+  float* s;
+  const float* a;     ///< kBackward: the softmax
+  const float* keep;  ///< [n, np]: 1 where the mask keeps an entry; null: all
+  std::size_t n, np;
+  float* col;         ///< np floats: whether a column keeps any entry
+  float scale;
+};
+
+/// One step over the L columns from \p b. Each column's sums run in
+/// ascending c, one lane each, with the ops of the scalar row loops
+/// (masked_softmax_rows and its backward, then scale's); the maximum is
+/// std::max's a < b ? b : a.
+template <class V, bool kMasked>
+[[gnu::always_inline]] inline void column_step(ColumnStep step, const ColumnArgs& g,
+                                               std::size_t b) {
+  const std::size_t n = g.n, np = g.np;
+  float* s = g.s + b;
+  const float* keep = kMasked ? g.keep + b : nullptr;
+  if (step == ColumnStep::kShift) {
+    V mx{}, any{}, neg_inf{};
+    fill(neg_inf, -std::numeric_limits<float>::infinity());
+    mx = neg_inf;
+    if (!kMasked) fill(any, 1.0f);
+    for (std::size_t c = 0; c < n; ++c) {
+      V z{}, k{};
+      load(z, s + c * np);
+      z = g.scale * z;
+      if constexpr (kMasked) {
+        // A masked entry counts as -inf, which never wins the comparison.
+        load(k, keep + c * np);
+        z = k != 0.0f ? z : neg_inf;
+        any = k != 0.0f ? k : any;
+      }
+      mx = mx < z ? z : mx;
+    }
+    store(g.col + b, any);
+    for (std::size_t c = 0; c < n; ++c) {
+      V z{}, k{};
+      load(z, s + c * np);
+      z = g.scale * z - mx;
+      if constexpr (kMasked) {
+        load(k, keep + c * np);
+        z = k != 0.0f ? z : V{};
+      }
+      store(s + c * np, z);
+    }
+  } else if (step == ColumnStep::kNormalize) {
+    V denom{}, any{};
+    for (std::size_t c = 0; c < n; ++c) {
+      V e{}, k{};
+      load(e, s + c * np);
+      if constexpr (kMasked) {
+        load(k, keep + c * np);
+        e = k != 0.0f ? e : V{};
+        store(s + c * np, e);
+      }
+      denom = denom + e;
+    }
+    load(any, g.col + b);
+    for (std::size_t c = 0; c < n; ++c) {
+      V e{};
+      load(e, s + c * np);
+      e = e / denom;
+      if constexpr (kMasked) e = any != 0.0f ? e : V{};
+      store(s + c * np, e);
+    }
+  } else {
+    const float* a = g.a + b;
+    V dot{};
+    for (std::size_t c = 0; c < n; ++c) {
+      V dy{}, y{};
+      load(dy, s + c * np);
+      load(y, a + c * np);
+      dot = dot + dy * y;
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      V dy{}, y{}, k{};
+      load(dy, s + c * np);
+      load(y, a + c * np);
+      V dx = V{} + y * (dy - dot);
+      if constexpr (kMasked) {
+        load(k, keep + c * np);
+        dx = k != 0.0f ? dx : V{};
+      }
+      store(s + c * np, V{} + g.scale * dx);
+    }
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline void column_softmax(ColumnStep step, const ColumnArgs& g) {
+  using V = typename Vec<W>::f;
+  for (std::size_t b = 0; b < g.np; b += 4 * W) {
+    if (g.keep)
+      column_step<V, true>(step, g, b);
+    else
+      column_step<V, false>(step, g, b);
+  }
+}
+
+/// dst[i * ldd + c] = src[c * lds + i] for c < rows and i < cols, both
+/// multiples of 16: L x L tiles, each in log2 L rounds of two-vector
+/// shuffles that swap the off-diagonal h x h blocks of every 2h x 2h block,
+/// h = L / 2 down to 1.
+template <int W>
+[[gnu::always_inline]] inline void transpose_tiles(const float* src, std::size_t lds,
+                                                   std::size_t rows, std::size_t cols,
+                                                   float* dst, std::size_t ldd) {
+  using V = typename Vec<W>::f;
+  using I = typename Vec<W>::i;
+  constexpr int L = 4 * W, kRounds = W == 4 ? 4 : W == 2 ? 3 : 2;
+  I low[kRounds], high[kRounds];
+  for (int round = 0, h = L / 2; round < kRounds; ++round, h /= 2)
+    for (int l = 0; l < L; ++l) {
+      low[round][l] = l & h ? L + l - h : l;
+      high[round][l] = l & h ? L + l : l + h;
+    }
+  for (std::size_t c0 = 0; c0 < rows; c0 += L)
+    for (std::size_t i0 = 0; i0 < cols; i0 += L) {
+      V r[L];
+#pragma GCC unroll 16
+      for (int k = 0; k < L; ++k) load(r[k], src + (c0 + k) * lds + i0);
+#pragma GCC unroll 4
+      for (int round = 0, h = L / 2; round < kRounds; ++round, h /= 2)
+#pragma GCC unroll 16
+        for (int k = 0; k < L; ++k)
+          if ((k & h) == 0) {
+            const V a = r[k], b = r[k + h];
+            r[k] = __builtin_shuffle(a, b, low[round]);
+            r[k + h] = __builtin_shuffle(a, b, high[round]);
+          }
+#pragma GCC unroll 16
+      for (int k = 0; k < L; ++k) store(dst + (i0 + k) * ldd + c0, r[k]);
+    }
+}
+
+using TransposeFn = void (*)(const float*, std::size_t, std::size_t, std::size_t,
+                             float*, std::size_t);
+void transpose_sse2(const float* src, std::size_t lds, std::size_t rows,
+                    std::size_t cols, float* dst, std::size_t ldd) {
+  transpose_tiles<1>(src, lds, rows, cols, dst, ldd);
+}
+__attribute__((target("avx2"))) void transpose_avx2(const float* src, std::size_t lds,
+                                                    std::size_t rows, std::size_t cols,
+                                                    float* dst, std::size_t ldd) {
+  transpose_tiles<2>(src, lds, rows, cols, dst, ldd);
+}
+__attribute__((target("avx512f"))) void transpose_avx512(const float* src,
+                                                         std::size_t lds,
+                                                         std::size_t rows,
+                                                         std::size_t cols, float* dst,
+                                                         std::size_t ldd) {
+  transpose_tiles<4>(src, lds, rows, cols, dst, ldd);
+}
+
+using ColumnFn = void (*)(ColumnStep, const ColumnArgs&);
+void column_softmax_sse2(ColumnStep step, const ColumnArgs& args) {
+  column_softmax<1>(step, args);
+}
+__attribute__((target("avx2"))) void column_softmax_avx2(ColumnStep step,
+                                                         const ColumnArgs& args) {
+  column_softmax<2>(step, args);
+}
+__attribute__((target("avx512f"))) void column_softmax_avx512(ColumnStep step,
+                                                              const ColumnArgs& args) {
+  column_softmax<4>(step, args);
+}
+
+/// The kernels at one width; kProducts[lanes / 8].
+struct Products {
+  ProductFn set_skip_a;  ///< matmul's forward: zero a(r, c) skipped
+  ProductFn set_skip_b;  ///< attention @ values: zero b[c, j] skipped
+  ProductFn set;
+  ProductFn add;         ///< every input gradient
+  ProductFn add_listed;  ///< a gradient summed over the computed rows only
+  ColumnFn column_softmax;
+  TransposeFn transpose;
+};
+#define GNNTRANS_PRODUCTS(fn, softmax, transpose)                                   \
+  {fn<Into::kSet, Skip::kA, false>, fn<Into::kSet, Skip::kB, false>,                \
+   fn<Into::kSet, Skip::kNone, false>, fn<Into::kAdd, Skip::kNone, false>,          \
+   fn<Into::kAdd, Skip::kNone, true>, softmax, transpose}
+constexpr Products kProducts[] = {
+    GNNTRANS_PRODUCTS(product_sse2, column_softmax_sse2, transpose_sse2),
+    GNNTRANS_PRODUCTS(product_avx2, column_softmax_avx2, transpose_avx2),
+    GNNTRANS_PRODUCTS(product_avx512, column_softmax_avx512, transpose_avx512)};
 #undef GNNTRANS_PRODUCTS
 
 /// 0 while this thread runs at the widest width.
 thread_local std::size_t t_lanes_for_testing = 0;
 
-const Products& products() {
+/// The float lanes this thread's kernels run at.
+std::size_t active_lanes() {
   static const std::size_t widest = simd::widest_lanes();
-  return kProducts[(t_lanes_for_testing ? t_lanes_for_testing : widest) / 8];
+  return t_lanes_for_testing ? t_lanes_for_testing : widest;
 }
+
+const Products& products() { return kProducts[active_lanes() / 8]; }
 
 /// out [rows, cols] += a b summed over the inner indices \p inner only: the
 /// gradient of a product's right operand when it computed just those rows.
@@ -278,17 +470,8 @@ Tensor matmul(const Tensor& a, const Tensor& b, Rows rows) {
   require(a.cols() == b.rows(), "matmul shape mismatch");
   const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
   OpResult out = record(Op::kMatmul, n, m, {&a, &b});
-  products().set_skip_zero({a.values().data(), k, 1}, b.values().data(), m,
+  products().set_skip_a({a.values().data(), k, 1}, b.values().data(), m,
                            computed_rows(out, n, rows), k, nullptr, m, out.out, m);
-  return std::move(out.tensor);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b, Rows rows) {
-  require(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  const std::size_t n = a.rows(), k = a.cols(), m = b.rows();
-  OpResult out = record(Op::kMatmulNt, n, m, {&a, &b});
-  products().set({a.values().data(), k, 1}, transposed(b.values().data(), m, k),
-                 m, computed_rows(out, n, rows), k, nullptr, m, out.out, m);
   return std::move(out.tensor);
 }
 
@@ -307,7 +490,7 @@ Tensor spmm(const GraphMatrix& m, const Tensor& x) {
   if (Node* node = out.node) {
     node->index = node->tape->copy<std::uint32_t>(m.row_index);
     node->index2 = node->tape->copy<std::uint32_t>(m.col_index);
-    node->coeff = node->tape->copy<float>(m.values);
+    node->saved = node->tape->copy<float>(m.values);
   }
   std::fill_n(out.out, m.rows * d, 0.0f);
   for (std::size_t k = 0; k < m.nnz(); ++k) {
@@ -370,13 +553,10 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   return std::move(out.tensor);
 }
 
-Tensor scale(const Tensor& a, float s, Rows rows) {
+Tensor scale(const Tensor& a, float s) {
   OpResult out = record(Op::kScale, a.rows(), a.cols(), {&a});
-  const RowSet rs = computed_rows(out, a.rows(), rows);
   if (out.node) out.node->scalar[0] = s;
-  for_rows(rs, a.cols(), [&](std::size_t at, std::size_t count) {
-    scaled<Into::kSet>(s, a.values().data() + at, out.out + at, count);
-  });
+  scaled<Into::kSet>(s, a.values().data(), out.out, a.size());
   return std::move(out.tensor);
 }
 
@@ -485,42 +665,25 @@ namespace {
   return k != 0 ? lanes : fallback;
 }
 
-Tensor softmax_impl(const Tensor& a, const std::vector<std::uint8_t>* mask,
-                    Rows rows) {
-  const std::size_t n = a.rows(), m = a.cols();
-  if (mask) require(mask->size() == n * m, "mask size mismatch");
-  OpResult out = record(Op::kSoftmax, n, m, {&a});
-  const RowSet rs = computed_rows(out, n, rows);
-  if (out.node && mask) out.node->mask = out.node->tape->copy<std::uint8_t>(*mask);
+}  // namespace
 
-  for (std::size_t i = 0; i < rs.count; ++i) {
-    const std::size_t r = rs[i];
+Tensor masked_softmax_rows(const Tensor& a, const std::vector<std::uint8_t>& mask) {
+  const std::size_t n = a.rows(), m = a.cols();
+  require(mask.size() == n * m, "mask size mismatch");
+  OpResult out = record(Op::kSoftmax, n, m, {&a});
+  if (out.node) out.node->mask = out.node->tape->copy<std::uint8_t>(mask);
+
+  for (std::size_t r = 0; r < n; ++r) {
     const float* x = a.values().data() + r * m;
     float* y = out.out + r * m;
-    const std::uint8_t* k = mask ? mask->data() + r * m : nullptr;
-    // The row maximum, std::max's a < b ? b : a over the kept entries. Taken
-    // four lanes at a time it is the same value but for the sign of a zero
-    // maximum, which no x - max below can tell apart.
+    const std::uint8_t* k = mask.data() + r * m;
+    // The row maximum, std::max's a < b ? b : a over the kept entries.
     float max_v = -std::numeric_limits<float>::infinity();
     bool any = false;
-    if (!k) {
-      v4sf mx{};
-      fill(mx, max_v);
-      std::size_t c = 0;
-      for (; c + 4 <= m; c += 4) {
-        v4sf v{};
-        load(v, x + c);
-        mx = mx < v ? v : mx;
-      }
-      for (std::size_t l = 0; l < 4; ++l) max_v = std::max(max_v, mx[l]);
-      for (; c < m; ++c) max_v = std::max(max_v, x[c]);
-      any = m > 0;
-    } else {
-      for (std::size_t c = 0; c < m; ++c) {
-        if (!k[c]) continue;
-        max_v = std::max(max_v, x[c]);
-        any = true;
-      }
+    for (std::size_t c = 0; c < m; ++c) {
+      if (!k[c]) continue;
+      max_v = std::max(max_v, x[c]);
+      any = true;
     }
     if (!any) {  // a fully masked row is all zeros
       std::fill_n(y, m, 0.0f);
@@ -528,7 +691,7 @@ Tensor softmax_impl(const Tensor& a, const std::vector<std::uint8_t>* mask,
     }
     float denom = 0.0f;
     for (std::size_t c = 0; c < m; ++c) {
-      if (k && !k[c]) {
+      if (!k[c]) {
         y[c] = 0.0f;
         continue;
       }
@@ -546,16 +709,18 @@ Tensor softmax_impl(const Tensor& a, const std::vector<std::uint8_t>* mask,
   return std::move(out.tensor);
 }
 
-/// dx = y * (dy - dot) with dot = sum over ascending c of dy * y; four
-/// rows' dots at once, so their sums do not wait on one another.
+namespace {
+
+/// dx = y * (dy - dot) on the kept entries with dot = sum over ascending c
+/// of dy * y; four rows' dots at once, so their sums do not wait on one
+/// another.
 void softmax_backward(const Node& self, TensorImpl& in) {
   const std::size_t n = self.rows, m = self.cols;
-  const std::uint8_t* keep = self.mask.empty() ? nullptr : self.mask.data();
-  const RowSet rs = row_set(self.rows_computed, n);
-  for (std::size_t p = 0; p < rs.count; p += 4) {
-    const std::size_t count = std::min<std::size_t>(4, rs.count - p);
+  const std::uint8_t* keep = self.mask.data();
+  for (std::size_t p = 0; p < n; p += 4) {
+    const std::size_t count = std::min<std::size_t>(4, n - p);
     std::size_t at[4] = {};
-    for (std::size_t i = 0; i < count; ++i) at[i] = rs[p + i] * m;
+    for (std::size_t i = 0; i < count; ++i) at[i] = (p + i) * m;
     float dot[4] = {};
     for (std::size_t c = 0; c < m; ++c)
 #pragma GCC unroll 4
@@ -565,32 +730,228 @@ void softmax_backward(const Node& self, TensorImpl& in) {
       const float* y = self.value.data() + at[i];
       const float* dy = self.grad.data() + at[i];
       float* dx = in.grad.data() + at[i];
-      const std::uint8_t* k = keep ? keep + at[i] : nullptr;
+      const std::uint8_t* k = keep + at[i];
       std::size_t c = 0;
       for (; c + 4 <= m; c += 4) {
         v4sf yv{}, dyv{}, g{};
         load(yv, y + c);
         load(dyv, dy + c);
         load(g, dx + c);
-        const v4sf sum = g + yv * (dyv - dot[i]);
-        store(dx + c, k ? keep_where(k + c, sum, g) : sum);
+        store(dx + c, keep_where(k + c, g + yv * (dyv - dot[i]), g));
       }
       for (; c < m; ++c)
-        if (!k || k[c]) dx[c] += y[c] * (dy[c] - dot[i]);
+        if (k[c]) dx[c] += y[c] * (dy[c] - dot[i]);
     }
+  }
+}
+
+// ---- multi_head_attention ----
+//
+// Each head's scores, softmax and their gradients are kept transposed, as
+// panels of keys by query rows: one vector holds L consecutive query rows,
+// so a row's softmax sums (its exps, its gradient's dot) run down the panel
+// in ascending key order, one row per lane, exactly as the scalar row loops
+// summed them. Query rows and keys are padded to multiples of 16 (the widest
+// L), with zero queries whose lanes are computed and never read. The
+// products are the matmul kernels at full width over the query rows or the
+// keys; only the key and value gradients, which sum over query rows, read
+// the softmax and its gradient in row order, from transposed copies.
+
+constexpr std::size_t kPad = 16;
+
+std::size_t round_up(std::size_t n) { return (n + kPad - 1) / kPad * kPad; }
+
+/// Shapes and saved floats of a multi_head_attention over x [n, d] with
+/// `heads` heads of width dk (hd = heads * dk) and nr query rows.
+struct AttentionShape {
+  std::size_t n, d, heads, dk, hd, nr, np, nk;
+  bool masked;
+
+  AttentionShape(std::size_t n_, std::size_t d_, std::size_t heads_,
+                 std::size_t dk_, std::size_t nr_, bool masked_)
+      : n(n_), d(d_), heads(heads_), dk(dk_), hd(heads_ * dk_), nr(nr_),
+        np(round_up(nr_)), nk(round_up(n_)), masked(masked_) {}
+
+  // The saved floats, in order: Q^T [heads][dk][np], K|V [n][2 hd] (K of
+  // every head, then V of every head), A^T [heads][nk][np] (rows from n on
+  // zero, so that whole tiles transpose) and, when masked, keep [n][np] (1
+  // where the mask keeps key c of query row i, else 0).
+  [[nodiscard]] std::size_t kv() const { return heads * dk * np; }
+  [[nodiscard]] std::size_t at() const { return kv() + n * 2 * hd; }
+  [[nodiscard]] std::size_t keep() const { return at() + heads * nk * np; }
+  [[nodiscard]] std::size_t saved() const { return keep() + (masked ? n * np : 0); }
+};
+
+/// An op's \p n working floats: on its tape while it is recorded (backward
+/// reads them), else in a per-thread buffer valid until the thread's next
+/// call.
+float* working_floats(const OpResult& out, std::size_t n) {
+  if (out.node) return out.node->tape->take<float>(n).data();
+  thread_local std::vector<float> buffer;
+  buffer.resize(n);
+  return buffer.data();
+}
+
+}  // namespace
+
+Tensor multi_head_attention(const Tensor& x, std::span<const Tensor> weights,
+                            float scale, const std::vector<std::uint8_t>& mask,
+                            Rows rows) {
+  require(!weights.empty() && weights.size() % 3 == 0,
+          "attention takes wq, wk and wv of each head");
+  const std::size_t n = x.rows(), d = x.cols(), dk = weights[0].cols();
+  for (const Tensor& w : weights)
+    require(w.rows() == d && w.cols() == dk, "attention weight shape mismatch");
+  require(mask.empty() || mask.size() == n * n, "mask size mismatch");
+  OpResult out = record(Op::kAttention, n, weights.size() / 3 * dk, x, weights);
+  const RowSet rs = computed_rows(out, n, rows);
+  const AttentionShape sh(n, d, weights.size() / 3, dk, rs.count, !mask.empty());
+  const std::size_t hd = sh.hd, np = sh.np;
+
+  float* saved = working_floats(out, sh.saved() + d * 3 * hd + n * hd + dk * np + np);
+  float* qt = saved;
+  float* kv = saved + sh.kv();
+  float* keep = sh.masked ? saved + sh.keep() : nullptr;
+  float* wqkv = saved + sh.saved();  // [d][3 hd]: every head's wq, then wk, then wv
+  float* q = wqkv + d * 3 * hd;      // [n][hd], the computed rows
+  float* ot = q + n * hd;            // [dk][np]: one head's output, transposed
+  float* col = ot + dk * np;
+  if (Node* node = out.node) {
+    node->saved = {saved, sh.saved()};
+    node->scalar[0] = scale;
+    node->scalar[1] = sh.masked ? 1.0f : 0.0f;
+  }
+
+  for (std::size_t w = 0; w < weights.size(); ++w) {
+    const float* src = weights[w].values().data();
+    float* dst = wqkv + w % 3 * hd + w / 3 * dk;
+    for (std::size_t c = 0; c < d; ++c)
+      std::copy_n(src + c * dk, dk, dst + c * 3 * hd);
+  }
+  const Products& k = products();
+  k.set_skip_a({x.values().data(), d, 1}, wqkv, 3 * hd, rs, d, nullptr, hd, q, hd);
+  k.set_skip_a({x.values().data(), d, 1}, wqkv + hd, 3 * hd, {nullptr, n}, d,
+               nullptr, 2 * hd, kv, 2 * hd);
+  for (std::size_t c = 0; c < hd; ++c)
+    for (std::size_t i = 0; i < np; ++i)
+      qt[c * np + i] = i < rs.count ? q[rs[i] * hd + c] : 0.0f;
+  if (keep)
+    for (std::size_t c = 0; c < n; ++c)
+      for (std::size_t i = 0; i < np; ++i)
+        keep[c * np + i] = i < rs.count && mask[rs[i] * n + c] != 0 ? 1.0f : 0.0f;
+
+  for (std::size_t h = 0; h < sh.heads; ++h) {
+    float* at = saved + sh.at() + h * sh.nk * np;
+    std::fill(at + n * np, at + sh.nk * np, 0.0f);
+    // Eq. (2): scores k_c . q_i down the panel, then the softmax.
+    k.set({kv + h * dk, 2 * hd, 1}, qt + h * dk * np, np, {nullptr, n}, dk, nullptr,
+          np, at, np);
+    const ColumnArgs args{at, nullptr, keep, n, np, col, scale};
+    k.column_softmax(ColumnStep::kShift, args);
+    exp_in_place(at, n * np, active_lanes());
+    k.column_softmax(ColumnStep::kNormalize, args);
+    // The head's output, transposed: v_c weighted down the panel.
+    k.set_skip_b({kv + hd + h * dk, 1, 2 * hd}, at, np, {nullptr, dk}, n, nullptr,
+                 np, ot, np);
+    for (std::size_t j = 0; j < dk; ++j)
+      for (std::size_t i = 0; i < rs.count; ++i)
+        out.out[rs[i] * hd + h * dk + j] = ot[j * np + i];
+  }
+  return std::move(out.tensor);
+}
+
+namespace {
+
+void attention_backward(Node& self) {
+  TensorImpl& x = *self.operands[0];
+  const std::size_t heads = (self.operands.size() - 1) / 3;
+  const RowSet rs = row_set(self.rows_computed, self.rows);
+  const AttentionShape sh(x.rows, x.cols, heads, self.operands[1]->cols, rs.count,
+                          self.scalar[1] != 0.0f);
+  const std::size_t n = sh.n, d = sh.d, dk = sh.dk, hd = sh.hd, nr = sh.nr,
+                    np = sh.np, nk = sh.nk;
+  const float* qt = self.saved.data();
+  const float* kv = qt + sh.kv();
+  const float* keep = sh.masked ? qt + sh.keep() : nullptr;
+
+  float* work = self.tape
+                    ->take<float>(2 * dk * np + 3 * nk * np + 2 * dk * nk +
+                                  3 * n * hd + 3 * d * hd + np)
+                    .data();
+  float* d_out = work;          // [dk][np]: dO^T
+  float* g = d_out + dk * np;   // [nk][np]: dA^T, then dS^T; rows from n on zero
+  float* dqt = g + nk * np;   // [dk][np]: dQ^T
+  float* a_rows = dqt + dk * np;     // [np][nk]: A
+  float* g_rows = a_rows + np * nk;  // [np][nk]: dS
+  float* dvt = g_rows + np * nk;   // [dk][nk]: dV^T
+  float* dkt = dvt + dk * nk;      // [dk][nk]: dK^T
+  float* dq = dkt + dk * nk;       // [n][hd], the computed rows
+  float* dkv = dq + n * hd;        // [n][2 hd], as K|V
+  float* wgrad = dkv + 2 * n * hd;  // [d][3 hd]: the weights' gradients
+  float* col = wgrad + 3 * d * hd;
+
+  const Products& k = products();
+  std::fill(g + n * np, g + nk * np, 0.0f);
+  for (std::size_t h = 0; h < heads; ++h) {
+    const float* at = qt + sh.at() + h * nk * np;
+    for (std::size_t j = 0; j < dk; ++j)
+      for (std::size_t i = 0; i < np; ++i)
+        d_out[j * np + i] = i < nr ? 0.0f + self.grad[rs[i] * hd + h * dk + j] : 0.0f;
+    // dA = dO v^T, then the softmax's and the scale's backward: dS.
+    k.set({kv + hd + h * dk, 2 * hd, 1}, d_out, np, {nullptr, n}, dk, nullptr, np, g, np);
+    k.column_softmax(ColumnStep::kBackward, {g, at, keep, n, np, col, self.scalar[0]});
+    // dQ = dS k.
+    k.set({kv + h * dk, 1, 2 * hd}, g, np, {nullptr, dk}, n, nullptr, np, dqt, np);
+    for (std::size_t j = 0; j < dk; ++j)
+      for (std::size_t i = 0; i < nr; ++i) dq[rs[i] * hd + h * dk + j] = dqt[j * np + i];
+    // dV = A^T dO and dK = dS^T q, summed over the query rows in order.
+    k.transpose(at, np, nk, np, a_rows, nk);
+    k.transpose(g, np, nk, np, g_rows, nk);
+    k.set({d_out, np, 1}, a_rows, nk, {nullptr, dk}, nr, nullptr, nk, dvt, nk);
+    k.set({qt + h * dk * np, np, 1}, g_rows, nk, {nullptr, dk}, nr, nullptr, nk, dkt, nk);
+    for (std::size_t c = 0; c < n; ++c)
+      for (std::size_t j = 0; j < dk; ++j) {
+        dkv[c * 2 * hd + h * dk + j] = dkt[j * nk + c];
+        dkv[c * 2 * hd + hd + h * dk + j] = dvt[j * nk + c];
+      }
+  }
+
+  // Weight w's projection (w % 3: q, k or v of head w / 3) in a matrix
+  // laid out as [Q | K | V] with Q's rows ldq wide and K|V's 2 hd: at.
+  const auto part = [&](float* q_part, std::size_t ldq, float* kv_part,
+                        std::size_t w) -> Strided {
+    const std::size_t kind = w % 3, at = w / 3 * dk;
+    return kind == 0 ? Strided{q_part + at, ldq, 1}
+                     : Strided{kv_part + (kind - 1) * hd + at, 2 * hd, 1};
+  };
+
+  // x's gradient, each projection's sum added on its own in the order the
+  // per-head chain's tape added them: v, k, q of the last head first.
+  if (x.requires_grad) {
+    x.ensure_grad();
+    for (std::size_t w = 3 * heads; w-- > 0;)
+      k.add(part(dq, hd, dkv, w), transposed(self.operands[1 + w]->value.data(), d, dk),
+            d, w % 3 == 0 ? rs : RowSet{nullptr, n}, dk, nullptr, d, x.grad.data(), d);
+  }
+
+  // The weights' gradients: x^T [dQ | dK | dV] over every head at once.
+  std::fill_n(wgrad, 3 * d * hd, 0.0f);
+  add_over(rs, {x.value.data(), 1, d}, dq, hd, d, hd, wgrad);
+  k.add({x.value.data(), 1, d}, dkv, 2 * hd, {nullptr, d}, n, nullptr, 2 * hd,
+        wgrad + d * hd, 2 * hd);
+  for (std::size_t w = 0; w < 3 * heads; ++w) {
+    TensorImpl& p = *self.operands[1 + w];
+    if (!p.requires_grad) continue;
+    p.ensure_grad();
+    const Strided src = part(wgrad, hd, wgrad + d * hd, w);
+    for (std::size_t c = 0; c < d; ++c)
+      for (std::size_t j = 0; j < dk; ++j) p.grad[c * dk + j] += src.p[c * src.rs + j];
   }
 }
 
 }  // namespace
 
-Tensor softmax_rows(const Tensor& a, Rows rows) { return softmax_impl(a, nullptr, rows); }
-
-Tensor masked_softmax_rows(const Tensor& a, const std::vector<std::uint8_t>& mask,
-                           Rows rows) {
-  return softmax_impl(a, &mask, rows);
-}
-
-Tensor concat_cols(std::span<const Tensor> parts, Rows rows) {
+Tensor concat_cols(std::span<const Tensor> parts) {
   require(!parts.empty(), "concat_cols: empty input");
   const std::size_t n = parts.front().rows();
   std::size_t total = 0;
@@ -599,15 +960,12 @@ Tensor concat_cols(std::span<const Tensor> parts, Rows rows) {
     total += p.cols();
   }
   OpResult out = record(Op::kConcatCols, n, total, parts);
-  const RowSet rs = computed_rows(out, n, rows);
   std::size_t offset = 0;
   for (const Tensor& p : parts) {
     const std::size_t d = p.cols();
-    for (std::size_t i = 0; i < rs.count; ++i) {
-      const std::size_t r = rs[i];
+    for (std::size_t r = 0; r < n; ++r)
       for (std::size_t c = 0; c < d; ++c)
         out.out[r * total + offset + c] = p.values()[r * d + c];
-    }
     offset += d;
   }
   return std::move(out.tensor);
@@ -661,7 +1019,9 @@ void Node::run_backward() {
     a.ensure_grad();
     da = a.grad.data();
   }
-  TensorImpl* b = operands.size() > 1 && op != Op::kConcatCols ? operands[1] : nullptr;
+  TensorImpl* b = operands.size() > 1 && op != Op::kConcatCols && op != Op::kAttention
+                      ? operands[1]
+                      : nullptr;
   float* db = nullptr;
   if (b && b->requires_grad && parents > 1) {
     b->ensure_grad();
@@ -680,14 +1040,6 @@ void Node::run_backward() {
       if (db) add_over(rs, {a.value.data(), 1, k}, grad.data(), m, k, m, db);
       break;
     }
-    case Op::kMatmulNt: {
-      const std::size_t k = a.cols, m = cols;
-      // dA += dY @ B
-      if (da) products().add({grad.data(), m, 1}, b->value.data(), k, rs, m, nullptr, k, da, k);
-      // dB += dY^T @ A
-      if (db) add_over(rs, {grad.data(), 1, m}, a.value.data(), k, m, k, db);
-      break;
-    }
     case Op::kTranspose: {
       if (!da) break;
       const std::size_t n = cols, m = this->rows;
@@ -698,9 +1050,9 @@ void Node::run_backward() {
     case Op::kSpmm: {
       if (!da) break;
       const std::size_t d = cols;
-      for (std::size_t k = 0; k < coeff.size(); ++k) {
+      for (std::size_t k = 0; k < saved.size(); ++k) {
         const std::size_t r = index[k], c = index2[k];
-        const float v = coeff[k];
+        const float v = saved[k];
         for (std::size_t j = 0; j < d; ++j) da[c * d + j] += v * grad[r * d + j];
       }
       break;
@@ -761,18 +1113,19 @@ void Node::run_backward() {
     case Op::kSoftmax:
       if (da) softmax_backward(*this, a);
       break;
+    case Op::kAttention:
+      attention_backward(*this);
+      break;
     case Op::kConcatCols: {
-      const std::size_t total = cols;
+      const std::size_t n = this->rows, total = cols;
       std::size_t offset = 0;
       for (TensorImpl* p : operands) {
         const std::size_t d = p->cols;
         if (p->requires_grad) {
           p->ensure_grad();
-          for (std::size_t i = 0; i < rs.count; ++i) {
-            const std::size_t r = rs[i];
+          for (std::size_t r = 0; r < n; ++r)
             for (std::size_t c = 0; c < d; ++c)
               p->grad[r * d + c] += grad[r * total + offset + c];
-          }
         }
         offset += d;
       }

@@ -56,12 +56,10 @@ using Rows = std::span<const std::uint32_t>;
 
 /// C = A @ B.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b, Rows rows = {});
-/// C = A @ B^T (used by attention scores).
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b, Rows rows = {});
-/// matmul and matmul_nt, forward and backward, run at the widest vector
-/// width the CPU has (16, 8 or 4 float lanes), with the bits of their scalar
-/// loops at every width. While alive, this runs them on the calling thread at
-/// \p lanes instead, so tests can pin each width; throws
+/// matmul and multi_head_attention, forward and backward, run at the widest
+/// vector width the CPU has (16, 8 or 4 float lanes), with the bits of their
+/// scalar loops at every width. While alive, this runs them on the calling
+/// thread at \p lanes instead, so tests can pin each width; throws
 /// std::invalid_argument unless \p lanes is 4, 8 or 16 and the CPU runs it.
 class ProductLanesForTesting {
  public:
@@ -91,7 +89,7 @@ void columns_read(const GraphMatrix& m, std::vector<std::uint32_t>& out);
 /// C = A * B elementwise (same shape).
 [[nodiscard]] Tensor mul(const Tensor& a, const Tensor& b);
 /// C = A * s.
-[[nodiscard]] Tensor scale(const Tensor& a, float s, Rows rows = {});
+[[nodiscard]] Tensor scale(const Tensor& a, float s);
 /// C[r, :] = A[r, :] + bias[0, :] for every row r.
 [[nodiscard]] Tensor add_row_broadcast(const Tensor& a, const Tensor& bias);
 /// E[i, j] = s[i, 0] + t[j, 0]; s is [N,1], t is [M,1], result [N,M].
@@ -106,21 +104,39 @@ void columns_read(const GraphMatrix& m, std::vector<std::uint32_t>& out);
 
 // ---- Softmax ----
 
-/// Row-wise softmax.
-[[nodiscard]] Tensor softmax_rows(const Tensor& a, Rows rows = {});
 /// Row-wise softmax over entries where mask[r*cols+c] != 0; masked entries
 /// output 0. Rows that are fully masked output all zeros.
 [[nodiscard]] Tensor masked_softmax_rows(const Tensor& a,
-                                         const std::vector<std::uint8_t>& mask,
-                                         Rows rows = {});
+                                         const std::vector<std::uint8_t>& mask);
+
+// ---- Attention ----
+
+/// Scaled dot-product attention of every head, the heads' outputs side by
+/// side: column block h of the [N, heads * dk] result is
+/// softmax(q_h k_h^T * scale) v_h with q_h = x wq_h, k_h = x wk_h and
+/// v_h = x wv_h. \p weights holds wq, wk and wv of head 0, then of head 1,
+/// and so on, each [x.cols(), dk]. \p mask empty: every entry kept; else an
+/// N*N mask as masked_softmax_rows takes. Only \p rows' query rows are
+/// computed; keys and values cover every row.
+///
+/// Every output and gradient element gets the float operations, in the
+/// same order, of the chain matmul (q, k, v), q k^T, scale, the row softmax
+/// (its exp is std::exp's), matmul by v and a column concat over each head,
+/// and x's gradient takes its terms as that chain's tape adds them: v, k
+/// then q of the last head down to q of head 0. The heads run side by side
+/// at full vector width (see ProductLanesForTesting).
+[[nodiscard]] Tensor multi_head_attention(const Tensor& x,
+                                          std::span<const Tensor> weights,
+                                          float scale,
+                                          const std::vector<std::uint8_t>& mask,
+                                          Rows rows = {});
 
 // ---- Shape ----
 
 /// Column-wise concatenation (all inputs share the row count).
-[[nodiscard]] Tensor concat_cols(std::span<const Tensor> parts, Rows rows = {});
-[[nodiscard]] inline Tensor concat_cols(std::initializer_list<Tensor> parts,
-                                        Rows rows = {}) {
-  return concat_cols(std::span<const Tensor>(parts.begin(), parts.size()), rows);
+[[nodiscard]] Tensor concat_cols(std::span<const Tensor> parts);
+[[nodiscard]] inline Tensor concat_cols(std::initializer_list<Tensor> parts) {
+  return concat_cols(std::span<const Tensor>(parts.begin(), parts.size()));
 }
 /// Gathers rows by index (duplicates allowed); backward scatters-adds.
 [[nodiscard]] Tensor gather_rows(const Tensor& a,

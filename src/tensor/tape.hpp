@@ -28,7 +28,6 @@ namespace gnntrans::tensor {
 /// The op that made a node; Node::run_backward() dispatches on it.
 enum class Op : std::uint8_t {
   kMatmul,
-  kMatmulNt,
   kTranspose,
   kSpmm,
   kLinear,  ///< scalar[0] * a + scalar[1] * b (add, sub)
@@ -41,6 +40,7 @@ enum class Op : std::uint8_t {
   kSigmoid,
   kTanh,
   kSoftmax,  ///< mask empty: every entry kept
+  kAttention,  ///< operands {x, wq, wk, wv of each head}; scalar[0]: the scale
   kConcatCols,
   kGatherRows,
   kSumAll,
@@ -61,8 +61,9 @@ struct Node final : TensorImpl {
   std::span<const std::uint32_t> rows_computed;
   std::span<const std::uint32_t> index;   ///< gather's rows; spmm's rows
   std::span<const std::uint32_t> index2;  ///< spmm's columns
-  std::span<const float> coeff;           ///< spmm's entries
-  std::span<const std::uint8_t> mask;     ///< masked softmax's mask
+  /// spmm's entries; the attention's projections, weights and kept entries
+  std::span<const float> saved;
+  std::span<const std::uint8_t> mask;  ///< masked softmax's mask
 
   /// Adds this node's contribution to its operands' gradients (ops.cpp).
   void run_backward();
@@ -87,6 +88,9 @@ struct OpResult {
 }
 [[nodiscard]] OpResult record(Op op, std::size_t rows, std::size_t cols,
                               std::span<const Tensor> operands);
+/// Records an op over \p first, then \p rest, all walked by backward().
+[[nodiscard]] OpResult record(Op op, std::size_t rows, std::size_t cols,
+                              const Tensor& first, std::span<const Tensor> rest);
 
 class Tape {
  public:

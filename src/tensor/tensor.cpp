@@ -64,9 +64,11 @@ Tape& recording_tape() {
   return *t_tape;
 }
 
-template <class Operands, class Get>
-OpResult record_impl(Op op, std::size_t rows, std::size_t cols,
-                     const Operands& operands, std::size_t parents, Get get) {
+/// Records an op over the \p count operands get(0), get(1), ..., the first
+/// \p parents of them walked by backward().
+template <class Get>
+OpResult record_impl(Op op, std::size_t rows, std::size_t cols, std::size_t count,
+                     std::size_t parents, Get get) {
   if (!g_grad_enabled) {
     auto leaf = std::make_shared<Leaf>(std::vector<float>(rows * cols, 0.0f), rows,
                                        cols, false);
@@ -75,16 +77,13 @@ OpResult record_impl(Op op, std::size_t rows, std::size_t cols,
   }
   Tape& tape = recording_tape();
   Node& node = tape.add_node(rows, cols);
-  std::size_t i = 0;
-  for (const auto& operand : operands)
-    node.requires_grad |= i++ < parents && get(operand).requires_grad();
+  for (std::size_t i = 0; i < parents; ++i) node.requires_grad |= get(i).requires_grad();
   if (node.requires_grad) {
-    const std::span<TensorImpl*> held = tape.take<TensorImpl*>(operands.size());
-    i = 0;
-    for (const auto& operand : operands) {
-      const std::shared_ptr<TensorImpl>& impl = get(operand).impl();
+    const std::span<TensorImpl*> held = tape.take<TensorImpl*>(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::shared_ptr<TensorImpl>& impl = get(i).impl();
       if (impl->tape != &tape) tape.hold(impl);
-      held[i++] = impl.get();
+      held[i] = impl.get();
     }
     node.operands = held;
     node.parents = static_cast<std::uint32_t>(parents);
@@ -131,14 +130,22 @@ Tensor Tensor::from_data(std::vector<float> data, std::size_t rows,
 
 OpResult record(Op op, std::size_t rows, std::size_t cols,
                 std::initializer_list<const Tensor*> operands, std::size_t parents) {
-  return record_impl(op, rows, cols, operands, parents,
-                     [](const Tensor* t) -> const Tensor& { return *t; });
+  return record_impl(op, rows, cols, operands.size(), parents,
+                     [&](std::size_t i) -> const Tensor& { return *operands.begin()[i]; });
 }
 
 OpResult record(Op op, std::size_t rows, std::size_t cols,
                 std::span<const Tensor> operands) {
-  return record_impl(op, rows, cols, operands, operands.size(),
-                     [](const Tensor& t) -> const Tensor& { return t; });
+  return record_impl(op, rows, cols, operands.size(), operands.size(),
+                     [&](std::size_t i) -> const Tensor& { return operands[i]; });
+}
+
+OpResult record(Op op, std::size_t rows, std::size_t cols, const Tensor& first,
+                std::span<const Tensor> rest) {
+  return record_impl(op, rows, cols, rest.size() + 1, rest.size() + 1,
+                     [&](std::size_t i) -> const Tensor& {
+                       return i == 0 ? first : rest[i - 1];
+                     });
 }
 
 // ---- Tape ----

@@ -103,11 +103,11 @@ std::size_t allocations_per_step(std::size_t nodes) {
   return g_allocations / kSteps;
 }
 
-TEST(TrainingAllocations, SteadyStateStepAllocatesOnlyTheLayersHeadLists) {
-  // Two per step: each attention layer's list of head outputs. The tape's
-  // nodes, buffers, gradients and copies stay in its slab from step to step.
+TEST(TrainingAllocations, SteadyStateStepAllocatesNothing) {
+  // The tape's nodes, buffers, gradients and copies, and the attention's
+  // working buffers, stay in its slab from step to step.
   for (const std::size_t nodes : {16u, 40u, 80u})
-    EXPECT_EQ(allocations_per_step(nodes), 2u) << nodes << " nodes";
+    EXPECT_EQ(allocations_per_step(nodes), 0u) << nodes << " nodes";
 }
 
 }  // namespace

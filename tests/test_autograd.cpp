@@ -74,11 +74,39 @@ TEST(GradCheck, Matmul) {
   check_gradients([&] { return sum_all(matmul(a, b)); }, {a, b});
 }
 
-TEST(GradCheck, MatmulNt) {
+TEST(GradCheck, MultiHeadAttention) {
   std::mt19937_64 rng(2);
-  Tensor a = rand_tensor(3, 4, rng), b = rand_tensor(5, 4, rng);
-  check_gradients([&] { return sum_all(mul(matmul_nt(a, b), matmul_nt(a, b))); },
-                  {a, b});
+  Tensor x = rand_tensor(5, 4, rng);
+  std::vector<Tensor> weights;
+  for (int i = 0; i < 6; ++i) weights.push_back(rand_tensor(4, 3, rng));
+  std::vector<Tensor> params = weights;
+  params.push_back(x);
+  check_gradients(
+      [&] {
+        const Tensor y = multi_head_attention(x, weights, 0.6f, {});
+        return sum_all(mul(y, y));
+      },
+      params, 5e-3f, 3e-2f);
+}
+
+TEST(GradCheck, MultiHeadAttentionMaskedLiveRows) {
+  std::mt19937_64 rng(3);
+  Tensor x = rand_tensor(5, 4, rng);
+  std::vector<Tensor> weights;
+  for (int i = 0; i < 6; ++i) weights.push_back(rand_tensor(4, 2, rng));
+  std::vector<Tensor> params = weights;
+  params.push_back(x);
+  // Row 2 keeps nothing; only rows 0, 2 and 4 are computed and read.
+  std::vector<std::uint8_t> mask(25, 1);
+  for (std::size_t c = 0; c < 5; ++c) mask[2 * 5 + c] = 0;
+  mask[0 * 5 + 3] = mask[4 * 5 + 1] = mask[4 * 5 + 4] = 0;
+  const std::vector<std::uint32_t> rows{0, 2, 4};
+  check_gradients(
+      [&] {
+        const Tensor y = gather_rows(multi_head_attention(x, weights, 0.8f, mask, rows), rows);
+        return sum_all(mul(y, y));
+      },
+      params, 5e-3f, 3e-2f);
 }
 
 TEST(GradCheck, Transpose) {
@@ -145,7 +173,9 @@ TEST(GradCheck, SoftmaxRows) {
   std::mt19937_64 rng(10);
   Tensor a = rand_tensor(3, 5, rng);
   Tensor w = rand_tensor(3, 5, rng);
-  check_gradients([&] { return sum_all(mul(softmax_rows(a), w)); }, {a}, 5e-3f);
+  const std::vector<std::uint8_t> all(15, 1);
+  check_gradients([&] { return sum_all(mul(masked_softmax_rows(a, all), w)); }, {a},
+                  5e-3f);
 }
 
 TEST(GradCheck, MaskedSoftmaxRows) {
@@ -330,11 +360,11 @@ TEST(GradCheck, FeedForward) {
 
 // ---- The vector kernels against their scalar oracle, bit for bit ----
 //
-// matmul and matmul_nt run at every width the CPU has (4, 8 or 16 lanes);
-// softmax, scale, add, sub, relu, leaky_relu and Adam::step at 4. Each must
-// give the forward values and add the input gradients exactly as the loops
-// in autograd_oracle.hpp do, at the attention's head widths and the served
-// nets' sizes, with every row and column tail of the blocking.
+// matmul and multi_head_attention run at every width the CPU has (4, 8 or
+// 16 lanes); softmax, scale, add, sub, relu, leaky_relu and Adam::step at 4.
+// Each must give the forward values and add the input gradients exactly as
+// the loops in autograd_oracle.hpp do, at the attention's head widths and the
+// served nets' sizes, with every row and column tail of the blocking.
 
 using autograd_oracle::Floats;
 
@@ -396,25 +426,6 @@ void expect_matmul_matches(std::size_t n, std::size_t k, std::size_t m,
   EXPECT_TRUE(same_bits(b.grad(), db)) << shape(n, k, m);
 }
 
-/// matmul_nt of a [n, k] and b [m, k].
-void expect_matmul_nt_matches(std::size_t n, std::size_t k, std::size_t m,
-                              std::mt19937_64& rng) {
-  const Floats av = oracle_input(n * k, rng), bv = oracle_input(m * k, rng),
-               dy = oracle_input(n * m, rng);
-  Floats da = oracle_input(n * k, rng), db = oracle_input(m * k, rng);
-  const Tensor a = leaf(av, n, k), b = leaf(bv, m, k);
-  const Tensor out = matmul_nt(a, b);
-  EXPECT_TRUE(
-      same_bits(out.values(), autograd_oracle::matmul_nt(av, bv, n, k, m)))
-      << shape(n, k, m);
-  set_grad(a, da);
-  set_grad(b, db);
-  backward_step(out, dy);
-  autograd_oracle::matmul_nt_backward(av, bv, dy, n, k, m, da, db);
-  EXPECT_TRUE(same_bits(a.grad(), da)) << shape(n, k, m);
-  EXPECT_TRUE(same_bits(b.grad(), db)) << shape(n, k, m);
-}
-
 /// Float lanes of every product width this CPU runs.
 std::vector<std::size_t> runnable_lanes() {
   std::vector<std::size_t> lanes;
@@ -438,17 +449,74 @@ TEST(KernelOracle, MatmulMatchesScalarLoopsBitwiseAtEveryWidth) {
   }
 }
 
-TEST(KernelOracle, MatmulNtMatchesScalarLoopsBitwiseAtEveryWidth) {
+/// multi_head_attention against the per-head chain of scalar oracles: its
+/// output and every operand's gradient (each started at non-zero values).
+void expect_attention_matches(autograd_oracle::Attention a, std::mt19937_64& rng,
+                              float range) {
+  const std::size_t n = a.n, d = a.d, hd = a.heads * a.dk;
+  a.x = oracle_input(n * d, rng, range);
+  std::vector<Tensor> weights;
+  std::vector<Floats> dw;
+  for (std::size_t i = 0; i < 3 * a.heads; ++i) {
+    a.weights.push_back(oracle_input(d * a.dk, rng));
+    weights.push_back(leaf(a.weights.back(), d, a.dk));
+    dw.push_back(oracle_input(d * a.dk, rng));
+    set_grad(weights.back(), dw.back());
+  }
+  const Tensor x = leaf(a.x, n, d);
+  Floats dx = oracle_input(n * d, rng);
+  set_grad(x, dx);
+  const Floats dy = oracle_input(n * hd, rng);
+
+  const std::string what = std::to_string(n) + " nodes, " + std::to_string(a.heads) +
+                           "x" + std::to_string(a.dk) + " heads, " +
+                           (a.mask.empty() ? "unmasked" : "masked") + ", " +
+                           (a.rows.empty() ? "all rows" : "live rows");
+  const Tensor out = multi_head_attention(x, weights, a.scale, a.mask, a.rows);
+  const Floats expected = autograd_oracle::attention(a);
+  std::vector<std::uint32_t> rows = a.rows;
+  if (rows.empty())
+    for (std::uint32_t r = 0; r < n; ++r) rows.push_back(r);
+  bool same = true;
+  for (const std::uint32_t r : rows)
+    same = same && same_bits(out.values().subspan(r * hd, hd),
+                             std::span<const float>(expected).subspan(r * hd, hd));
+  EXPECT_TRUE(same) << what;
+  backward_step(out, dy);
+  autograd_oracle::attention_backward(a, dy, dx, dw);
+  EXPECT_TRUE(same_bits(x.grad(), dx)) << what;
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    EXPECT_TRUE(same_bits(weights[i].grad(), dw[i])) << what << ", weight " << i;
+}
+
+TEST(KernelOracle, MultiHeadAttentionMatchesScalarLoopsBitwiseAtEveryWidth) {
+  struct Heads {
+    std::size_t heads, dk, d;
+  };
   for (const std::size_t lanes : runnable_lanes()) {
     const ProductLanesForTesting width(lanes);
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
     std::mt19937_64 rng(41);
-    for (const std::size_t n : kNodeCounts)
-      for (const std::size_t dk : kHeadDims) {
-        SCOPED_TRACE(std::to_string(lanes) + " lanes");
-        expect_matmul_nt_matches(n, dk, n, rng);  // attention scores
-        expect_matmul_nt_matches(n, 16, dk, rng);
-        expect_matmul_nt_matches(n, n, dk, rng);
-      }
+    for (const std::size_t n : {1u, 3u, 5u, 17u, 80u, 161u})
+      for (const Heads shape : {Heads{4, 4, 16}, Heads{3, 5, 7}, Heads{1, 2, 3}})
+        for (const bool masked : {false, true})
+          for (const bool live : {false, true}) {
+            autograd_oracle::Attention a{n, shape.d, shape.heads, shape.dk,
+                                         1.0f / std::sqrt(static_cast<float>(shape.dk)),
+                                         {}, {}, {}, {}};
+            if (masked) {
+              // About a third kept; row 1 fully masked.
+              a.mask.resize(n * n);
+              for (std::size_t i = 0; i < n * n; ++i)
+                a.mask[i] = (i / n != 1) && rng() % 3 == 0;
+            }
+            if (live)
+              for (std::uint32_t r = 0; r < n; ++r)
+                if (r % 3 == 1 || r + 1 == n) a.rows.push_back(r);
+            // Wide inputs drive scores 88 or more below their row's maximum,
+            // where the exp leaves its vector path.
+            for (const float range : {1.0f, 6.0f}) expect_attention_matches(a, rng, range);
+          }
   }
 }
 
@@ -497,7 +565,8 @@ TEST(KernelOracle, SoftmaxMatchesScalarLoopsBitwise) {
           mask[i] = (i / n != 1) && rng() % 3 == 0;
       }
       const Tensor a = leaf(x, n, n);
-      const Tensor y = masked ? masked_softmax_rows(a, mask) : softmax_rows(a);
+      const Tensor y =
+          masked_softmax_rows(a, masked ? mask : std::vector<std::uint8_t>(n * n, 1));
       const Floats expected = autograd_oracle::softmax(x, n, n, mask);
       EXPECT_TRUE(same_bits(y.values(), expected)) << n << " masked " << masked;
       set_grad(a, dx);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -154,6 +155,42 @@ TEST_P(EveryModel, SaveLoadRoundTripPreservesForward) {
   for (std::size_t q = 0; q < s.path_count; ++q) {
     EXPECT_FLOAT_EQ(before.slew(q, 0), after.slew(q, 0));
     EXPECT_FLOAT_EQ(before.delay(q, 0), after.delay(q, 0));
+  }
+}
+
+TEST_P(EveryModel, ParameterNamesAreOnePerParameter) {
+  const auto model = make_model(GetParam(), small_config());
+  const std::vector<std::string> names = parameter_names(*model);
+  EXPECT_EQ(names.size(), model->parameters().size());
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
+}
+
+TEST_P(EveryModel, MisshapenWeightRejectedAtLoad) {
+  const auto model = make_model(GetParam(), small_config());
+  std::stringstream buf;
+  save_model(buf, *model);
+  std::string bytes = buf.str();
+  // After the header (magic length, magic, version, kind, seven dims, seed,
+  // flags) each weight is [u64 rows][u64 cols][floats]. Swapping the first
+  // non-square weight's rows and cols keeps every byte count.
+  const std::vector<gnntrans::tensor::Tensor> params = model->parameters();
+  std::size_t at = 4 + 14 + 11 * 4, index = 0;
+  while (params[index].rows() == params[index].cols()) {
+    at += 16 + params[index].size() * sizeof(float);
+    ++index;
+  }
+  std::uint64_t dims[2];
+  std::memcpy(dims, bytes.data() + at, sizeof(dims));
+  ASSERT_EQ(dims[0], params[index].rows());
+  std::swap(dims[0], dims[1]);
+  std::memcpy(bytes.data() + at, dims, sizeof(dims));
+  std::stringstream bad(bytes);
+  try {
+    (void)load_model(bad);
+    FAIL() << "a misshapen weight must be rejected at load";
+  } catch (const std::invalid_argument& e) {
+    const std::string name = parameter_names(*model)[index];
+    EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos) << e.what();
   }
 }
 
@@ -742,14 +779,13 @@ TEST(GnnTransPlan, CompileReturnsNullWhereAutogradServes) {
 TEST(GnnTransPlan, CompileNamesMisshapenWeight) {
   const auto model = make_model(ModelKind::kGnnTrans, small_config());
   std::stringstream buf;
-  save_model(buf, *model);
+  model->save_parameters(buf);
   std::string bytes = buf.str();
-  // Model header after the magic: version, kind, seven dims, seed and flags
-  // (u32 each); then gnn[0].w_self and gnn[0].w_neigh as [u64 rows][u64
-  // cols][floats]. Swapping w_neigh's rows and cols keeps the byte count.
-  const std::size_t header = bytes.find("GNNTRANS_MODEL") + 14 + 11 * 4;
+  // The parameter payload: gnn[0].w_self and gnn[0].w_neigh first, as
+  // [u64 rows][u64 cols][floats]. Swapping w_neigh's rows and cols keeps the
+  // byte count. load_model would reject it; load_parameters reads it.
   const std::size_t w_self_floats = 12 * 8;
-  const std::size_t w_neigh = header + 16 + w_self_floats * sizeof(float);
+  const std::size_t w_neigh = 16 + w_self_floats * sizeof(float);
   std::uint64_t rows = 0, cols = 0;
   std::memcpy(&rows, bytes.data() + w_neigh, 8);
   std::memcpy(&cols, bytes.data() + w_neigh + 8, 8);
@@ -759,7 +795,8 @@ TEST(GnnTransPlan, CompileNamesMisshapenWeight) {
   std::memcpy(bytes.data() + w_neigh + 8, &rows, 8);
 
   std::stringstream bad(bytes);
-  const auto loaded = load_model(bad);  // the stream itself parses
+  const auto loaded = make_model(ModelKind::kGnnTrans, small_config());
+  loaded->load_parameters(bad);  // the stream itself parses
   try {
     loaded->compile_inference();
     FAIL() << "expected a shape error";

@@ -190,6 +190,49 @@ TEST(EstimatorRobustness, MisshapenWeightRejectedAtLoad) {
   }
 }
 
+TEST(EstimatorRobustness, MisshapenGraphTransformerHeadRejectedAtLoad) {
+  core::WireTimingEstimator::Options opt;
+  opt.kind = nn::ModelKind::kGraphTransformer;
+  opt.model.hidden_dim = 16;
+  opt.model.gnn_layers = 1;
+  opt.model.heads = 4;
+  opt.train.epochs = 1;
+  const auto est = core::WireTimingEstimator::train(tiny_records(6), opt);
+  std::stringstream buf;
+  est.save(buf);
+  std::string bytes = buf.str();
+  // The model block's weights follow its header: input.weight, input.bias,
+  // then attention[0].head[0].wq, [u64 rows][u64 cols][floats] each. Store
+  // that wq as 16x3: its rows' first three floats, the file otherwise whole.
+  const std::size_t magic = bytes.find("GNNTRANS_MODEL");
+  ASSERT_NE(magic, std::string::npos);
+  std::size_t at = magic + 14 + 11 * 4;
+  std::uint64_t dims[2];
+  for (int skip = 0; skip < 2; ++skip) {
+    std::memcpy(dims, bytes.data() + at, sizeof(dims));
+    at += sizeof(dims) + dims[0] * dims[1] * sizeof(float);
+  }
+  std::memcpy(dims, bytes.data() + at, sizeof(dims));
+  ASSERT_EQ(dims[0], 16u);
+  ASSERT_EQ(dims[1], 4u);
+  std::string wq;
+  const std::uint64_t shape[2] = {16, 3};
+  wq.append(reinterpret_cast<const char*>(shape), sizeof(shape));
+  for (std::size_t r = 0; r < 16; ++r)
+    wq.append(bytes, at + sizeof(dims) + r * 4 * sizeof(float), 3 * sizeof(float));
+  bytes.replace(at, sizeof(dims) + 16 * 4 * sizeof(float), wq);
+
+  std::stringstream bad(bytes);
+  try {
+    (void)core::WireTimingEstimator::load(bad);
+    FAIL() << "a misshapen GraphTransformer weight must be rejected at load";
+  } catch (const core::CheckpointError& e) {
+    EXPECT_EQ(e.status().code(), core::ErrorCode::kParseError);
+    EXPECT_NE(std::string(e.what()).find("attention[0].head[0].wq"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- GBDT structural invariants ----
 
 TEST(GbdtRobustness, DepthBoundRespected) {

@@ -41,15 +41,24 @@ TEST(Ops, MatmulHandChecked) {
   EXPECT_FLOAT_EQ(c(1, 1), 50);
 }
 
-TEST(Ops, MatmulNtMatchesExplicitTranspose) {
+TEST(Ops, MultiHeadAttentionMatchesPerHeadOps) {
   std::mt19937_64 rng(1);
-  const Tensor a = xavier_uniform(3, 5, rng);
-  const Tensor b = xavier_uniform(4, 5, rng);
-  const Tensor direct = matmul_nt(a, b);
-  const Tensor via_t = matmul(a, transpose(b));
-  ASSERT_EQ(direct.size(), via_t.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_NEAR(direct.values()[i], via_t.values()[i], 1e-6);
+  const Tensor x = xavier_uniform(6, 5, rng);
+  std::vector<Tensor> weights;
+  for (int i = 0; i < 6; ++i) weights.push_back(xavier_uniform(5, 3, rng));
+  const std::vector<std::uint8_t> all(36, 1);
+  const Tensor fused = multi_head_attention(x, weights, 0.5f, {});
+  ASSERT_EQ(fused.rows(), 6u);
+  ASSERT_EQ(fused.cols(), 6u);
+  for (std::size_t h = 0; h < 2; ++h) {
+    const Tensor q = matmul(x, weights[3 * h]), k = matmul(x, weights[3 * h + 1]);
+    const Tensor v = matmul(x, weights[3 * h + 2]);
+    const Tensor head =
+        matmul(masked_softmax_rows(scale(matmul(q, transpose(k)), 0.5f), all), v);
+    for (std::size_t r = 0; r < 6; ++r)
+      for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_NEAR(fused(r, h * 3 + j), head(r, j), 1e-6) << h << " " << r << " " << j;
+  }
 }
 
 TEST(Ops, ShapeMismatchThrows) {
@@ -105,7 +114,7 @@ TEST(Ops, Nonlinearities) {
 TEST(Ops, SoftmaxRowsSumToOne) {
   std::mt19937_64 rng(2);
   const Tensor x = xavier_uniform(4, 6, rng);
-  const Tensor y = softmax_rows(x);
+  const Tensor y = masked_softmax_rows(x, std::vector<std::uint8_t>(24, 1));
   for (std::size_t r = 0; r < 4; ++r) {
     float sum = 0;
     for (std::size_t c = 0; c < 6; ++c) {
@@ -119,7 +128,8 @@ TEST(Ops, SoftmaxRowsSumToOne) {
 TEST(Ops, SoftmaxIsShiftInvariant) {
   const Tensor a = Tensor::from_data({1, 2, 3}, 1, 3);
   const Tensor b = Tensor::from_data({101, 102, 103}, 1, 3);
-  const Tensor ya = softmax_rows(a), yb = softmax_rows(b);
+  const std::vector<std::uint8_t> all(3, 1);
+  const Tensor ya = masked_softmax_rows(a, all), yb = masked_softmax_rows(b, all);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(ya(0, c), yb(0, c), 1e-6);
 }
 
