@@ -309,8 +309,6 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   // failure, not a batch abort.
   features::RawFeatures raw;
   if (!reuse) {
-    const telemetry::TraceSpan span(telemetry::stage_name(Stage::kExtract),
-                                    "serving");
     try {
       if (inject.armed() && inject.should_fail(FaultSite::kFeaturize, net.name))
         throw std::runtime_error("injected featurization fault");
@@ -351,8 +349,6 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
       clock.lap(Stage::kMakeSample);
       running = Stage::kForward;
     }
-    const telemetry::TraceSpan forward_span(telemetry::stage_name(running),
-                                            "serving");
     if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
       throw std::runtime_error("injected forward fault");
     pred = reuse ? model_->forward_heads(embedding->pooled, h, workspace)
@@ -444,8 +440,8 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     FaultInjector& inject = FaultInjector::global();
 
     // Head-sampled requests get their model work recorded as a span tagged
-    // with the trace_id (bypassing the 1-in-N span sampler) plus a flow step
-    // linking the batch span into the request's cross-thread lane.
+    // with the trace_id plus a flow step linking the batch span into the
+    // request's cross-thread lane.
     const telemetry::TraceContext trace =
         options.traces && i < options.traces->size()
             ? (*options.traces)[i]
@@ -639,6 +635,11 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
   metrics.nets.inc(items.size());
   metrics.paths.inc(total_paths);
   for (const double s : latency) metrics.net_latency.observe(s);
+  for (const NetOutcome& o : outcomes)
+    for (std::size_t s = 0; s < telemetry::kNetStageCount; ++s)
+      if (o.stages.seconds[s] > 0.0)
+        telemetry::stage_histogram(static_cast<telemetry::Stage>(s))
+            .observe(o.stages.seconds[s]);
   metrics.batch_latency.observe(wall);
   metrics.arena_peak.set_max(static_cast<double>(peak_bytes));
   metrics.pool_threads.set(static_cast<double>(threads));

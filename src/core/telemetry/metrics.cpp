@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "core/telemetry/log.hpp"
+#include "core/telemetry/stage.hpp"
 
 namespace gnntrans::telemetry {
 
@@ -525,6 +526,22 @@ std::string MetricsSnapshot::to_json() const {
   }
   out += "}}";
   return out;
+}
+
+const Histogram& stage_histogram(Stage stage) {
+  static const std::array<Histogram, kStageCount> histograms = [] {
+    std::array<Histogram, kStageCount> out;
+    for (std::size_t s = 0; s < kStageCount; ++s) {
+      std::string name = kStageNames[s];
+      std::replace(name.begin(), name.end(), '.', '_');
+      out[s] = MetricsRegistry::global().histogram(
+          "gnntrans_net_stage_" + name + "_seconds",
+          HistogramData::default_latency_bounds(),
+          std::string("Stage clock: ") + kStageNames[s]);
+    }
+    return out;
+  }();
+  return histograms[static_cast<std::size_t>(stage)];
 }
 
 }  // namespace gnntrans::telemetry

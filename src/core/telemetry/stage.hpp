@@ -23,6 +23,9 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/telemetry/metrics.hpp"
+#include "core/telemetry/trace.hpp"
+
 namespace gnntrans::telemetry {
 
 enum class Stage : std::uint8_t {
@@ -65,25 +68,35 @@ struct StageTimes {
   }
 };
 
+/// The stage's histogram, gnntrans_net_stage_<name with dots as
+/// underscores>_seconds. The first call registers one per stage.
+[[nodiscard]] const Histogram& stage_histogram(Stage stage);
+
 /// Times consecutive stages with shared boundaries: each lap() charges the
-/// time since the previous boundary (or construction) to one stage.
+/// time since the previous boundary (or construction) to one stage, and is a
+/// trace slice when the recorder was enabled at construction.
 class StageClock {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit StageClock(StageTimes* times) noexcept
-      : times_(times), mark_(Clock::now()) {}
+  explicit StageClock(StageTimes* times) noexcept : times_(times) {}
 
   void lap(Stage stage) noexcept {
     const Clock::time_point now = Clock::now();
     if (times_)
       (*times_)[stage] += std::chrono::duration<double>(now - mark_).count();
+    if (recorder_)
+      recorder_->record(stage_name(stage), "serving", recorder_->ns_at(mark_),
+                        recorder_->ns_at(now));
     mark_ = now;
   }
 
  private:
   StageTimes* times_;
-  Clock::time_point mark_;
+  /// Null unless the recorder was enabled at construction.
+  TraceRecorder* recorder_ =
+      TraceRecorder::global().enabled() ? &TraceRecorder::global() : nullptr;
+  Clock::time_point mark_ = Clock::now();
 };
 
 }  // namespace gnntrans::telemetry

@@ -107,7 +107,6 @@ void StatsReporter::tick() {
     const double rate = seconds > 0.0 ? static_cast<double>(d_nets) / seconds
                                       : 0.0;
     const double denominator = static_cast<double>(d_nets);
-    const TraceRecorder& recorder = TraceRecorder::global();
 
     // Quality columns, when shadow scoring has data: residual p99 and the
     // worst feature PSI, so one grep of the interval lines shows accuracy
@@ -126,14 +125,13 @@ void StatsReporter::tick() {
     GNNTRANS_LOG_INFO(
         "obs",
         "serving last %.1fs: %llu nets (%.0f nets/s), fallback %.2f%%, "
-        "failed %.2f%%, slow %llu, p50 %.1f us, p99 %.1f us, trace %s 1/%zu%s",
+        "failed %.2f%%, slow %llu, p50 %.1f us, p99 %.1f us, trace %s%s",
         seconds, static_cast<unsigned long long>(d_nets), rate,
         100.0 * static_cast<double>(d_fallback) / denominator,
         100.0 * static_cast<double>(d_failed) / denominator,
         static_cast<unsigned long long>(d_slow),
         d_latency.quantile(0.50) * 1e6, d_latency.quantile(0.99) * 1e6,
-        recorder.enabled() ? "on" : "off", recorder.config().sample_every,
-        quality_cols.c_str());
+        TraceRecorder::global().enabled() ? "on" : "off", quality_cols.c_str());
   }
   reports_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,7 +1,7 @@
 /// \file stats_reporter.hpp
 /// Periodic serving-stats reporter: a background thread that logs snapshot
 /// *deltas* of the serving metrics — nets/s, fallback %, p50/p99 over the
-/// interval, the effective trace sample rate — every N seconds, so a
+/// interval, whether tracing is on — every N seconds, so a
 /// long-running predict/sta/train shows a heartbeat in the log stream (and
 /// in --log-json) without anyone scraping the HTTP endpoint.
 ///

@@ -34,10 +34,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Hard ceiling for the configured 1-in-N: beyond this, sampling is
-/// effectively off and pushing N higher only loses resolution.
-constexpr std::size_t kMaxSampleEvery = std::size_t{1} << 20;
-
 const Gauge& span_cost_gauge() {
   static const Gauge gauge = MetricsRegistry::global().gauge(
       "gnntrans_trace_span_cost_ns",
@@ -90,8 +86,12 @@ TraceRecorder& TraceRecorder::global() {
 }
 
 std::int64_t TraceRecorder::now_ns() const noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - impl().epoch)
+  return ns_at(std::chrono::steady_clock::now());
+}
+
+std::int64_t TraceRecorder::ns_at(
+    std::chrono::steady_clock::time_point t) const noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t - impl().epoch)
       .count();
 }
 
@@ -109,11 +109,6 @@ TraceRecorder::Ring& TraceRecorder::ring_for_this_thread() {
   Ring* ring = im.rings.back().get();
   t_cache.emplace_back(im.id, ring);
   return *ring;
-}
-
-void TraceRecorder::record(std::string_view name, std::string_view category,
-                           std::int64_t begin_ns, std::int64_t end_ns) noexcept {
-  record_event(name, category, begin_ns, end_ns, TracePhase::kComplete, 0);
 }
 
 void TraceRecorder::record_flow(TracePhase phase, std::string_view name,
@@ -193,31 +188,14 @@ void TraceRecorder::record_event(std::string_view name,
 }
 
 void TraceRecorder::configure(TraceConfig config) noexcept {
-  sample_every_.store(
-      std::clamp<std::size_t>(config.sample_every, 1, kMaxSampleEvery),
-      std::memory_order_relaxed);
   head_rate_.store(std::clamp(config.head_sample_rate, 0.0, 1.0),
                    std::memory_order_relaxed);
   head_seed_.store(config.head_seed, std::memory_order_relaxed);
 }
 
 TraceConfig TraceRecorder::config() const noexcept {
-  return {sample_every_.load(std::memory_order_relaxed),
-          head_rate_.load(std::memory_order_relaxed),
+  return {head_rate_.load(std::memory_order_relaxed),
           head_seed_.load(std::memory_order_relaxed)};
-}
-
-bool TraceRecorder::should_sample() noexcept {
-  if (!enabled()) return false;
-  const std::size_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every <= 1) return true;
-  thread_local std::size_t t_countdown = 0;
-  if (t_countdown == 0) {
-    t_countdown = every - 1;
-    return true;
-  }
-  --t_countdown;
-  return false;
 }
 
 std::size_t TraceRecorder::event_count() const {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
@@ -70,15 +71,11 @@ struct TraceEvent {
   TracePhase phase = TracePhase::kComplete;
 };
 
-/// Sampling policy. sample_every is the span sampler's 1-in-N (1 = record
-/// every span).
-///
-/// head_sample_rate / head_seed govern request head sampling: a request is
-/// traced end-to-end iff a pure hash of (head_seed, request_id) lands under
-/// the rate (FaultInjector-style). Deterministic: the same request_id is
-/// always sampled the same way under a fixed config.
+/// Request head sampling: a request is traced end-to-end iff a pure hash of
+/// (head_seed, request_id) lands under head_sample_rate (FaultInjector-style).
+/// Deterministic: the same request_id is always sampled the same way under a
+/// fixed config. A plain span records iff the recorder is enabled.
 struct TraceConfig {
-  std::size_t sample_every = 1;
   double head_sample_rate = 1.0 / 64.0;
   std::uint64_t head_seed = 0x9E3779B97F4A7C15ull;
 };
@@ -101,10 +98,15 @@ class TraceRecorder {
 
   /// Monotonic timestamp in ns relative to the recorder's construction.
   [[nodiscard]] std::int64_t now_ns() const noexcept;
+  /// \p t on the recorder's timeline (ns since its construction).
+  [[nodiscard]] std::int64_t ns_at(
+      std::chrono::steady_clock::time_point t) const noexcept;
 
   /// Appends one completed span for the calling thread (no-op if disabled).
   void record(std::string_view name, std::string_view category,
-              std::int64_t begin_ns, std::int64_t end_ns) noexcept;
+              std::int64_t begin_ns, std::int64_t end_ns) noexcept {
+    record_event(name, category, begin_ns, end_ns, TracePhase::kComplete, 0);
+  }
 
   /// Generalized append: any phase, optional flow id (0 = none). For
   /// kComplete/kAsync, begin/end bracket the span; flow phases are instants
@@ -131,14 +133,9 @@ class TraceRecorder {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Sets the span sampler's 1-in-N and the head-sampling rate and seed.
+  /// Sets the head-sampling rate and seed.
   void configure(TraceConfig config) noexcept;
   [[nodiscard]] TraceConfig config() const noexcept;
-
-  /// One relaxed load + a thread-local countdown: true on every Nth call per
-  /// thread, where N is config().sample_every. Always false when the
-  /// recorder is disabled. TraceSpan consults this at construction.
-  [[nodiscard]] bool should_sample() noexcept;
 
   /// EWMA cost of one record() call in ns, self-measured on every 64th
   /// record and published as the gnntrans_trace_span_cost_ns gauge. 0 until
@@ -167,7 +164,6 @@ class TraceRecorder {
   Ring& ring_for_this_thread();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::size_t> sample_every_{1};
   std::atomic<double> span_cost_ns_{0.0};  ///< EWMA of record() self-timing
   std::atomic<double> head_rate_{1.0 / 64.0};
   std::atomic<std::uint64_t> head_seed_{0x9E3779B97F4A7C15ull};
@@ -178,25 +174,19 @@ class TraceRecorder {
 };
 
 /// RAII span: samples the clock at construction, records on destruction.
-/// If the recorder is disabled — or the sampler skips this span — at
-/// construction, the destructor does nothing (spans never straddle an
-/// enable, and a skipped span costs one load + one thread-local decrement).
+/// If the recorder is disabled at construction, the destructor does nothing
+/// (spans never straddle an enable, and a disabled span costs one load).
 ///
 /// The context-parented overload is the cross-thread handoff: pass the
 /// TraceContext that travelled with the request (through the queue or over
-/// the wire) and the span records iff that request was head-sampled —
-/// bypassing the 1-in-N span sampler so a sampled request always gets its
-/// complete stage breakdown — tagged with the trace_id as its flow id.
+/// the wire) and the span records iff that request was head-sampled, tagged
+/// with the trace_id as its flow id. A plain span is a sampled one without a
+/// flow id.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name,
-                     std::string_view category = "") noexcept {
-    TraceRecorder& recorder = TraceRecorder::global();
-    if (!recorder.should_sample()) return;
-    name_ = name;
-    category_ = category;
-    begin_ns_ = recorder.now_ns();
-  }
+                     std::string_view category = "") noexcept
+      : TraceSpan(name, category, {.sampled = true}) {}
 
   TraceSpan(std::string_view name, std::string_view category,
             const TraceContext& parent) noexcept {
@@ -215,7 +205,7 @@ class TraceSpan {
                           TracePhase::kComplete, flow_id_);
   }
 
-  /// True when this span is actually recording (sampled + enabled).
+  /// True when this span is actually recording.
   [[nodiscard]] bool active() const noexcept { return begin_ns_ >= 0; }
 
   TraceSpan(const TraceSpan&) = delete;

@@ -82,42 +82,11 @@ struct NetMetrics {
   telemetry::Gauge queue_oldest_age = telemetry::MetricsRegistry::global().gauge(
       "gnntrans_net_queue_oldest_age_seconds",
       "Age of the oldest request waiting in the admission queue");
-  telemetry::Histogram queue_wait = telemetry::MetricsRegistry::global().histogram(
-      "gnntrans_net_queue_wait_seconds",
-      telemetry::HistogramData::default_latency_bounds(),
-      "Time requests spent queued before their batch started");
   telemetry::Histogram request_seconds =
       telemetry::MetricsRegistry::global().histogram(
           "gnntrans_net_request_seconds",
           telemetry::HistogramData::default_latency_bounds(),
           "Admission-to-delivery latency of served requests");
-  // Per-request stage clock (observed for every served request; the stages
-  // telescope to request_seconds up to clock-read noise). One histogram per
-  // request stage of the stage table: serve.queue, serve.batch_wait,
-  // core.estimate, serve.encode, serve.write.
-  telemetry::Histogram stage_queue = telemetry::MetricsRegistry::global().histogram(
-      "gnntrans_net_stage_queue_seconds",
-      telemetry::HistogramData::default_latency_bounds(),
-      "Stage clock: admission-queue wait before batch formation");
-  telemetry::Histogram stage_batch_wait =
-      telemetry::MetricsRegistry::global().histogram(
-          "gnntrans_net_stage_batch_wait_seconds",
-          telemetry::HistogramData::default_latency_bounds(),
-          "Stage clock: in-batch wait on peer nets (batch wall minus own "
-          "model time)");
-  telemetry::Histogram stage_model = telemetry::MetricsRegistry::global().histogram(
-      "gnntrans_net_stage_model_seconds",
-      telemetry::HistogramData::default_latency_bounds(),
-      "Stage clock: core.estimate, this net's wall time in estimate_batch");
-  telemetry::Histogram stage_serialize =
-      telemetry::MetricsRegistry::global().histogram(
-          "gnntrans_net_stage_serialize_seconds",
-          telemetry::HistogramData::default_latency_bounds(),
-          "Stage clock: response frame encode");
-  telemetry::Histogram stage_write = telemetry::MetricsRegistry::global().histogram(
-      "gnntrans_net_stage_write_seconds",
-      telemetry::HistogramData::default_latency_bounds(),
-      "Stage clock: outbox-ready to socket-write completion");
   telemetry::Counter undeliverable = telemetry::MetricsRegistry::global().counter(
       "gnntrans_net_responses_undeliverable_total",
       "Responses whose connection was gone before delivery");
@@ -202,15 +171,17 @@ void wake(int event_fd) {
 }
 
 /// Write-completion bookkeeping. The write stage covers outbox-ready to the
-/// last byte written; served responses observe it into the stage histogram,
+/// last byte written; served responses observe it into its stage histogram,
 /// and head-sampled requests additionally close their stage clock: wall time
-/// from admission, a serve.write span on the request's flow lane, the
+/// from admission, one slice per request stage on the request's flow lane
+/// (laid back to back from the send out of the record's stage times), the
 /// request_seconds p99 exemplar, and the flight recorder's slowest-request
 /// slots (/tracez).
 void finish_delivery(const NetMetrics& metrics, Outgoing& msg) {
   const Clock::time_point sent = Clock::now();  // closes write and wall
   const double write_s = std::chrono::duration<double>(sent - msg.ready).count();
-  if (msg.admitted != Clock::time_point{}) metrics.stage_write.observe(write_s);
+  if (msg.admitted != Clock::time_point{})
+    telemetry::stage_histogram(Stage::kWrite).observe(write_s);
   if (!msg.trace) return;
   telemetry::FlightRecord& rec = *msg.trace;
   const double wall_s =
@@ -219,11 +190,17 @@ void finish_delivery(const NetMetrics& metrics, Outgoing& msg) {
   rec.total_us = static_cast<float>(wall_s * 1e6);
   telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
   if (recorder.enabled()) {
-    const std::int64_t now_ns = recorder.now_ns();
-    recorder.record_event(telemetry::stage_name(Stage::kWrite), "request",
-                          now_ns - static_cast<std::int64_t>(write_s * 1e9),
-                          now_ns, telemetry::TracePhase::kComplete,
-                          rec.trace_id);
+    std::int64_t end_ns = recorder.ns_at(sent);
+    for (std::size_t s = telemetry::kStageCount;
+         s-- > telemetry::kNetStageCount;) {  // the request stages, last first
+      const auto stage = static_cast<Stage>(s);
+      const std::int64_t begin_ns =
+          end_ns - static_cast<std::int64_t>(rec.stage(stage) * 1e3);
+      recorder.record_event(telemetry::stage_name(stage), "request", begin_ns,
+                            end_ns, telemetry::TracePhase::kComplete,
+                            rec.trace_id);
+      end_ns = begin_ns;
+    }
   }
   metrics.request_seconds.annotate_exemplar(wall_s, rec.trace_id, rec.net);
   telemetry::FlightRecorder::global().record_request(rec);
@@ -726,21 +703,7 @@ void NetServer::batch_loop() {
       const double waited = std::chrono::duration<double>(
                                 batch_start - pending.enqueued)
                                 .count();
-      metrics.queue_wait.observe(waited);
-      metrics.stage_queue.observe(waited);
       pending.queue_wait = waited;
-      if (pending.request.trace.sampled) {
-        // Retrospective "queue" span: begin reconstructed from the wait so
-        // the span abuts batch formation exactly.
-        telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
-        if (recorder.enabled()) {
-          const std::int64_t now_ns = recorder.now_ns();
-          recorder.record_event(
-              telemetry::stage_name(Stage::kQueue), "request",
-              now_ns - static_cast<std::int64_t>(waited * 1e9), now_ns,
-              telemetry::TracePhase::kComplete, pending.request.trace.trace_id);
-        }
-      }
       if (pending.request.deadline_us > 0) {
         const double remaining =
             static_cast<double>(pending.request.deadline_us) * 1e-6 - waited;
@@ -825,26 +788,27 @@ void NetServer::batch_loop() {
       const Clock::time_point encoded = Clock::now();
       const double encode =
           std::chrono::duration<double>(encoded - batch_done).count();
-      metrics.stage_batch_wait.observe(batch_wait);
-      metrics.stage_model.observe(outcomes[i].net_seconds);
-      metrics.stage_serialize.observe(encode);
+      const std::pair<Stage, double> stages[] = {
+          {Stage::kQueue, pending.queue_wait},
+          {Stage::kBatchWait, batch_wait},
+          {Stage::kEstimate, outcomes[i].net_seconds},
+          {Stage::kEncode, encode}};
+      for (const auto& [stage, seconds] : stages)
+        telemetry::stage_histogram(stage).observe(seconds);
 
       std::unique_ptr<telemetry::FlightRecord> trace;
       if (pending.request.trace.sampled) {
-        metrics.stage_model.annotate_exemplar(outcomes[i].net_seconds,
-                                              pending.request.trace.trace_id,
-                                              pending.request.net.name);
+        telemetry::stage_histogram(Stage::kEstimate)
+            .annotate_exemplar(outcomes[i].net_seconds,
+                               pending.request.trace.trace_id,
+                               pending.request.net.name);
         trace = std::make_unique<telemetry::FlightRecord>(
             core::to_flight_record(pending.request.net.name, outcomes[i]));
         trace->trace_id = pending.request.trace.trace_id;
         trace->request_id = pending.request.request_id;
         trace->attempt = pending.request.attempt;
         trace->batch_size = static_cast<std::uint32_t>(kept.size());
-        for (const auto& [stage, seconds] :
-             {std::pair{Stage::kQueue, pending.queue_wait},
-              std::pair{Stage::kBatchWait, batch_wait},
-              std::pair{Stage::kEstimate, outcomes[i].net_seconds},
-              std::pair{Stage::kEncode, encode}})
+        for (const auto& [stage, seconds] : stages)
           trace->stage(stage) = static_cast<float>(seconds * 1e6);
       }
       post({pending.conn,

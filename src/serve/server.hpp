@@ -54,13 +54,13 @@
 /// Request tracing: every request carries a per-request stage clock named
 /// from the stage table (telemetry/stage.hpp) — serve.queue,
 /// serve.batch_wait, core.estimate (NetOutcome::net_seconds), serve.encode,
-/// serve.write — observed into the gnntrans_net_stage_* histograms for all
-/// requests. Head-sampled requests (protocol v2 trace block,
-/// TraceContext::sampled) additionally get request-tagged trace spans + flow
-/// steps on every thread they cross, a p99 exemplar on
-/// gnntrans_net_request_seconds, and one request FlightRecord (the stages
-/// above plus the net's own per-net stages) offered to the flight
-/// recorder's slowest-64 slots behind /tracez. A slow or degraded net is
+/// serve.write — observed into each stage's telemetry::stage_histogram for
+/// every served request. Head-sampled requests (protocol v2 trace block,
+/// TraceContext::sampled) additionally get one trace slice per request stage
+/// (written once, at the send), flow steps on every thread they cross, a
+/// p99 exemplar on gnntrans_net_request_seconds, and one request
+/// FlightRecord (the stages above plus the net's own per-net stages)
+/// offered to the flight recorder's slowest-64 slots behind /tracez. A slow or degraded net is
 /// pinned by estimate_batch's own per-net record, which carries the trace
 /// id. The I/O thread is the only thread that records for a connection, so
 /// tracing holds the same rings at any client count. All of it is

@@ -432,30 +432,11 @@ TEST(FlightRecorder, JsonFilterByNetAndNewestN) {
 // ---------------------------------------------------------------------------
 // Span sampling
 
-TEST(SpanSampling, ShouldSampleHonorsSampleEvery) {
-  TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({.sample_every = 4});
-  recorder.enable();
-
-  // Fresh thread: the per-thread countdown starts at 0, so exactly every
-  // 4th call (starting with the first) samples.
-  std::size_t sampled = 0;
-  std::thread t([&] {
-    for (int i = 0; i < 400; ++i)
-      if (recorder.should_sample()) ++sampled;
-  });
-  t.join();
-  EXPECT_EQ(sampled, 100u);
-
-  recorder.disable();
-  EXPECT_FALSE(recorder.should_sample());
-  recorder.configure(TraceConfig{});
-}
-
 TEST(SpanSampling, ConfigRoundTrip) {
   TraceRecorder& recorder = TraceRecorder::global();
-  recorder.configure({.sample_every = 8});
-  EXPECT_EQ(recorder.config().sample_every, 8u);
+  recorder.configure({.head_sample_rate = 0.5, .head_seed = 42});
+  EXPECT_EQ(recorder.config().head_sample_rate, 0.5);
+  EXPECT_EQ(recorder.config().head_seed, 42u);
   recorder.configure(TraceConfig{});
 }
 

@@ -33,6 +33,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -772,6 +773,151 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
   EXPECT_NE(telemetry::MetricsRegistry::global().prometheus_text().find(
                 "# {trace_id=\"0x"),
             std::string::npos);
+}
+
+// One histogram per stage of the stage table, fed by the stage clock:
+// estimate_batch observes each net's stages that ran, the server each served
+// request's request stages. Half the direct batch's forward passes fail, so
+// core.fallback runs on some nets only, and nothing runs nn.forward_heads.
+TEST(NetServe, StageHistogramsCoverTheStageTableOnce) {
+  const EvalData& eval = shared_eval();
+  InjectorGuard disarm;
+  telemetry::MetricsRegistry::global().reset();
+
+  FaultInjector::Config faults;
+  faults.probability = 0.5;
+  faults.site_mask = core::site_bit(FaultSite::kForward);
+  FaultInjector::global().configure(faults);
+  core::InferenceStats stats;
+  (void)shared_estimator().estimate_batch(eval.items, {.threads = 1}, &stats);
+  FaultInjector::global().disarm();
+  ASSERT_GT(stats.model_nets, 0u);
+  ASSERT_GT(stats.fallback_nets, 0u);
+
+  constexpr std::size_t kRequests = 8;
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
+  server.start();
+  serve::NetClientConfig ccfg;
+  ccfg.port = server.port();
+  serve::NetClient client(ccfg);
+  for (std::size_t i = 0; i < kRequests; ++i)
+    ASSERT_TRUE(client.estimate(eval.nets[i], eval.contexts[i]).status.ok());
+  server.stop();  // joins the I/O thread: every write stage is observed
+
+  // The _count of every gnntrans_net_stage_* histogram in the exposition.
+  std::map<std::string, std::uint64_t> counts;
+  std::istringstream text(
+      telemetry::MetricsRegistry::global().prometheus_text());
+  for (std::string line; std::getline(text, line);) {
+    const std::size_t space = line.find(' ');
+    if (line.starts_with("# TYPE gnntrans_net_stage_")) {
+      EXPECT_TRUE(line.ends_with(" histogram")) << line;
+    }
+    if (!line.starts_with("gnntrans_net_stage_") ||
+        !line.substr(0, space).ends_with("_count"))
+      continue;
+    counts[line.substr(0, space - 6)] = std::stoull(line.substr(space + 1));
+  }
+
+  const auto metric = [](telemetry::Stage stage) {
+    std::string name = telemetry::stage_name(stage);
+    std::replace(name.begin(), name.end(), '.', '_');
+    return "gnntrans_net_stage_" + name + "_seconds";
+  };
+  const std::uint64_t nets = eval.items.size() + kRequests;
+  std::map<std::string, std::uint64_t> expected = {
+      {metric(telemetry::Stage::kExtract), nets},
+      {metric(telemetry::Stage::kMakeSample), nets},
+      {metric(telemetry::Stage::kForward), nets},
+      {metric(telemetry::Stage::kForwardHeads), 0},
+      {metric(telemetry::Stage::kFallback), stats.fallback_nets}};
+  for (const telemetry::Stage s : kRequestStages) expected[metric(s)] = kRequests;
+  ASSERT_EQ(expected.size(), telemetry::kStageCount);
+  EXPECT_EQ(counts, expected);
+  telemetry::MetricsRegistry::global().reset();
+}
+
+/// One event of write_chrome_json's output.
+struct ChromeEvent {
+  std::string name, ph, id;
+  double ts = 0.0, dur = 0.0;
+};
+
+/// The value of "key": in one flat JSON object, "" when absent.
+std::string json_field(std::string_view object, std::string_view key) {
+  const std::string tag = "\"" + std::string(key) + "\":";
+  const std::size_t at = object.find(tag);
+  if (at == std::string_view::npos) return "";
+  std::size_t begin = at + tag.size();
+  std::size_t end = object.find_first_of(",}", begin);
+  if (object[begin] == '"') end = object.find('"', ++begin);
+  return std::string(object.substr(begin, end - begin));
+}
+
+std::vector<ChromeEvent> chrome_events(const std::string& json) {
+  std::vector<ChromeEvent> events;
+  for (std::size_t at = json.find("{\"name\""); at != std::string::npos;
+       at = json.find("{\"name\"", at + 1)) {
+    const std::string_view object =
+        std::string_view(json).substr(at, json.find('}', at) - at + 1);
+    const std::string dur = json_field(object, "dur");
+    events.push_back({json_field(object, "name"), json_field(object, "ph"),
+                      json_field(object, "id"),
+                      std::stod(json_field(object, "ts")),
+                      dur.empty() ? 0.0 : std::stod(dur)});
+  }
+  return events;
+}
+
+// A served head-sampled request renders in the Chrome trace as one slice per
+// request stage on its trace id, laid back to back so their durations add up
+// to the request's /tracez wall time, joined by the client-to-server flow.
+TEST(NetServe, ServedRequestChromeTraceHasOneSlicePerRequestStage) {
+  const EvalData& eval = shared_eval();
+  TraceGuard tracing(/*head_rate=*/1.0);
+  serve::NetServer server(shared_estimator(), serve::NetServerConfig{});
+  server.start();
+  serve::NetClientConfig ccfg;
+  ccfg.port = server.port();
+  serve::NetClient client(ccfg);
+  const serve::NetClient::Result result =
+      client.estimate(eval.nets[0], eval.contexts[0]);
+  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
+  server.stop();  // joins the I/O thread: the request's slices are recorded
+
+  telemetry::FlightRecord record;
+  ASSERT_TRUE(
+      telemetry::FlightRecorder::global().find_request(result.trace_id, &record));
+  std::ostringstream json;
+  telemetry::TraceRecorder::global().write_chrome_json(json);
+  const std::vector<ChromeEvent> events = chrome_events(json.str());
+  char id[40];
+  std::snprintf(id, sizeof(id), "0x%llx",
+                static_cast<unsigned long long>(result.trace_id));
+
+  double slices_us = 0.0;
+  for (const telemetry::Stage s : kRequestStages) {
+    std::size_t slices = 0;
+    for (const ChromeEvent& e : events) {
+      if (e.ph == "X" && e.id == id && e.name == telemetry::stage_name(s)) {
+        ++slices;
+        slices_us += e.dur;
+      }
+    }
+    EXPECT_EQ(slices, 1u) << telemetry::stage_name(s);
+  }
+  const double wall_us = record.total_us;
+  EXPECT_NEAR(slices_us, wall_us, std::max(0.05 * wall_us, 200.0));
+
+  std::vector<std::pair<double, std::string>> flow;
+  for (const ChromeEvent& e : events)
+    if (e.id == id && (e.ph == "s" || e.ph == "t" || e.ph == "f"))
+      flow.emplace_back(e.ts, e.ph + " " + e.name);
+  std::sort(flow.begin(), flow.end());
+  std::vector<std::string> chain;
+  for (const auto& step : flow) chain.push_back(step.second);
+  EXPECT_EQ(chain, (std::vector<std::string>{"s client_send", "t server_admit",
+                                             "t batch_model", "f client_done"}));
 }
 
 TEST(NetServe, FailureStatusCarriesTraceId) {

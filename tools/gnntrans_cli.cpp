@@ -81,9 +81,9 @@
 //   --log-json FILE     mirror log records to FILE as JSON lines
 //   --metrics-out FILE  write a metrics snapshot on success; .json extension
 //                       selects JSON, anything else Prometheus text
-//   --trace-out FILE    record TraceSpans and write Chrome trace JSON on
-//                       success (open in chrome://tracing or Perfetto)
-//   --trace-sample N    span sampling: record 1 in N spans (default 1)
+//   --trace-out FILE    record every span and stage slice and write Chrome
+//                       trace JSON on success (open in chrome://tracing or
+//                       Perfetto)
 //   --trace-rate R      request head-sampling rate in [0,1] (default 1/64):
 //                       fraction of serve requests that get a full stage-
 //                       clock trace, /tracez retention, and flow events
@@ -99,7 +99,9 @@
 //                       every S seconds while the command runs (0 = off)
 //
 // Flags are strict "--name value" pairs. An unknown flag, a flag without its
-// value, or a numeric value that does not parse completely is a usage error.
+// value, a numeric value that does not parse completely, or a probability
+// (--fault-inject, --shadow-rate, --trace-rate) outside [0, 1] is a usage
+// error.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
@@ -139,7 +141,7 @@ using namespace gnntrans;
 
 namespace {
 
-enum class FlagKind { kText, kInteger, kNumber };
+enum class FlagKind { kText, kInteger, kNumber, kProbability };
 
 struct FlagSpec {
   std::string_view name;
@@ -183,12 +185,12 @@ constexpr FlagSpec kFlags[] = {
     {"fallback", FlagKind::kText},
     {"deadline-ms", FlagKind::kNumber},
     {"slow-ms", FlagKind::kNumber},
-    {"fault-inject", FlagKind::kNumber},
+    {"fault-inject", FlagKind::kProbability},
     {"fault-seed", FlagKind::kInteger},
     {"cache-mb", FlagKind::kInteger},
     {"cache-off", FlagKind::kText},
     // Model quality.
-    {"shadow-rate", FlagKind::kNumber},
+    {"shadow-rate", FlagKind::kProbability},
     {"shadow-seed", FlagKind::kInteger},
     {"psi-alert", FlagKind::kNumber},
     {"residual-alert", FlagKind::kNumber},
@@ -197,8 +199,7 @@ constexpr FlagSpec kFlags[] = {
     {"log-json", FlagKind::kText},
     {"metrics-out", FlagKind::kText},
     {"trace-out", FlagKind::kText},
-    {"trace-sample", FlagKind::kInteger},
-    {"trace-rate", FlagKind::kNumber},
+    {"trace-rate", FlagKind::kProbability},
     {"trace-seed", FlagKind::kInteger},
     {"obs-port", FlagKind::kInteger},
     {"obs-addr", FlagKind::kText},
@@ -232,7 +233,8 @@ std::optional<double> parse_double(std::string_view text) {
 }
 
 /// Strict --flag value parser: every flag must be in kFlags, carry a value,
-/// and a numeric value must parse completely. Anything else exits 1.
+/// a numeric value must parse completely and a probability must lie in
+/// [0, 1]. Anything else exits 1.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -249,12 +251,18 @@ class Args {
       if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--"))
         usage_error("flag --" + name + " is missing its value");
       const std::string value = argv[i + 1];
-      if ((spec->kind == FlagKind::kInteger && !parse_long(value)) ||
-          (spec->kind == FlagKind::kNumber && !parse_double(value)))
-        usage_error("flag --" + name + " expects " +
-                    (spec->kind == FlagKind::kInteger ? "an integer"
-                                                      : "a number") +
-                    ", got '" + value + "'");
+      const std::optional<double> number = parse_double(value);
+      const char* expected = nullptr;
+      if (spec->kind == FlagKind::kInteger && !parse_long(value))
+        expected = "an integer";
+      else if (spec->kind == FlagKind::kNumber && !number)
+        expected = "a number";
+      else if (spec->kind == FlagKind::kProbability &&
+               !(number && *number >= 0.0 && *number <= 1.0))
+        expected = "a probability in [0, 1]";
+      if (expected)
+        usage_error("flag --" + name + " expects " + expected + ", got '" +
+                    value + "'");
       values_[name] = value;
     }
   }
@@ -923,8 +931,8 @@ void usage() {
       "flags)");
 }
 
-/// Applies --log-level / --log-json / --trace-out / --trace-sample /
-/// --trace-rate / --trace-seed / --flight-out before
+/// Applies --log-level / --log-json / --trace-out / --trace-rate /
+/// --trace-seed / --flight-out before
 /// command dispatch. Exits 1 on an unknown level name, 2 on an unwritable
 /// log file.
 void setup_telemetry(const Args& args) {
@@ -947,13 +955,11 @@ void setup_telemetry(const Args& args) {
     }
   }
   telemetry::TraceConfig trace_cfg;
-  trace_cfg.sample_every =
-      static_cast<std::size_t>(std::max(1L, args.get_long("trace-sample", 1)));
   // Head sampling for request tracing: --trace-rate is the fraction of
-  // requests that get a full stage-clock trace (clamped to [0,1]); the seed
-  // varies which requests are picked without changing the rate.
-  trace_cfg.head_sample_rate = std::clamp(
-      args.get_double("trace-rate", trace_cfg.head_sample_rate), 0.0, 1.0);
+  // requests that get a full stage-clock trace; the seed varies which
+  // requests are picked without changing the rate.
+  trace_cfg.head_sample_rate =
+      args.get_double("trace-rate", trace_cfg.head_sample_rate);
   if (const long seed = args.get_long("trace-seed", 0); seed != 0)
     trace_cfg.head_seed = static_cast<std::uint64_t>(seed);
   telemetry::TraceRecorder::global().configure(trace_cfg);
